@@ -1,16 +1,16 @@
 //! Criterion microbenchmarks of the simulator's hot paths: the cache
 //! simulator, the Che/Zipf analytic model, the rANS and LZSS codecs, the
-//! event engine, and one full chip-level model execution.
+//! DES kernel, and one full chip-level model execution.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use mtia_core::des::Kernel;
 use mtia_core::spec::chips;
 use mtia_core::SimTime;
 use mtia_model::compress::{ans, lzss};
 use mtia_model::models::dlrm::DlrmConfig;
 use mtia_sim::chip::ChipSim;
-use mtia_sim::engine::Simulator;
 use mtia_sim::mem::cache::{zipf_hit_rate, SetAssocCache};
 
 fn bench_cache(c: &mut Criterion) {
@@ -52,12 +52,14 @@ fn bench_codecs(c: &mut Criterion) {
 fn bench_engine(c: &mut Criterion) {
     c.bench_function("event_engine_10k_events", |b| {
         b.iter_batched(
-            Simulator::new,
-            |mut sim| {
+            Kernel::new,
+            |mut des| {
                 for i in 0..10_000u64 {
-                    sim.schedule(SimTime::from_nanos(i * 7), |_| {});
+                    des.schedule(SimTime::from_nanos(i * 7), i);
                 }
-                black_box(sim.run());
+                while let Some(ev) = des.next_until(SimTime::MAX) {
+                    black_box(ev);
+                }
             },
             BatchSize::SmallInput,
         );

@@ -226,7 +226,7 @@ pub fn e21_rung() -> ExperimentReport {
     ]);
     ExperimentReport {
         id: "E21q",
-        tables: vec![table, crate::service_model::anchor_table()],
+        tables: vec![table],
     }
 }
 

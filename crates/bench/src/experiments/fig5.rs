@@ -112,10 +112,7 @@ pub fn run() -> ExperimentReport {
 
     ExperimentReport {
         id: "F5",
-        // The anchor ties the DES's fixed job times back to the chip-level
-        // roofline model — and routes fig5 (the quick subset's biggest
-        // entry) through the kernel-cost cache.
-        tables: vec![t, series, summary, crate::service_model::anchor_table()],
+        tables: vec![t, series, summary],
     }
 }
 

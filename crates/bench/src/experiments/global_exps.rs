@@ -288,7 +288,7 @@ pub fn e22_rung() -> ExperimentReport {
     ]);
     ExperimentReport {
         id: "E22q",
-        tables: vec![table, crate::service_model::anchor_table()],
+        tables: vec![table],
     }
 }
 

@@ -290,7 +290,7 @@ pub fn e23_rung() -> ExperimentReport {
     ]);
     ExperimentReport {
         id: "E23q",
-        tables: vec![table, crate::service_model::anchor_table()],
+        tables: vec![table],
     }
 }
 

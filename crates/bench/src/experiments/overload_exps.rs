@@ -387,13 +387,10 @@ fn e26_report(id: &'static str, title: &str, anchor: &str, floor: u64) -> Experi
             "TRACE DRIFT".to_string()
         },
     ]);
-    let mut tables = vec![table];
-    if id != "E26" {
-        // Like the other quick rungs, append the chip-model anchor so
-        // the subset keeps exercising the kernel-cost cache.
-        tables.push(crate::service_model::anchor_table());
+    ExperimentReport {
+        id,
+        tables: vec![table],
     }
-    ExperimentReport { id, tables }
 }
 
 /// E26: the full planetary metastable-failure storm, three arms on one

@@ -179,14 +179,10 @@ fn e24_report(id: &'static str, title: &str, anchor: &str, floor: u64) -> Experi
             "UNACCOUNTED".to_string()
         },
     ]);
-    let mut tables = vec![table];
-    if id != "E24" {
-        // Like the other quick rungs, append the chip-model anchor so the
-        // subset keeps exercising the kernel-cost cache. The headline E24
-        // stays a pure DES replay — its wall-clock is the perf yardstick.
-        tables.push(crate::service_model::anchor_table());
+    ExperimentReport {
+        id,
+        tables: vec![table],
     }
-    ExperimentReport { id, tables }
 }
 
 /// E24: the full ≥10⁷-request planetary replay, sharded by cell.

@@ -261,7 +261,7 @@ pub fn e19_single_rung() -> ExperimentReport {
     t.row(&["overhead".into(), pct(s.overhead())]);
     ExperimentReport {
         id: "E19q",
-        tables: vec![t, crate::service_model::anchor_table()],
+        tables: vec![t],
     }
 }
 

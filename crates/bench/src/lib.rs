@@ -12,7 +12,6 @@
 pub mod chaos;
 pub mod experiments;
 pub mod platform;
-pub mod service_model;
 pub mod traces;
 
 use std::fmt;

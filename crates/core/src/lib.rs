@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod calib;
+pub mod des;
 pub mod dtype;
 pub mod error;
 pub mod eventq;

@@ -1,9 +1,14 @@
 //! Process-wide simulated-event accounting.
 //!
-//! Every discrete-event simulator in the workspace that wants to show
-//! up in `reproduce --bench-perf`'s events/sec column flushes its
-//! per-run event count here once, when its report is built. The
-//! counter is a plain atomic: totals are deterministic (the same
+//! An event is one popped discrete-event-simulation event. The
+//! [`crate::des`] kernel flushes its pop count here when it is dropped,
+//! and the global serving DES flushes its own when its report is built,
+//! which is what `reproduce --bench-perf`'s events/sec column reads. The
+//! one documented exception is `ChipSim`, which adds one per executed
+//! graph node: that analytic model has no event queue, and the
+//! benchmark's `chip.nodes` metric reads its count.
+//!
+//! The counter is a plain atomic: totals are deterministic (the same
 //! experiments flush the same counts in any interleaving) even though
 //! flush *order* is not, and nothing behavioural ever reads it — it is
 //! measurement plumbing, not simulation state.

@@ -4,8 +4,7 @@
 //! percentile (P99) latency SLO of 100 ms"), so every simulation here
 //! tracks full latency distributions, not just means. The histogram
 //! lives in `core::telemetry` so both the serving simulators and the
-//! metrics registry can share one mergeable implementation;
-//! `mtia_serving::latency` re-exports it for backward compatibility.
+//! metrics registry can share one mergeable implementation.
 
 use std::fmt;
 

@@ -191,10 +191,6 @@ pub fn simulate_rollout_traced<R: Rng + ?Sized>(
     let mut covered = 0u32;
     let mut impacted = 0u32;
     let mut elapsed = SimTime::ZERO;
-    // One simulated event per staged soak plus one per server evaluated
-    // in it, flushed to `perfcount` so firmware experiments show up in
-    // `reproduce --bench-perf`'s events/sec column.
-    let mut events = 0u64;
     // The deadlock predicate is a property of the bundle, not of a server:
     // evaluate the wait-for graph once.
     let hazardous = deadlock_possible(bundle.deadlock_config_under_load());
@@ -208,7 +204,6 @@ pub fn simulate_rollout_traced<R: Rng + ?Sized>(
         covered = target;
         let stage_start = elapsed;
         elapsed += stage.soak;
-        events += 1 + newly as u64;
         let mut detected = false;
         let impacted_before = impacted;
         if hazardous {
@@ -249,7 +244,6 @@ pub fn simulate_rollout_traced<R: Rng + ?Sized>(
                 ],
             );
             tel.end_span(elapsed);
-            mtia_core::perfcount::add_events(events);
             return RolloutOutcome {
                 detected_at_stage: Some(i),
                 servers_impacted: impacted,
@@ -258,7 +252,6 @@ pub fn simulate_rollout_traced<R: Rng + ?Sized>(
         }
     }
     tel.end_span(elapsed);
-    mtia_core::perfcount::add_events(events);
     RolloutOutcome {
         detected_at_stage: None,
         servers_impacted: impacted,

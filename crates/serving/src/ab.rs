@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use crate::latency::LatencyHistogram;
+use mtia_core::telemetry::LatencyHistogram;
 use mtia_core::SimTime;
 
 /// Normalized entropy: average log-loss divided by the entropy of the

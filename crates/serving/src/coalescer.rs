@@ -5,9 +5,9 @@
 //! into batches that close when the window expires or the target batch
 //! fills, across a configurable number of parallel windows.
 
+use mtia_core::telemetry::LatencyHistogram;
 use mtia_core::SimTime;
 
-use crate::latency::LatencyHistogram;
 use crate::traffic::ArrivalProcess;
 
 /// Coalescer parameters.

@@ -2,7 +2,7 @@
 
 use mtia_core::SimTime;
 
-use crate::latency::LatencyHistogram;
+use mtia_core::telemetry::LatencyHistogram;
 
 /// What one cell-failover run produced. All counters are exact event
 /// counts; latency histograms exclude the warmup window.

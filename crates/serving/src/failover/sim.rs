@@ -30,14 +30,13 @@
 //! smoke asserts is zero with failover enabled. Everything is a pure
 //! function of `(config, placement, domains, plan, arrivals)`.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use mtia_core::telemetry::{Json, Telemetry};
+use mtia_core::des::Kernel;
+use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceId, FaultClock, FaultPlan};
 
-use crate::latency::LatencyHistogram;
 use crate::resilience::controller::{DegradationConfig, DegradationController};
 use crate::resilience::device::{DeviceSet, FaultImpact};
 use crate::resilience::health::HealthConfig;
@@ -119,7 +118,7 @@ impl FailoverConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrival,
     JobDone {
@@ -199,8 +198,7 @@ struct Engine<'a> {
     /// Device → (shard, replica slot) for devices hosting a replica.
     device_replica: Vec<Option<(u32, u32)>>,
     inflight: HashMap<(DeviceId, u64), InflightJob>,
-    events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
-    seq: u64,
+    des: Kernel<Ev>,
     next_token: u64,
     controller: Option<DegradationController>,
     report: FailoverReport,
@@ -209,11 +207,6 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn push(&mut self, t: SimTime, e: Ev) {
-        self.seq += 1;
-        self.events.push(Reverse((t, self.seq, e)));
-    }
-
     fn token(&mut self) -> u64 {
         self.next_token += 1;
         self.next_token
@@ -261,7 +254,8 @@ impl<'a> Engine<'a> {
         if self.config.failover {
             if !self.shards[s as usize].promote_pending && self.live_count(s) > 0 {
                 self.shards[s as usize].promote_pending = true;
-                self.push(now + self.config.promotion_delay, Ev::Promote { shard: s });
+                self.des
+                    .schedule(now + self.config.promotion_delay, Ev::Promote { shard: s });
             }
         } else if self.shards[s as usize].replicas[0].state == ReplicaState::Live {
             self.shards[s as usize].primary = Some(0);
@@ -311,7 +305,7 @@ impl<'a> Engine<'a> {
         self.update_outage(s, now);
         self.maybe_elect(s, now);
         if self.config.failover {
-            self.push(
+            self.des.schedule(
                 now + self.config.rereplicate_after,
                 Ev::Rereplicate {
                     shard: s,
@@ -359,7 +353,7 @@ impl<'a> Engine<'a> {
                     incident: req.incident,
                 },
             );
-            self.push(
+            self.des.schedule(
                 now + occupancy,
                 Ev::JobDone {
                     device: replica.device,
@@ -431,14 +425,15 @@ impl<'a> Engine<'a> {
         let mut index = 0usize;
         while let Some(at) = clock.next_at() {
             clock.pop_due(SimTime::MAX);
-            self.push(at, Ev::FaultAt { index });
+            self.des.schedule(at, Ev::FaultAt { index });
             index += 1;
         }
         if self.config.failover {
-            self.push(self.config.checkpoint_every, Ev::Checkpoint);
+            self.des
+                .schedule(self.config.checkpoint_every, Ev::Checkpoint);
         }
         if let Some(first) = arrivals.next_arrival(SimTime::ZERO) {
-            self.push(first, Ev::Arrival);
+            self.des.schedule(first, Ev::Arrival);
         }
 
         self.tel
@@ -458,14 +453,8 @@ impl<'a> Engine<'a> {
         self.tel.span_attr("seed", Json::UInt(self.config.seed));
 
         let mut next_request = 0u64;
-        let mut now = SimTime::ZERO;
-        let mut drained = 0u64;
-        while let Some(Reverse((t, _, event))) = self.events.pop() {
-            if t > horizon {
-                break;
-            }
-            now = t;
-            drained += 1;
+        while let Some(event) = self.des.next_until(horizon) {
+            let now = self.des.now();
             match event {
                 Ev::Arrival => {
                     let request = next_request;
@@ -488,7 +477,7 @@ impl<'a> Engine<'a> {
                         self.report.shed += 1;
                     }
                     if let Some(next) = arrivals.next_arrival(now) {
-                        self.push(next, Ev::Arrival);
+                        self.des.schedule(next, Ev::Arrival);
                     }
                 }
                 Ev::JobDone { device, epoch } => {
@@ -543,7 +532,8 @@ impl<'a> Engine<'a> {
                 }
                 Ev::Checkpoint => {
                     self.checkpoint_all(now);
-                    self.push(now + self.config.checkpoint_every, Ev::Checkpoint);
+                    self.des
+                        .schedule(now + self.config.checkpoint_every, Ev::Checkpoint);
                 }
                 Ev::HostRestored { device } => {
                     self.set.tick(now);
@@ -568,7 +558,7 @@ impl<'a> Engine<'a> {
                         ready_at: now + cost,
                     };
                     self.report.restores += 1;
-                    self.push(
+                    self.des.schedule(
                         now + cost,
                         Ev::RestoreDone {
                             shard: s,
@@ -664,7 +654,7 @@ impl<'a> Engine<'a> {
                         device: spare,
                         state: ReplicaState::Restoring { token, ready_at },
                     };
-                    self.push(
+                    self.des.schedule(
                         ready_at,
                         Ev::RestoreDone {
                             shard,
@@ -700,7 +690,7 @@ impl<'a> Engine<'a> {
                             self.set.get_mut(fault.device).health.set_offline(now);
                             self.kill_inflight(fault.device, epoch);
                             self.replica_lost(fault.device, now);
-                            self.push(
+                            self.des.schedule(
                                 recovers_at,
                                 Ev::HostRestored {
                                     device: fault.device,
@@ -711,7 +701,7 @@ impl<'a> Engine<'a> {
                             // In-flight work survives; only the replica's
                             // serving capability is lost until the heal.
                             self.replica_lost(fault.device, now);
-                            self.push(
+                            self.des.schedule(
                                 heals_at,
                                 Ev::PartitionHealed {
                                     device: fault.device,
@@ -723,7 +713,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let end = now.min(horizon);
+        let end = self.des.now();
         // Close open outage windows at the horizon.
         for s in 0..self.config.shards {
             if let Some(since) = self.shards[s as usize].down_since.take() {
@@ -764,9 +754,6 @@ impl<'a> Engine<'a> {
                 self.tel.counter_add(name, value);
             }
         }
-        // Flush the drained-event count so failover experiments show up
-        // in `reproduce --bench-perf`'s events/sec column.
-        mtia_core::perfcount::add_events(drained);
         self.report
     }
 }
@@ -848,8 +835,7 @@ pub fn simulate_cell_failover_traced(
         shards,
         device_replica,
         inflight: HashMap::new(),
-        events: BinaryHeap::new(),
-        seq: 0,
+        des: Kernel::new(),
         next_token: 0,
         controller: if config.failover {
             config.degradation.map(DegradationController::new)

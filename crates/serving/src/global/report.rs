@@ -2,7 +2,7 @@
 
 use mtia_core::SimTime;
 
-use crate::latency::LatencyHistogram;
+use mtia_core::telemetry::LatencyHistogram;
 
 /// What one global-serving run produced. All counters are exact event
 /// counts over a fully-drained run, so the conservation identity

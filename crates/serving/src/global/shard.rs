@@ -38,7 +38,7 @@
 //!
 //! [`simulate_global`]: super::simulate_global
 
-use mtia_core::telemetry::Telemetry;
+use mtia_core::telemetry::{LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::FaultPlan;
 
@@ -152,8 +152,8 @@ fn merge_reports(cells: &[GlobalReport]) -> GlobalReport {
         outlier_demotions: 0,
         device_downs: 0,
         events: 0,
-        request_latency: crate::latency::LatencyHistogram::new(),
-        spillover_latency: crate::latency::LatencyHistogram::new(),
+        request_latency: LatencyHistogram::new(),
+        spillover_latency: LatencyHistogram::new(),
         recovery_time: SimTime::ZERO,
         capacity_headroom: 1.0,
         routed: vec![vec![0; total_pods]; total_regions],

@@ -88,11 +88,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mtia_core::eventq::{Arena, ArenaRef, EventId, EventQueue};
-use mtia_core::telemetry::{Json, Telemetry};
+use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceFaultState, FaultKind, FaultPlan};
 
-use crate::latency::LatencyHistogram;
 use crate::resilience::outlier::OutlierDetector;
 use crate::resilience::{CircuitBreaker, HealthMachine, HealthState, RetryBudget};
 

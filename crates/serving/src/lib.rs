@@ -34,7 +34,6 @@ pub mod cluster;
 pub mod coalescer;
 pub mod failover;
 pub mod global;
-pub mod latency;
 pub mod replayer;
 pub mod resilience;
 pub mod scheduler;
@@ -54,7 +53,7 @@ pub use global::{
     GlobalComparison, GlobalConfig, GlobalFleetSpec, GlobalReport, GrayResilienceConfig,
     LadderConfig, Priority, RegionalTrace, RegionalTrafficConfig, RoutingPolicy,
 };
-pub use latency::LatencyHistogram;
+pub use mtia_core::telemetry::LatencyHistogram;
 pub use replayer::{overclock_gain_on_trace, replay, ReplayDeployment, ReplayReport};
 pub use resilience::{
     compare_policies, simulate_resilient_remote_merge, simulate_resilient_remote_merge_traced,

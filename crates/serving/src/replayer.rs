@@ -8,10 +8,10 @@
 //! model and reports the §5.4-relevant contrast between replay (steady
 //! peak) and production (diurnal) conditions.
 
+use mtia_core::telemetry::LatencyHistogram;
 use mtia_core::SimTime;
 
 use crate::coalescer::{simulate_coalescer, CoalescerConfig};
-use crate::latency::LatencyHistogram;
 use crate::traffic::{ArrivalProcess, ReplayTrace};
 
 /// A deployment candidate under replay: batch formation plus a batch

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::latency::LatencyHistogram;
+use mtia_core::telemetry::LatencyHistogram;
 
 /// Outcome of one policy run under one fault trace.
 #[derive(Debug, Clone)]

@@ -18,14 +18,13 @@
 //! Everything is a pure function of `(config, plan, arrival stream)` —
 //! reports embed the plan fingerprint so trace identity is checkable.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use mtia_core::telemetry::{Json, Telemetry};
+use mtia_core::des::Kernel;
+use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceId, FaultClock, FaultPlan};
 
-use crate::latency::LatencyHistogram;
 use crate::scheduler::RemoteMergeConfig;
 use crate::traffic::ArrivalProcess;
 
@@ -107,17 +106,19 @@ impl ResilienceConfig {
     }
 }
 
-/// A unit of work bound for a device. `attempts` counts dispatches so
-/// far (0 for a never-dispatched job).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A unit of work bound for a device. `index` numbers a request's remote
+/// jobs (0 for its merge); `attempts` counts dispatches so far (0 for a
+/// never-dispatched job).
+#[derive(Debug, Clone, Copy)]
 struct Ticket {
     request: u64,
     is_merge: bool,
+    index: u32,
     attempts: u32,
     hedges: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     Arrival,
     JobDone { device: DeviceId, epoch: u64 },
@@ -140,8 +141,7 @@ struct Engine<'a> {
     policy: DispatchPolicy,
     config: &'a ResilienceConfig,
     set: DeviceSet,
-    events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
-    seq: u64,
+    des: Kernel<Ev>,
     queue: VecDeque<Ticket>,
     inflight: HashMap<(DeviceId, u64), Ticket>,
     /// Naive-mode jobs swallowed by a dead link: failed when it restores.
@@ -156,11 +156,6 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn push(&mut self, t: SimTime, e: Ev) {
-        self.seq += 1;
-        self.events.push(Reverse((t, self.seq, e)));
-    }
-
     fn fail_request(&mut self, request: u64) {
         if self.requests.remove(&request).is_some() {
             self.report.dropped += 1;
@@ -226,17 +221,19 @@ impl<'a> Engine<'a> {
             let base = if ticket.is_merge {
                 self.config.workload.merge_time
             } else {
-                self.config.workload.remote_job_time()
+                self.config.workload.remote_job_time_for(ticket.index)
             };
             let factor = self.set.get(device).faults.service_time_factor(now);
             let occupancy = base.scale(factor) + self.config.workload.dispatch_overhead;
             let epoch = self.set.get(device).epoch();
             self.inflight.insert((device, epoch), ticket);
-            self.push(now + occupancy, Ev::JobDone { device, epoch });
+            self.des
+                .schedule(now + occupancy, Ev::JobDone { device, epoch });
             if self.policy == DispatchPolicy::Resilient && ticket.is_merge {
                 if let Some(hedge) = self.config.hedge {
                     if ticket.hedges < hedge.max_hedges {
-                        self.push(now + hedge.delay, Ev::HedgeCheck { device, epoch });
+                        self.des
+                            .schedule(now + hedge.delay, Ev::HedgeCheck { device, epoch });
                     }
                 }
             }
@@ -280,7 +277,7 @@ impl<'a> Engine<'a> {
                 ],
             );
         }
-        self.push(now + delay, Ev::JobReady { ticket });
+        self.des.schedule(now + delay, Ev::JobReady { ticket });
     }
 
     /// Applies resilient-mode health bookkeeping after a job error, and
@@ -292,7 +289,8 @@ impl<'a> Engine<'a> {
         let before = self.health_state(device);
         self.set.get_mut(device).health.observe_error(now);
         if before != HealthState::Offline && self.health_state(device) == HealthState::Offline {
-            self.push(now + self.config.offline_cooldown, Ev::Reenable { device });
+            self.des
+                .schedule(now + self.config.offline_cooldown, Ev::Reenable { device });
         }
         self.record_health_transition(device, before, now);
     }
@@ -303,7 +301,8 @@ impl<'a> Engine<'a> {
             let machine = &mut self.set.get_mut(device).health;
             machine.begin_drain(now);
             machine.set_offline(now);
-            self.push(now + duration, Ev::MaintenanceDone { device });
+            self.des
+                .schedule(now + duration, Ev::MaintenanceDone { device });
             self.record_health_transition(device, before, now);
         }
     }
@@ -319,14 +318,15 @@ impl<'a> Engine<'a> {
         let mut index = 0usize;
         while let Some(at) = clock.next_at() {
             clock.pop_due(SimTime::MAX);
-            self.push(at, Ev::FaultAt { index });
+            self.des.schedule(at, Ev::FaultAt { index });
             index += 1;
         }
         for (i, w) in self.config.maintenance.iter().enumerate() {
-            self.push(w.start, Ev::MaintenanceStart { window: i });
+            self.des
+                .schedule(w.start, Ev::MaintenanceStart { window: i });
         }
         if let Some(first) = arrivals.next_arrival(SimTime::ZERO) {
-            self.push(first, Ev::Arrival);
+            self.des.schedule(first, Ev::Arrival);
         }
 
         self.tel
@@ -339,12 +339,8 @@ impl<'a> Engine<'a> {
         self.tel.span_attr("seed", Json::UInt(self.config.seed));
 
         let mut next_request = 0u64;
-        let mut now = SimTime::ZERO;
-        while let Some(Reverse((t, _, event))) = self.events.pop() {
-            if t > horizon {
-                break;
-            }
-            now = t;
+        while let Some(event) = self.des.next_until(horizon) {
+            let now = self.des.now();
             match event {
                 Ev::Arrival => {
                     let request = next_request;
@@ -362,10 +358,11 @@ impl<'a> Engine<'a> {
                                 remotes_left: self.config.workload.remote_jobs_per_request,
                             },
                         );
-                        for _ in 0..self.config.workload.remote_jobs_per_request {
+                        for index in 0..self.config.workload.remote_jobs_per_request {
                             self.queue.push_back(Ticket {
                                 request,
                                 is_merge: false,
+                                index,
                                 attempts: 0,
                                 hedges: 0,
                             });
@@ -374,7 +371,7 @@ impl<'a> Engine<'a> {
                         self.report.shed += 1;
                     }
                     if let Some(next) = arrivals.next_arrival(now) {
-                        self.push(next, Ev::Arrival);
+                        self.des.schedule(next, Ev::Arrival);
                     }
                 }
                 Ev::JobDone { device, epoch } => {
@@ -432,6 +429,7 @@ impl<'a> Engine<'a> {
                                 self.queue.push_back(Ticket {
                                     request: ticket.request,
                                     is_merge: true,
+                                    index: 0,
                                     attempts: 0,
                                     hedges: 0,
                                 });
@@ -557,7 +555,7 @@ impl<'a> Engine<'a> {
                                     }
                                 }
                             }
-                            self.push(
+                            self.des.schedule(
                                 recovers_at,
                                 Ev::LinkRestored {
                                     device: fault.device,
@@ -573,7 +571,7 @@ impl<'a> Engine<'a> {
                                 let before = self.health_state(fault.device);
                                 self.set.get_mut(fault.device).health.set_offline(now);
                                 self.record_health_transition(fault.device, before, now);
-                                self.push(
+                                self.des.schedule(
                                     heals_at,
                                     Ev::LinkRestored {
                                         device: fault.device,
@@ -587,7 +585,8 @@ impl<'a> Engine<'a> {
             self.dispatch(now);
         }
 
-        self.set.tick(now.min(horizon));
+        let end = self.des.now();
+        self.set.tick(end);
         // Requests still in flight at the end: the ones that had their full
         // deadline budget before the horizon are genuinely stuck (e.g. lost
         // inside a hung device); younger ones are horizon truncation, not a
@@ -597,10 +596,8 @@ impl<'a> Engine<'a> {
             self.requests.values().partition(|r| r.arrived <= cutoff);
         self.report.stuck = stuck.len() as u64;
         self.report.offered -= truncated.len() as u64;
-        self.report.availability = self
-            .set
-            .availability(now.min(horizon).max(SimTime::from_picos(1)));
-        self.tel.end_span(now.min(horizon));
+        self.report.availability = self.set.availability(end.max(SimTime::from_picos(1)));
+        self.tel.end_span(end);
         if self.tel.is_enabled() {
             for (name, value) in [
                 ("serving.offered", self.report.offered),
@@ -669,8 +666,7 @@ pub fn simulate_resilient_remote_merge_traced(
             config.health,
             config.pcie_util_window,
         ),
-        events: BinaryHeap::new(),
-        seq: 0,
+        des: Kernel::new(),
         queue: VecDeque::new(),
         inflight: HashMap::new(),
         doomed: HashMap::new(),
@@ -761,6 +757,37 @@ mod tests {
         assert_eq!(cmp.naive.success_rate(), 1.0);
         assert_eq!(cmp.resilient.success_rate(), 1.0);
         assert_eq!(cmp.naive.dropped + cmp.naive.stuck + cmp.naive.shed, 0);
+    }
+
+    #[test]
+    fn naive_arm_on_a_clean_plan_is_the_scheduler() {
+        use crate::scheduler::simulate_remote_merge;
+        use crate::traffic::PoissonArrivals;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // 10 000 000 001 ps does not divide by 3: every remote job must
+        // carry its own share of the remainder, as the scheduler's do.
+        for (total_ps, jobs) in [(8_000_000_000, 2), (8_000_000_000, 4), (10_000_000_001, 3)] {
+            let mut cfg = config(21);
+            cfg.workload.devices = 2;
+            cfg.workload.remote_jobs_per_request = jobs;
+            cfg.workload.remote_total_time = SimTime::from_picos(total_ps);
+            let (horizon, warmup) = (SimTime::from_secs(20), SimTime::from_secs(2));
+            let arrivals = || PoissonArrivals::new(60.0, StdRng::seed_from_u64(21));
+            let scheduler = simulate_remote_merge(cfg.workload, &mut arrivals(), horizon, warmup);
+            let naive = simulate_resilient_remote_merge(
+                &cfg,
+                DispatchPolicy::Naive,
+                &mut arrivals(),
+                &FaultPlan::empty(21),
+                horizon,
+                warmup,
+            );
+            assert_eq!(
+                naive.request_latency, scheduler.request_latency,
+                "{total_ps} ps / {jobs} jobs"
+            );
+        }
     }
 
     #[test]

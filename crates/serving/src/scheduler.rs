@@ -10,13 +10,12 @@
 //! number of remote jobs per request (total remote service time unchanged),
 //! raising merge-job occupancy and cutting P99 by 13 ms.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
-use mtia_core::telemetry::{Json, Telemetry};
+use mtia_core::des::Kernel;
+use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
 
-use crate::latency::LatencyHistogram;
 use crate::traffic::ArrivalProcess;
 
 /// Configuration of one remote/merge deployment.
@@ -42,16 +41,6 @@ pub struct RemoteMergeConfig {
 }
 
 impl RemoteMergeConfig {
-    /// Mean per-job duration of one remote job (truncated to the
-    /// picosecond grid). Prefer [`remote_job_time_for`] when scheduling:
-    /// summing this value over the jobs under-counts
-    /// `remote_total_time` by up to `remote_jobs_per_request − 1` ps.
-    ///
-    /// [`remote_job_time_for`]: Self::remote_job_time_for
-    pub fn remote_job_time(&self) -> SimTime {
-        self.remote_total_time / self.remote_jobs_per_request.max(1) as u64
-    }
-
     /// Duration of remote job `index` (0-based) of one request.
     ///
     /// The integer division's picosecond remainder is spread over the
@@ -99,7 +88,7 @@ struct Job {
     ready_at: SimTime,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival,
     JobDone { request: u64, kind_is_merge: bool },
@@ -148,18 +137,9 @@ pub fn simulate_remote_merge_traced(
         "need at least one remote job"
     );
 
-    let mut events: BinaryHeap<Reverse<(SimTime, u64, Event)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |events: &mut BinaryHeap<Reverse<(SimTime, u64, Event)>>,
-                seq: &mut u64,
-                t: SimTime,
-                e: Event| {
-        *seq += 1;
-        events.push(Reverse((t, *seq, e)));
-    };
-
+    let mut des = Kernel::new();
     if let Some(first) = arrivals.next_arrival(SimTime::ZERO) {
-        push(&mut events, &mut seq, first, Event::Arrival);
+        des.schedule(first, Event::Arrival);
     }
 
     let mut queue: VecDeque<Job> = VecDeque::new();
@@ -185,12 +165,8 @@ pub fn simulate_remote_merge_traced(
         Json::UInt(config.remote_jobs_per_request as u64),
     );
 
-    let mut now = SimTime::ZERO;
-    while let Some(Reverse((t, _, event))) = events.pop() {
-        if t > horizon {
-            break;
-        }
-        now = t;
+    while let Some(event) = des.next_until(horizon) {
+        let now = des.now();
         match event {
             Event::Arrival => {
                 let request = next_request;
@@ -206,7 +182,7 @@ pub fn simulate_remote_merge_traced(
                     });
                 }
                 if let Some(next) = arrivals.next_arrival(now) {
-                    push(&mut events, &mut seq, next, Event::Arrival);
+                    des.schedule(next, Event::Arrival);
                 }
             }
             Event::JobDone {
@@ -261,11 +237,8 @@ pub fn simulate_remote_merge_traced(
                 stats.merge_wait.record(now - job.ready_at);
                 tel.hist_record("serving.merge_wait", now - job.ready_at);
             }
-            let done = now + occupancy;
-            push(
-                &mut events,
-                &mut seq,
-                done,
+            des.schedule(
+                now + occupancy,
                 Event::JobDone {
                     request: job.request,
                     kind_is_merge: job.kind == JobKind::Merge,
@@ -274,6 +247,7 @@ pub fn simulate_remote_merge_traced(
         }
     }
 
+    let now = des.now();
     tel.end_span(now);
     let measured = now.saturating_sub(warmup);
     if measured > SimTime::ZERO {
@@ -417,7 +391,7 @@ mod tests {
         // Exact divisions degenerate to the mean for every index.
         let exact = base_config(4);
         for i in 0..4 {
-            assert_eq!(exact.remote_job_time_for(i), exact.remote_job_time());
+            assert_eq!(exact.remote_job_time_for(i), SimTime::from_millis(2));
         }
         // Many more jobs than picoseconds: every job still schedules.
         let mut tiny = base_config(7);

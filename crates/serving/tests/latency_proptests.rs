@@ -3,10 +3,10 @@
 //! indistinguishable from recording every sample into one histogram —
 //! the contract the parallel Monte-Carlo replicas rely on.
 //!
-//! [`LatencyHistogram::merge`]: mtia_serving::latency::LatencyHistogram::merge
+//! [`LatencyHistogram::merge`]: mtia_core::telemetry::LatencyHistogram::merge
 
+use mtia_core::telemetry::LatencyHistogram;
 use mtia_core::SimTime;
-use mtia_serving::latency::LatencyHistogram;
 use proptest::collection::vec;
 use proptest::prelude::*;
 

@@ -7,8 +7,8 @@
 //! penalty, the NoC with traffic shaping and broadcast reads, the
 //! eager-mode job-launch path, and the host PCIe link with its GZIP
 //! decompression engine. A matching GPU roofline model provides the
-//! baseline for all relative results, and a discrete-event engine supports
-//! the serving/fleet layers above.
+//! baseline for all relative results. The serving layers above run their
+//! event loops on `mtia_core::des`.
 //!
 //! # Quick tour
 //!
@@ -28,7 +28,6 @@
 pub mod chip;
 pub mod control;
 pub mod costcache;
-pub mod engine;
 pub mod faults;
 pub mod gpu;
 pub mod host;

@@ -1,13 +1,10 @@
 //! Property-based invariants of the simulator substrates.
 
 use mtia_core::units::{Bandwidth, Bytes, SimTime};
-use mtia_sim::engine::Simulator;
 use mtia_sim::mem::cache::{zipf_hit_rate, SetAssocCache};
 use mtia_sim::noc::LeakyBucket;
 use mtia_sim::pe_pipeline::{simulate_pipeline, PipelineConfig};
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -75,21 +72,6 @@ proptest! {
         let later = SimTime::from_secs(1);
         let d2 = bucket.admit(Bytes::from_kib(burst_kib), later);
         prop_assert_eq!(d2, SimTime::ZERO);
-    }
-
-    /// Event engine executes every event exactly once, in time order.
-    #[test]
-    fn engine_executes_in_order(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut sim = Simulator::new();
-        let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        for &t in &times {
-            let log = log.clone();
-            sim.schedule(SimTime::from_nanos(t), move |_| log.borrow_mut().push(t));
-        }
-        sim.run();
-        let executed = log.borrow();
-        prop_assert_eq!(executed.len(), times.len());
-        prop_assert!(executed.windows(2).all(|w| w[0] <= w[1]));
     }
 
     /// Pipeline makespan is bounded below by every stage's serial total and

@@ -31,7 +31,7 @@ echo "==> reproduce smoke: determinism + perf (--filter quick)"
 # if the rendered tables are not byte-identical, and leaves the
 # per-experiment wall-clock/speedup/events-per-sec/peak-RSS/cache
 # telemetry (global + non-zero per-shard counters) in BENCH_PERF.json.
-# Each serving rung (and fig5) routes a modeled batch through
+# e25_rung's design search re-evaluates kernels through
 # sim::costcache, so a 0% overall hit rate here is a regression (the
 # binary warns on it).
 #
