@@ -182,9 +182,16 @@ fn timed_run(entries: &[ExperimentEntry], threads: usize) -> TimedRun {
     }
 }
 
-/// Process peak resident-set size from `/proc/self/status` (`VmHWM`), in
-/// bytes. A high-water mark: per-experiment readings attribute the peak
-/// to the first entry that reached it. `None` off Linux.
+/// Resets the process's peak-RSS high-water mark (`VmHWM`) to the
+/// current RSS by writing `5` to `/proc/self/clear_refs`. False where
+/// the write is refused or the file does not exist (off Linux).
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// Peak resident-set size from `/proc/self/status` (`VmHWM`), in bytes:
+/// the high-water mark since the last [`reset_peak_rss`], or since
+/// process start if it was never reset. `None` off Linux.
 fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -217,8 +224,9 @@ const PERF_GATE_MAX_REGRESSION: f64 = 0.25;
 
 /// Emits the BENCH_PERF.json payload: per-experiment wall clock at one
 /// thread and at `threads`, speedup, byte-identity, simulated DES
-/// events with single-thread events/sec, peak RSS, and cost-cache hit
-/// rates. Hand-rolled JSON — the workspace takes no serde dependency.
+/// events with single-thread events/sec, peak RSS (the high-water mark
+/// is reset before each experiment; `null` when it cannot be), and
+/// cost-cache hit rates. Hand-rolled JSON — the workspace takes no serde dependency.
 fn bench_perf(
     entries: &[ExperimentEntry],
     threads: usize,
@@ -232,8 +240,10 @@ fn bench_perf(
     let mut total_hits = 0u64;
     let mut total_misses = 0u64;
     let mut all_identical = true;
+    let mut max_peak_rss = None;
     for (i, entry) in entries.iter().enumerate() {
         let one = std::slice::from_ref(entry);
+        let peak_reset = reset_peak_rss();
         let run_1t = timed_run(one, 1);
         let run_nt = timed_run(one, threads);
         // Per-shard counters from the N-thread run (the cache was reset
@@ -267,7 +277,8 @@ fn bench_perf(
             wall_1t = wall_1t.min(run_nt.wall);
         }
         let events_per_sec_1t = run_1t.events as f64 / wall_1t.max(1e-9);
-        let peak_rss = peak_rss_bytes();
+        let peak_rss = if peak_reset { peak_rss_bytes() } else { None };
+        max_peak_rss = max_peak_rss.max(peak_rss);
         measured.push(PerfRow {
             name: entry.name,
             events: run_1t.events,
@@ -325,7 +336,7 @@ fn bench_perf(
         json_f64(total_1t / total_nt),
         total_events,
         json_f64(total_events as f64 / total_1t.max(1e-9)),
-        peak_rss_bytes().map_or("null".to_string(), |b| b.to_string()),
+        max_peak_rss.map_or("null".to_string(), |b: u64| b.to_string()),
         all_identical,
     );
     if total_hits == 0 {

@@ -108,7 +108,6 @@ impl E22Scenario {
         let during = self
             .trace
             .arrivals()
-            .iter()
             .filter(|a| {
                 a.region == self.victim && a.at >= self.outage_start && a.at < self.outage_end
             })

@@ -13,7 +13,7 @@
 //!
 //! fitted once per run by direct projection of the trace's arrival
 //! instants onto the harmonic basis (no iteration, no RNG — a pure
-//! fold over the trace in arrival order, so the fit is deterministic
+//! fold over each region's arrivals in order, so the fit is deterministic
 //! and byte-identical at any thread count). One harmonic is exactly
 //! the shape [`build_regional_trace`](super::build_regional_trace)
 //! generates, so the residual the *reactive* defenses must absorb is
@@ -55,12 +55,14 @@ impl DiurnalForecast {
         assert!(period_s > 0.0, "diurnal period must be positive");
         let omega = 2.0 * std::f64::consts::PI / period_s;
         let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); regions as usize];
-        for a in trace.arrivals() {
-            let t = a.at.as_secs_f64();
-            let s = &mut sums[a.region as usize];
-            s.0 += 1.0;
-            s.1 += (omega * t).cos();
-            s.2 += (omega * t).sin();
+        for column in &trace.columns {
+            let s = &mut sums[column.region as usize];
+            for at in &column.at {
+                let t = at.as_secs_f64();
+                s.0 += 1.0;
+                s.1 += (omega * t).cos();
+                s.2 += (omega * t).sin();
+            }
         }
         let coeffs = sums
             .into_iter()

@@ -51,6 +51,10 @@ pub use report::{GlobalComparison, GlobalReport, TimelineBucket};
 pub use shard::{simulate_planet, CellSpec, PlanetConfig, PlanetReport};
 pub use sim::{compare_global, simulate_global, simulate_global_traced};
 
+use std::collections::BTreeMap;
+
+use mtia_core::error::ConfigError;
+use mtia_core::pool;
 use mtia_core::seed::derive_indexed;
 use mtia_core::SimTime;
 use rand::rngs::StdRng;
@@ -453,63 +457,210 @@ pub struct GlobalArrival {
     pub priority: Priority,
 }
 
-/// A merged, sorted, replayable multi-region arrival trace — the
-/// byte-identical artifact both comparison arms consume.
+/// One region's arrivals: times in generation order (non-decreasing)
+/// plus a bitset marking the [`Priority::Low`] ones — 8⅛ bytes per
+/// arrival.
+#[derive(Debug, Clone, PartialEq)]
+struct RegionColumn {
+    region: u32,
+    at: Vec<SimTime>,
+    /// Bit `i % 64` of word `i / 64` is set when arrival `i` is low
+    /// priority.
+    low: Vec<u64>,
+}
+
+impl RegionColumn {
+    fn new(region: u32) -> Self {
+        RegionColumn {
+            region,
+            at: Vec::new(),
+            low: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, at: SimTime, priority: Priority) {
+        let i = self.at.len();
+        if i.is_multiple_of(64) {
+            self.low.push(0);
+        }
+        if priority == Priority::Low {
+            self.low[i / 64] |= 1 << (i % 64);
+        }
+        self.at.push(at);
+    }
+
+    fn get(&self, i: usize) -> GlobalArrival {
+        let low = self.low[i / 64] >> (i % 64) & 1 == 1;
+        GlobalArrival {
+            at: self.at[i],
+            region: self.region,
+            priority: if low { Priority::Low } else { Priority::High },
+        }
+    }
+}
+
+/// A replayable multi-region arrival trace — the byte-identical
+/// artifact both comparison arms consume. Stored as one column per
+/// region in generation order; [`RegionalTrace::arrivals`] merges them
+/// back into `(time, region)` order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionalTrace {
-    arrivals: Vec<GlobalArrival>,
+    /// The regions that have arrivals, ascending by region index.
+    columns: Vec<RegionColumn>,
+    len: usize,
+    fingerprint: u64,
 }
 
 impl RegionalTrace {
-    /// Wraps pre-sorted arrivals.
+    /// Wraps arrivals sorted by `(at, region)`; arrivals with an equal
+    /// key replay in the given order.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if arrivals are not sorted by `(at, region)`.
-    pub fn new(arrivals: Vec<GlobalArrival>) -> Self {
-        assert!(
-            arrivals
-                .windows(2)
-                .all(|w| (w[0].at, w[0].region) <= (w[1].at, w[1].region)),
-            "regional trace must be sorted by (time, region)"
-        );
-        RegionalTrace { arrivals }
+    /// [`ConfigError::OutOfRange`] if the arrivals are not sorted by
+    /// `(at, region)`.
+    pub fn new(arrivals: Vec<GlobalArrival>) -> Result<Self, ConfigError> {
+        if !arrivals
+            .windows(2)
+            .all(|w| (w[0].at, w[0].region) <= (w[1].at, w[1].region))
+        {
+            return Err(ConfigError::OutOfRange {
+                what: "regional trace order",
+                valid: "arrivals sorted by (time, region)",
+            });
+        }
+        let mut columns: BTreeMap<u32, RegionColumn> = BTreeMap::new();
+        for a in arrivals {
+            columns
+                .entry(a.region)
+                .or_insert_with(|| RegionColumn::new(a.region))
+                .push(a.at, a.priority);
+        }
+        Ok(Self::from_columns(columns.into_values().collect()))
     }
 
-    /// The sorted arrivals.
-    pub fn arrivals(&self) -> &[GlobalArrival] {
-        &self.arrivals
+    /// Seals columns ascending by region, each in non-decreasing time
+    /// order: drops empty regions and computes `len` and the
+    /// fingerprint once.
+    fn from_columns(mut columns: Vec<RegionColumn>) -> Self {
+        columns.retain(|c| !c.at.is_empty());
+        debug_assert!(columns.windows(2).all(|w| w[0].region < w[1].region));
+        debug_assert!(columns
+            .iter()
+            .all(|c| c.at.windows(2).all(|w| w[0] <= w[1])));
+        for c in &mut columns {
+            c.at.shrink_to_fit();
+            c.low.shrink_to_fit();
+        }
+        let mut trace = RegionalTrace {
+            columns,
+            len: 0,
+            fingerprint: 0,
+        };
+        trace.len = trace.columns.iter().map(|c| c.at.len()).sum();
+        trace.fingerprint = fnv_fingerprint(trace.arrivals());
+        trace
+    }
+
+    /// The arrivals in `(time, region)` order.
+    pub fn arrivals(&self) -> Arrivals<'_> {
+        let mut arrivals = Arrivals {
+            columns: &self.columns,
+            cursor: vec![0; self.columns.len()],
+            head: None,
+        };
+        arrivals.head = arrivals.find_head();
+        arrivals
+    }
+
+    /// Time of the last arrival, if any.
+    fn last_at(&self) -> Option<SimTime> {
+        self.columns
+            .iter()
+            .filter_map(|c| c.at.last().copied())
+            .max()
     }
 
     /// Number of requests in the trace.
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.len
     }
 
     /// True when the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.len == 0
     }
 
-    /// FNV-1a digest over every arrival — the trace-identity witness
-    /// reports embed (mirroring `FaultPlan::fingerprint`).
+    /// FNV-1a digest over every arrival in `(time, region)` order — the
+    /// trace-identity witness reports embed (mirroring
+    /// `FaultPlan::fingerprint`).
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        for a in &self.arrivals {
-            mix(a.at.as_picos());
-            mix(a.region as u64);
-            mix(match a.priority {
-                Priority::High => 0,
-                Priority::Low => 1,
-            });
+        self.fingerprint
+    }
+}
+
+/// FNV-1a over `(at, region, priority)` words.
+fn fnv_fingerprint(arrivals: impl Iterator<Item = GlobalArrival>) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x100_0000_01b3);
         }
-        hash
+    };
+    for a in arrivals {
+        mix(a.at.as_picos());
+        mix(a.region as u64);
+        mix(match a.priority {
+            Priority::High => 0,
+            Priority::Low => 1,
+        });
+    }
+    hash
+}
+
+/// [`RegionalTrace::arrivals`]: a merge of the region columns in
+/// `(time, region)` order, with the next arrival cached so peeking is
+/// O(1).
+#[derive(Debug, Clone)]
+pub struct Arrivals<'a> {
+    columns: &'a [RegionColumn],
+    /// Next unread index per column.
+    cursor: Vec<usize>,
+    /// `(column, at)` of the next arrival.
+    head: Option<(usize, SimTime)>,
+}
+
+impl Arrivals<'_> {
+    /// The earliest unread arrival; on a tie the lowest region wins,
+    /// since columns ascend by region.
+    fn find_head(&self) -> Option<(usize, SimTime)> {
+        let mut head: Option<(usize, SimTime)> = None;
+        for (c, column) in self.columns.iter().enumerate() {
+            if let Some(&at) = column.at.get(self.cursor[c]) {
+                if head.is_none_or(|(_, t)| at < t) {
+                    head = Some((c, at));
+                }
+            }
+        }
+        head
+    }
+
+    /// Time of the next arrival, without consuming it.
+    pub fn peek_at(&self) -> Option<SimTime> {
+        self.head.map(|(_, at)| at)
+    }
+}
+
+impl Iterator for Arrivals<'_> {
+    type Item = GlobalArrival;
+
+    fn next(&mut self) -> Option<GlobalArrival> {
+        let (c, _) = self.head?;
+        let arrival = self.columns[c].get(self.cursor[c]);
+        self.cursor[c] += 1;
+        self.head = self.find_head();
+        Some(arrival)
     }
 }
 
@@ -550,18 +701,24 @@ impl RegionalTrafficConfig {
     }
 }
 
-/// Builds the merged multi-region trace: per-region phase-offset
-/// diurnal envelopes with seeded flash crowds, arrivals recorded up to
-/// `horizon`, merged and sorted. A pure function of
-/// `(config, regions, horizon, seed)` — the replayable artifact both
-/// comparison arms share.
+/// Builds the multi-region trace: per-region phase-offset diurnal
+/// envelopes with seeded flash crowds, arrivals recorded up to
+/// `horizon`. A pure function of `(config, regions, horizon, seed)` —
+/// the replayable artifact both comparison arms share.
 pub fn build_regional_trace(
     config: &RegionalTrafficConfig,
     regions: u32,
     horizon: SimTime,
     seed: u64,
 ) -> RegionalTrace {
-    build_trace_impl(config, regions, horizon, seed, false)
+    build_trace_impl(
+        config,
+        regions,
+        horizon,
+        seed,
+        false,
+        pool::configured_threads(),
+    )
 }
 
 /// Instant of region `region`'s diurnal crest — where
@@ -584,7 +741,14 @@ pub fn build_regional_trace_crested(
     horizon: SimTime,
     seed: u64,
 ) -> RegionalTrace {
-    build_trace_impl(config, regions, horizon, seed, true)
+    build_trace_impl(
+        config,
+        regions,
+        horizon,
+        seed,
+        true,
+        pool::configured_threads(),
+    )
 }
 
 fn build_trace_impl(
@@ -593,12 +757,13 @@ fn build_trace_impl(
     horizon: SimTime,
     seed: u64,
     crest_crowds: bool,
+    threads: usize,
 ) -> RegionalTrace {
-    let mut merged: Vec<GlobalArrival> = Vec::new();
-    for region in 0..regions {
-        // Independent derived streams per region: one for the arrival
-        // process (envelope + thinning), one for crowd placement, one
-        // for priorities.
+    // Every region draws from its own derived streams — one for the
+    // arrival process (envelope + thinning), one for crowd placement,
+    // one for priorities — so regions build independently and in
+    // parallel.
+    let columns = pool::parallel_map_with(threads, (0..regions).collect(), |_, region| {
         let mut crowd_rng =
             StdRng::seed_from_u64(derive_indexed(seed, "global.crowds", region as u64));
         let crowds: Vec<FlashCrowd> = (0..config.crowds_per_region)
@@ -626,6 +791,7 @@ fn build_trace_impl(
         );
         let mut priority_rng =
             StdRng::seed_from_u64(derive_indexed(seed, "global.priority", region as u64));
+        let mut column = RegionColumn::new(region);
         let mut now = SimTime::ZERO;
         while let Some(t) = process.next_arrival(now) {
             if t > horizon {
@@ -636,16 +802,12 @@ fn build_trace_impl(
             } else {
                 Priority::High
             };
-            merged.push(GlobalArrival {
-                at: t,
-                region,
-                priority,
-            });
+            column.push(t, priority);
             now = t;
         }
-    }
-    merged.sort_by_key(|a| (a.at, a.region));
-    RegionalTrace::new(merged)
+        column
+    });
+    RegionalTrace::from_columns(columns)
 }
 
 #[cfg(test)]
@@ -678,10 +840,10 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint());
         // Every region contributes and priorities are mixed.
         for r in 0..3 {
-            assert!(a.arrivals().iter().any(|x| x.region == r));
+            assert!(a.arrivals().any(|x| x.region == r));
         }
-        assert!(a.arrivals().iter().any(|x| x.priority == Priority::Low));
-        assert!(a.arrivals().iter().any(|x| x.priority == Priority::High));
+        assert!(a.arrivals().any(|x| x.priority == Priority::Low));
+        assert!(a.arrivals().any(|x| x.priority == Priority::High));
     }
 
     #[test]
@@ -701,7 +863,7 @@ mod tests {
         let trace = build_regional_trace(&config, 3, horizon, 11);
         let busiest_third = |region: u32| -> usize {
             let mut thirds = [0u32; 3];
-            for a in trace.arrivals().iter().filter(|a| a.region == region) {
+            for a in trace.arrivals().filter(|a| a.region == region) {
                 let idx = ((a.at.as_secs_f64() / horizon.as_secs_f64()) * 3.0) as usize;
                 thirds[idx.min(2)] += 1;
             }
@@ -753,7 +915,6 @@ mod tests {
             let count = |from: SimTime| {
                 crested
                     .arrivals()
-                    .iter()
                     .filter(|a| {
                         a.region == region && a.at >= from && a.at < from + config.crowd_duration
                     })
@@ -767,19 +928,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_trace_panics() {
-        let _ = RegionalTrace::new(vec![
-            GlobalArrival {
-                at: SimTime::from_secs(2),
-                region: 0,
-                priority: Priority::High,
-            },
-            GlobalArrival {
-                at: SimTime::from_secs(1),
-                region: 0,
-                priority: Priority::High,
-            },
-        ]);
+    fn unsorted_trace_is_a_config_error() {
+        let at = |s| GlobalArrival {
+            at: SimTime::from_secs(s),
+            region: 0,
+            priority: Priority::High,
+        };
+        assert!(matches!(
+            RegionalTrace::new(vec![at(2), at(1)]),
+            Err(ConfigError::OutOfRange { .. })
+        ));
+        let empty = RegionalTrace::new(Vec::new()).expect("an empty trace is sorted");
+        assert!(empty.is_empty());
+        assert_eq!(empty.arrivals().next(), None);
+    }
+
+    #[test]
+    fn built_traces_keep_their_pinned_identity_at_any_thread_count() {
+        // (len, fingerprint) of one plain and one crested trace, pinned
+        // from the merged-and-sorted builder this column layout replaced.
+        let plain = RegionalTrafficConfig::production(200.0, SimTime::from_secs(60));
+        let horizon = SimTime::from_secs(300);
+        let mut crested = RegionalTrafficConfig::production(80.0, horizon);
+        crested.crowd_multiplier = 4.0;
+        for threads in [1, 2, 8] {
+            let a = build_trace_impl(&plain, 3, SimTime::from_secs(60), 7, false, threads);
+            assert_eq!((a.len(), a.fingerprint()), (36_981, 0x3b47_38cb_0b29_67e4));
+            let c = build_trace_impl(&crested, 3, horizon, 21, true, threads);
+            assert_eq!((c.len(), c.fingerprint()), (87_362, 0xcb49_5b03_10a7_185e));
+        }
+    }
+
+    #[test]
+    fn arrivals_merge_regions_in_time_then_region_order() {
+        let config = RegionalTrafficConfig::production(200.0, SimTime::from_secs(60));
+        let trace = build_regional_trace(&config, 3, SimTime::from_secs(60), 7);
+        let arrivals: Vec<GlobalArrival> = trace.arrivals().collect();
+        assert_eq!(arrivals.len(), trace.len());
+        assert!(arrivals
+            .windows(2)
+            .all(|w| (w[0].at, w[0].region) <= (w[1].at, w[1].region)));
+        assert_eq!(RegionalTrace::new(arrivals), Ok(trace));
     }
 }

@@ -97,7 +97,7 @@ use crate::resilience::{CircuitBreaker, HealthMachine, HealthState, RetryBudget}
 
 use super::autoscale::{target_devices_per_pod, DiurnalForecast};
 use super::report::{GlobalComparison, GlobalReport, TimelineBucket};
-use super::{GlobalArrival, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace, RoutingPolicy};
+use super::{Arrivals, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace, RoutingPolicy};
 
 /// Merges possibly-overlapping `(start, end)` windows into disjoint
 /// ascending intervals.
@@ -325,7 +325,7 @@ pub(super) struct Sim<'a> {
     config: &'a GlobalConfig,
     plan: &'a FaultPlan,
     trace: &'a RegionalTrace,
-    arrivals: &'a [GlobalArrival],
+    arrivals: Arrivals<'a>,
     policy: RoutingPolicy,
     gray_on: bool,
     /// Client-side retry timers run (NaiveRetry / OverloadResilient).
@@ -369,7 +369,6 @@ pub(super) struct Sim<'a> {
     di: usize,
     gi: usize,
     ti: usize,
-    ai: usize,
     probing: bool,
     probe_at: SimTime,
     scaling: bool,
@@ -465,11 +464,10 @@ impl<'a> Sim<'a> {
             })
             .collect();
         let local_pods = (0..spec.regions).map(|r| spec.pods_in_region(r)).collect();
-        let arrivals = trace.arrivals();
-        let last_arrival = arrivals.last().map_or(SimTime::ZERO, |a| a.at);
+        let last_arrival = trace.last_at().unwrap_or(SimTime::ZERO);
         // The autoscaling arm fits the per-region diurnal harmonic from
         // the trace once, up front — the "forecast" the planner trusts.
-        let scaling = defended && config.autoscale.is_some() && !arrivals.is_empty();
+        let scaling = defended && config.autoscale.is_some() && !trace.is_empty();
         let forecast = if scaling {
             let autoscale = config.autoscale.as_ref().expect("scaling implies config");
             Some(DiurnalForecast::fit(
@@ -489,7 +487,7 @@ impl<'a> Sim<'a> {
             config,
             plan,
             trace,
-            arrivals,
+            arrivals: trace.arrivals(),
             policy,
             gray_on,
             retry_on,
@@ -521,7 +519,6 @@ impl<'a> Sim<'a> {
             di: 0,
             gi: 0,
             ti: 0,
-            ai: 0,
             probing: policy != RoutingPolicy::StaticLocal,
             probe_at: config.probe_interval,
             scaling,
@@ -1445,7 +1442,7 @@ impl<'a> Sim<'a> {
         consider(self.completions.peek_key().map(|k| k.0), 6);
         consider(self.hedges.peek_key().map(|k| k.0), 7);
         consider(self.retries.peek_key().map(|k| k.0), 8);
-        consider(self.arrivals.get(self.ai).map(|a| a.at), 9);
+        consider(self.arrivals.peek_at(), 9);
         next
     }
 
@@ -1500,8 +1497,7 @@ impl<'a> Sim<'a> {
                 self.fire_retry(fire, req);
             }
             _ => {
-                let arrival = self.arrivals[self.ai];
-                self.ai += 1;
+                let arrival = self.arrivals.next().expect("considered");
                 self.arrive(arrival.at, arrival.region, arrival.priority);
             }
         }
@@ -1546,7 +1542,7 @@ impl<'a> Sim<'a> {
             seed: self.config.seed,
             fault_fingerprint: self.plan.fingerprint(),
             trace_fingerprint: self.trace.fingerprint(),
-            offered: self.arrivals.len() as u64,
+            offered: self.trace.len() as u64,
             served_full: self.served_full,
             served_degraded: self.served_degraded,
             shed: self.shed,
@@ -1590,14 +1586,12 @@ pub fn simulate_global_traced(
     policy: RoutingPolicy,
     tel: &mut Telemetry,
 ) -> GlobalReport {
-    let arrivals = trace.arrivals();
-
     tel.begin_span("serving.global", "global", SimTime::ZERO);
     tel.span_attr("policy", Json::Str(policy.name().to_string()));
     tel.span_attr("regions", Json::UInt(spec.regions as u64));
     tel.span_attr("pods", Json::UInt(spec.pods() as u64));
     tel.span_attr("devices_per_pod", Json::UInt(spec.devices_per_pod as u64));
-    tel.span_attr("requests", Json::UInt(arrivals.len() as u64));
+    tel.span_attr("requests", Json::UInt(trace.len() as u64));
     tel.span_attr("seed", Json::UInt(config.seed));
 
     let mut sim = Sim::new(spec, config, trace, plan, policy);

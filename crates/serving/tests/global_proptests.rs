@@ -2,12 +2,13 @@
 //! accounting conserves *exactly* under arbitrary fault storms, and a
 //! WAN-partitioned region never exchanges traffic with the rest of the
 //! fleet — audited against the exact `routed[ingress][pod]` witness
-//! matrix every simulation reports.
+//! matrix every simulation reports. A regional trace round-trips its
+//! arrivals exactly through the per-region column layout.
 
 use mtia_core::SimTime;
 use mtia_serving::global::{
-    build_regional_trace, simulate_global, GlobalConfig, GlobalFleetSpec, RegionalTrafficConfig,
-    RoutingPolicy,
+    build_regional_trace, simulate_global, GlobalArrival, GlobalConfig, GlobalFleetSpec, Priority,
+    RegionalTrace, RegionalTrafficConfig, RoutingPolicy,
 };
 use mtia_sim::faults::{FaultEvent, FaultKind, FaultPlan};
 use proptest::collection::vec;
@@ -54,8 +55,66 @@ fn small_trace(
     build_regional_trace(&traffic, spec.regions, horizon, seed)
 }
 
+/// Arrivals sorted by `(at, region)`, one per word: a time step of
+/// 0–3 ms (0 makes a tie), a region in `0..4` (so some regions stay
+/// empty) and a priority bit. The stable sort keeps equal keys in word
+/// order, which the trace must replay as given.
+fn decode_arrivals(words: &[u64]) -> Vec<GlobalArrival> {
+    let mut now = 0;
+    let mut arrivals: Vec<GlobalArrival> = words
+        .iter()
+        .map(|&w| {
+            now += w & 3;
+            GlobalArrival {
+                at: SimTime::from_millis(now),
+                region: ((w >> 2) % 4) as u32,
+                priority: if w >> 4 & 1 == 1 {
+                    Priority::Low
+                } else {
+                    Priority::High
+                },
+            }
+        })
+        .collect();
+    arrivals.sort_by_key(|a| (a.at, a.region));
+    arrivals
+}
+
+/// The FNV-1a trace fingerprint, recomputed from the plain arrivals.
+fn reference_fingerprint(arrivals: &[GlobalArrival]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for a in arrivals {
+        let low = u64::from(a.priority == Priority::Low);
+        for word in [a.at.as_picos(), a.region as u64, low] {
+            for byte in word.to_le_bytes() {
+                hash ^= byte as u64;
+                hash = hash.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `new(v)` replays `v` exactly — ties within and across regions,
+    /// empty regions and the empty trace included — with the same
+    /// length and fingerprint, and equal inputs build equal traces.
+    #[test]
+    fn trace_round_trips_its_arrivals(words in vec(any::<u64>(), 0..200)) {
+        // Every case also covers the empty trace and a prefix.
+        for n in [0, words.len() / 2, words.len()] {
+            let arrivals = decode_arrivals(&words[..n]);
+            let trace = RegionalTrace::new(arrivals.clone()).expect("sorted input");
+            let replayed: Vec<GlobalArrival> = trace.arrivals().collect();
+            prop_assert_eq!(&replayed, &arrivals);
+            prop_assert_eq!(trace.len(), arrivals.len());
+            prop_assert_eq!(trace.is_empty(), arrivals.is_empty());
+            prop_assert_eq!(trace.fingerprint(), reference_fingerprint(&arrivals));
+            prop_assert_eq!(&RegionalTrace::new(replayed).expect("sorted input"), &trace);
+        }
+    }
 
     /// Every offered request is answered, shed, or lost — exactly, with
     /// the loss breakdown summing too, under arbitrary fault storms and

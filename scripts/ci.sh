@@ -74,4 +74,9 @@ target/release/reproduce --explore-smoke
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> perfbench self-tests"
+# The benchmark package (perfbench/, its own workspace) builds against
+# the crates' public API; a crate API change that breaks it fails here.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "CI gate passed."
