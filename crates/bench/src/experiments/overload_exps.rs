@@ -257,28 +257,27 @@ impl E26Scenario {
     }
 
     /// Runs every arm to drain through the sharded planetary driver
-    /// (one uncoupled cell each) and derives its goodput levels.
+    /// (one uncoupled cell each) and derives its goodput levels. The
+    /// arms are independent, so they run as parallel tasks; results
+    /// come back in arm order.
     fn run(&self) -> Vec<ArmResult> {
-        self.arms()
-            .into_iter()
-            .map(|(label, cell)| {
-                let report = simulate_planet(
-                    std::slice::from_ref(&cell),
-                    PlanetConfig::uncoupled(SimTime::from_secs(1)),
-                )
-                .merged;
-                let baseline = report.windowed_goodput(self.warmup, self.trigger);
-                let post_heal = report.windowed_goodput(self.heal, self.horizon);
-                let recovered = report.recovered_at(self.heal, self.window, baseline, 5.0);
-                ArmResult {
-                    label,
-                    report,
-                    baseline,
-                    post_heal,
-                    recovered,
-                }
-            })
-            .collect()
+        mtia_core::pool::parallel_map(self.arms(), |_, (label, cell)| {
+            let report = simulate_planet(
+                std::slice::from_ref(&cell),
+                PlanetConfig::uncoupled(SimTime::from_secs(1)),
+            )
+            .merged;
+            let baseline = report.windowed_goodput(self.warmup, self.trigger);
+            let post_heal = report.windowed_goodput(self.heal, self.horizon);
+            let recovered = report.recovered_at(self.heal, self.window, baseline, 5.0);
+            ArmResult {
+                label,
+                report,
+                baseline,
+                post_heal,
+                recovered,
+            }
+        })
     }
 }
 

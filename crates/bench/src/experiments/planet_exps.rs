@@ -228,6 +228,13 @@ mod tests {
     }
 
     #[test]
+    fn e24_rung_never_rolls_back() {
+        // The rung's fleet floor flips every one to four epochs, so
+        // its windows never speculate far enough to mispredict.
+        assert_eq!(E24Scenario::rung().run().rollbacks, 0);
+    }
+
+    #[test]
     fn e24_rung_cells_see_distinct_traffic() {
         let scenario = E24Scenario::rung();
         let fingerprints: std::collections::BTreeSet<u64> = scenario

@@ -32,6 +32,12 @@
 //! [`Arena`] is the companion structure for per-request state: a
 //! generational slab whose stable [`ArenaRef`]s replace `BTreeMap<u64, T>`
 //! lookups with a bounds-checked vector index.
+//!
+//! Both structures are `Clone`, and a clone is a full checkpoint: it
+//! pops the same sequence as the original, and every handle issued
+//! before the clone resolves (or is stale) identically in both. The
+//! sharded planetary driver restores cells from such clones when a
+//! speculative window has to be rolled back.
 
 use crate::units::SimTime;
 
@@ -56,6 +62,7 @@ impl EventId {
     };
 }
 
+#[derive(Clone)]
 struct Slot<T> {
     /// Bumped whenever the slot is freed (pop, cancel, clear), so both
     /// stale [`EventId`]s and lazily-deleted heap entries are detected
@@ -109,6 +116,7 @@ const ARITY: usize = 4;
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(1), 2, "early-tie")));
 /// assert_eq!(q.pop(), None);
 /// ```
+#[derive(Clone)]
 pub struct EventQueue<T> {
     slots: Vec<Slot<T>>,
     /// Min-heap of entries ordered by key. May contain dead entries for
@@ -348,6 +356,7 @@ impl ArenaRef {
     }
 }
 
+#[derive(Clone)]
 struct ArenaSlot<T> {
     gen: u32,
     value: Option<T>,
@@ -369,6 +378,7 @@ struct ArenaSlot<T> {
 /// assert_eq!(arena.get(a), None); // ...but the old handle stays dead
 /// assert_eq!(arena.get(b), Some(&"beta"));
 /// ```
+#[derive(Clone)]
 pub struct Arena<T> {
     slots: Vec<ArenaSlot<T>>,
     free: Vec<u32>,
@@ -563,6 +573,55 @@ mod tests {
         // Slab is reusable after clear.
         q.push(SimTime::ZERO, 0, 42);
         assert_eq!(q.pop(), Some((SimTime::ZERO, 0, 42)));
+    }
+
+    #[test]
+    fn clone_pops_the_same_sequence_and_honours_old_handles() {
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (0..12u64)
+            .map(|i| q.push(SimTime::from_millis(i % 5), i, i * 10))
+            .collect();
+        // Tombstones in the heap, a popped slot on the free list, and a
+        // reused slot behind a stale handle.
+        assert_eq!(q.cancel(ids[0]), Some(0));
+        assert_eq!(q.cancel(ids[7]), Some(70));
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 5, 50)));
+        let reused = q.push(SimTime::from_millis(2), 100, 1000);
+        let mut copy = q.clone();
+        assert_eq!(copy.len(), q.len());
+        // A handle from before the clone cancels in both, and a stale
+        // one is stale in both.
+        assert_eq!(q.cancel(ids[3]), Some(30));
+        assert_eq!(copy.cancel(ids[3]), Some(30));
+        assert_eq!(q.cancel(ids[7]), None);
+        assert_eq!(copy.cancel(ids[7]), None);
+        assert_eq!(copy.key_of(reused), q.key_of(reused));
+        let drain = |q: &mut EventQueue<u64>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        let original = drain(&mut q);
+        assert_eq!(original.len(), 9);
+        assert_eq!(drain(&mut copy), original);
+    }
+
+    #[test]
+    fn arena_clone_resolves_handles_like_the_original() {
+        let mut a = Arena::new();
+        let r1 = a.insert("one");
+        let r2 = a.insert("two");
+        assert_eq!(a.remove(r1), Some("one"));
+        let r3 = a.insert("three");
+        let mut copy = a.clone();
+        for arena in [&mut a, &mut copy] {
+            assert_eq!(arena.len(), 2);
+            assert_eq!(arena.get(r1), None);
+            assert_eq!(arena.get(r3), Some(&"three"));
+            assert_eq!(arena.remove(r2), Some("two"));
+            assert_eq!(arena.remove(r2), None);
+            // Both allocate the freed slot next, at the same generation.
+            let r4 = arena.insert("four");
+            assert_eq!(r4.slot(), r2.slot());
+            assert_eq!(arena.get(r2), None);
+        }
+        assert_eq!(a.insert("five"), copy.insert("five"));
     }
 
     #[test]

@@ -7,34 +7,57 @@
 //! independent between coupling points — exactly the structure a
 //! parallel DES wants.
 //!
-//! [`simulate_planet`] advances one resumable [`Sim`](super::sim) per
-//! cell in lock-step **epochs** on the `mtia_core::pool` workers:
-//!
-//! ```text
-//! epoch k:   cell 0 ──run_until(k·epoch)──┐
-//!            cell 1 ──run_until(k·epoch)──┤  parallel_map
-//!            …                            │  (index-ordered)
-//!            cell N ──run_until(k·epoch)──┘
-//! barrier:   fleet-wide utilization → ladder tier floor for epoch k+1
-//! ```
-//!
-//! Determinism does not depend on the thread count: each cell's
-//! simulation is a pure function of its inputs plus the tier floor
-//! sequence, `parallel_map` returns results in submission order, and
-//! the barrier reduction folds cell loads in cell-index order. One
-//! cell with coupling off is *exactly* [`simulate_global`] — the
-//! equivalence test pins that.
-//!
 //! The optional **ladder coupling** is the one fleet-wide control
-//! signal: at every barrier the driver sums `busy + queued` and `up`
-//! slots across cells and maps the global utilization through the
+//! signal: at every epoch barrier the driver sums `busy + queued` and
+//! `up` slots across cells and maps the global utilization through the
 //! first cell's ladder thresholds (no hysteresis — the floor is
 //! re-derived from scratch each barrier) into a minimum degradation
 //! tier every cell must respect in the next epoch. That models a
 //! planetary traffic controller reacting at control-plane cadence
-//! (the epoch) rather than per request, and it is what the epoch
-//! barrier is *for* — without it the cells would be embarrassingly
-//! parallel and no barrier would be needed.
+//! (the epoch) rather than per request. Without it the cells are
+//! embarrassingly parallel: an uncoupled planet drains every cell in
+//! one parallel task each.
+//!
+//! [`simulate_planet`] defines the coupled replay as **lock-step**
+//! epochs — every cell runs to barrier *k*, the barrier sets the floor
+//! for epoch *k+1* — but executes it **optimistically** (Time Warp
+//! style), because the floor rarely moves. Each resumable
+//! [`Sim`](super::sim) runs a window of `w` epochs on its own under the
+//! current floor, recording `(load, up, pending)` at every barrier it
+//! crosses; the driver then folds the records barrier by barrier:
+//!
+//! ```text
+//! window from barrier b, w = max(1, held/2) epochs, cells on parallel_map:
+//!   cell 0 ──run_until(b+1)·record──run_until(b+2)·record── … ──(b+w)──┐
+//!   …                                                                   │
+//!   cell N ──run_until(b+1)·record──run_until(b+2)·record── … ──(b+w)──┘
+//! fold barriers b+1 … b+w in order, cells summed in index order:
+//!   all drained          → stop
+//!   floor unchanged      → next barrier; all w kept → held += w
+//!   floor changes at b+j → j < w: restore the window-start clone,
+//!                                 re-run to b+j (one rollback)
+//!                          set the floor, continue from b+j, held = 0
+//! ```
+//!
+//! `held` counts the epochs the current floor has held, so a window
+//! speculates half as far ahead as the floor has already lasted: the
+//! windows grow geometrically while it holds, and a floor that
+//! oscillates keeps them at one epoch. A one-epoch window is exactly
+//! the lock-step step and needs no checkpoint; wider windows clone
+//! every cell at their start. Work speculated past a mispredicted
+//! barrier is thrown away with its event counts, so reports,
+//! fingerprints and `events` are byte-identical to lock-step. On a
+//! fleet whose floor never moves each cell runs most of the replay in
+//! a few long tasks, keeping its working set in cache instead of
+//! rotating every cell through it each epoch.
+//!
+//! Determinism does not depend on the thread count: each cell's
+//! simulation is a pure function of its inputs plus the floor
+//! sequence, `parallel_map` returns results in submission order, and
+//! the barrier fold visits cells in index order. One cell with coupling
+//! off is *exactly* [`simulate_global`] — the equivalence test pins
+//! that, and an oracle test pins the windows against a lock-step
+//! driver on overloaded planets that do roll back.
 //!
 //! [`simulate_global`]: super::simulate_global
 
@@ -44,7 +67,7 @@ use mtia_sim::faults::FaultPlan;
 
 use super::report::GlobalReport;
 use super::sim::Sim;
-use super::{GlobalConfig, GlobalFleetSpec, RegionalTrace, RoutingPolicy};
+use super::{GlobalConfig, GlobalFleetSpec, LadderConfig, RegionalTrace, RoutingPolicy};
 
 /// One serving cell: a complete, self-contained global-DES input
 /// tuple. Cells are simulated independently and merged.
@@ -103,6 +126,11 @@ pub struct PlanetReport {
     /// folded in cell order, `routed` block-diagonal over the cells'
     /// disjoint region/pod index spaces.
     pub merged: GlobalReport,
+    /// Barriers whose fleet floor differed from the floor the cells had
+    /// already run past them under, so every cell was restored to its
+    /// window-start checkpoint and re-run to the barrier. Independent
+    /// of the thread count; 0 when the ladder is uncoupled.
+    pub rollbacks: u64,
 }
 
 /// Folds per-cell fingerprints into one fleet identity (FNV-style,
@@ -209,13 +237,77 @@ fn merge_reports(cells: &[GlobalReport]) -> GlobalReport {
     merged
 }
 
-/// Replays every cell to drain, sharded across the pool workers at
-/// epoch granularity, and merges deterministically.
+/// One cell's state at an epoch barrier: the coupling signal and
+/// whether it still has events pending.
+#[derive(Debug, Clone, Copy)]
+struct BarrierRecord {
+    /// `busy + queued` slots.
+    load: u64,
+    /// `up` slots.
+    up: u64,
+    /// Whether the cell still has events pending.
+    more: bool,
+}
+
+/// The fleet-wide ladder floor for the next epoch: the cells' loads
+/// summed in cell-index order and mapped through the ladder thresholds,
+/// hysteresis-free.
+fn ladder_floor(ladder: &LadderConfig, records: impl Iterator<Item = BarrierRecord>) -> u8 {
+    let (mut load, mut up) = (0u64, 0u64);
+    for r in records {
+        load += r.load;
+        up += r.up;
+    }
+    let util = if up == 0 {
+        f64::INFINITY
+    } else {
+        load as f64 / up as f64
+    };
+    if util >= ladder.degrade_enter {
+        2
+    } else if util >= ladder.shed_enter {
+        1
+    } else {
+        0
+    }
+}
+
+/// Runs every cell on the pool through the `epochs` epochs after
+/// `from`, each under its current floor, recording its state at every
+/// barrier. Results come back in cell order.
+fn run_window<'a>(
+    sims: Vec<Sim<'a>>,
+    from: SimTime,
+    epoch: SimTime,
+    epochs: usize,
+) -> (Vec<Sim<'a>>, Vec<Vec<BarrierRecord>>) {
+    mtia_core::pool::parallel_map(sims, |_, mut sim| {
+        let records = (1..=epochs)
+            .map(|k| {
+                sim.run_until(from + epoch * k as u64, &mut Telemetry::disabled());
+                let (load, up) = sim.load();
+                BarrierRecord {
+                    load,
+                    up,
+                    more: sim.next_time().is_some(),
+                }
+            })
+            .collect();
+        (sim, records)
+    })
+    .into_iter()
+    .unzip()
+}
+
+/// Replays every cell to drain, sharded across the pool workers in
+/// speculative epoch windows, and merges deterministically.
 ///
-/// The result is byte-identical at any thread count: cell work is
-/// distributed by `mtia_core::pool::parallel_map`, which preserves
-/// submission order, and every cross-cell reduction folds in cell
-/// index order.
+/// The result is byte-identical at any thread count, and to advancing
+/// the cells in lock-step one epoch at a time: cell work is distributed
+/// by `mtia_core::pool::parallel_map`, which preserves submission
+/// order, every cross-cell reduction folds in cell index order, and
+/// speculated work past a mispredicted barrier is discarded with its
+/// event counts.
 pub fn simulate_planet(cells: &[CellSpec], planet: PlanetConfig) -> PlanetReport {
     assert!(!cells.is_empty(), "a planet needs at least one cell");
     assert!(
@@ -226,46 +318,70 @@ pub fn simulate_planet(cells: &[CellSpec], planet: PlanetConfig) -> PlanetReport
         .iter()
         .map(|c| Sim::new(&c.spec, &c.config, &c.trace, &c.plan, c.policy))
         .collect();
-    let ladder = cells[0].config.ladder;
-    let mut limit = planet.epoch;
-    loop {
-        sims = mtia_core::pool::parallel_map(sims, |_, mut sim| {
-            sim.run_until(limit, &mut Telemetry::disabled());
-            sim
-        });
-        if planet.couple_ladder {
-            // Barrier reduction in cell-index order: fleet utilization
-            // through the ladder thresholds, hysteresis-free.
-            let (mut load, mut up) = (0u64, 0u64);
-            for sim in &sims {
-                let (l, u) = sim.load();
-                load += l;
-                up += u;
+    let mut rollbacks = 0;
+    if planet.couple_ladder {
+        let ladder = cells[0].config.ladder;
+        // `done` is the last folded barrier, `floor` the floor every
+        // cell runs under after it, and `held` the epochs it has held.
+        let (mut done, mut floor, mut held) = (SimTime::ZERO, 0u8, 0usize);
+        loop {
+            // Speculate half as far ahead as the floor has held: a floor
+            // that oscillates keeps the windows at one epoch, where
+            // lock-step needs no checkpoint and never rolls back.
+            let window = (held / 2).max(1);
+            let checkpoint = (window > 1).then(|| sims.clone());
+            let records;
+            (sims, records) = run_window(sims, done, planet.epoch, window);
+            // Fold the barriers in order with the lock-step rules: stop
+            // once every cell is drained, else derive the next floor.
+            let (mut drained, mut changed) = (false, None);
+            for k in 0..window {
+                if records.iter().all(|r| !r[k].more) {
+                    drained = true;
+                    break;
+                }
+                let next = ladder_floor(&ladder, records.iter().map(|r| r[k]));
+                if next != floor {
+                    changed = Some((k + 1, next));
+                    break;
+                }
             }
-            let util = if up == 0 {
-                f64::INFINITY
-            } else {
-                load as f64 / up as f64
+            if drained {
+                break;
+            }
+            let Some((epochs, next)) = changed else {
+                done += planet.epoch * window as u64;
+                held += window;
+                continue;
             };
-            let floor = if util >= ladder.degrade_enter {
-                2
-            } else if util >= ladder.shed_enter {
-                1
-            } else {
-                0
-            };
+            if epochs < window {
+                // The cells ran past this barrier under the old floor:
+                // restore them and re-run up to it.
+                rollbacks += 1;
+                let restored = checkpoint.expect("windows over one epoch are checkpointed");
+                sims = run_window(restored, done, planet.epoch, epochs).0;
+            }
+            floor = next;
             for sim in &mut sims {
                 sim.set_tier_floor(floor);
             }
+            done += planet.epoch * epochs as u64;
+            held = 0;
         }
-        if sims.iter().all(|s| s.next_time().is_none()) {
-            break;
-        }
-        limit += planet.epoch;
+    } else {
+        // Nothing crosses a barrier, so each cell drains in one window.
+        sims = mtia_core::pool::parallel_map(sims, |_, mut sim| {
+            sim.run_until(SimTime::MAX, &mut Telemetry::disabled());
+            sim
+        });
     }
     let cells: Vec<GlobalReport> = sims.into_iter().map(Sim::into_report).collect();
     let merged = merge_reports(&cells);
-    PlanetReport { cells, merged }
+    PlanetReport {
+        cells,
+        merged,
+        rollbacks,
+    }
 }
 
 #[cfg(test)]
@@ -286,6 +402,97 @@ mod tests {
             trace,
             plan: FaultPlan::empty(seed),
             policy,
+        }
+    }
+
+    /// The lock-step driver the speculative windows replace: every
+    /// cell advances one epoch, then the barrier derives the next
+    /// floor from scratch.
+    fn lock_step(cells: &[CellSpec], epoch: SimTime) -> Vec<GlobalReport> {
+        let mut sims: Vec<Sim<'_>> = cells
+            .iter()
+            .map(|c| Sim::new(&c.spec, &c.config, &c.trace, &c.plan, c.policy))
+            .collect();
+        let ladder = cells[0].config.ladder;
+        let mut limit = epoch;
+        loop {
+            for sim in &mut sims {
+                sim.run_until(limit, &mut Telemetry::disabled());
+            }
+            let (load, up) = sims.iter().fold((0, 0), |(l, u), sim| {
+                let (sl, su) = sim.load();
+                (l + sl, u + su)
+            });
+            let util = load as f64 / up as f64;
+            let floor = if util >= ladder.degrade_enter {
+                2
+            } else if util >= ladder.shed_enter {
+                1
+            } else {
+                0
+            };
+            for sim in &mut sims {
+                sim.set_tier_floor(floor);
+            }
+            if sims.iter().all(|s| s.next_time().is_none()) {
+                break;
+            }
+            limit += epoch;
+        }
+        sims.into_iter().map(Sim::into_report).collect()
+    }
+
+    /// A `global_small`-shaped cell (2 regions × 2 pods × 16 devices,
+    /// 40 ms WAN) driven past the ladder's thresholds.
+    fn hot_cell(index: u64, policy: RoutingPolicy, rate: f64) -> CellSpec {
+        let spec = GlobalFleetSpec::symmetric(2, 2, 16, SimTime::from_millis(40));
+        let seed = derive_indexed(7, "planet.hot", index);
+        let horizon = SimTime::from_secs(120);
+        let traffic = RegionalTrafficConfig::production(rate, horizon);
+        let trace = build_regional_trace(&traffic, spec.regions, horizon, seed);
+        CellSpec {
+            spec,
+            config: GlobalConfig::production(seed),
+            trace,
+            plan: FaultPlan::empty(seed),
+            policy,
+        }
+    }
+
+    #[test]
+    fn speculative_windows_match_lock_step_under_overload() {
+        let cells: Vec<CellSpec> = [
+            (RoutingPolicy::HealthAware, 60.0),
+            (RoutingPolicy::GrayResilient, 72.0),
+            (RoutingPolicy::HealthAware, 54.0),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (policy, rate))| hot_cell(i as u64, policy, rate))
+        .collect();
+        for epoch in [SimTime::from_millis(250), SimTime::from_secs(1)] {
+            let reference = lock_step(&cells, epoch);
+            let oracle: Vec<String> = reference.iter().map(|r| format!("{r:?}")).collect();
+            let merged = format!("{:?}", merge_reports(&reference));
+            let degraded: u64 = reference.iter().map(|r| r.shed + r.served_degraded).sum();
+            assert!(degraded > 0, "the ladder must engage");
+            let mut rollbacks = None;
+            for threads in [1, 2, 8] {
+                pool::set_threads(threads);
+                let planet = simulate_planet(
+                    &cells,
+                    PlanetConfig {
+                        epoch,
+                        couple_ladder: true,
+                    },
+                );
+                pool::set_threads(0);
+                let cells: Vec<String> = planet.cells.iter().map(|r| format!("{r:?}")).collect();
+                assert_eq!(cells, oracle, "{threads} threads, epoch {epoch}");
+                assert_eq!(format!("{:?}", planet.merged), merged);
+                assert!(planet.rollbacks > 0, "the rollback path must run");
+                assert_eq!(*rollbacks.get_or_insert(planet.rollbacks), planet.rollbacks);
+            }
         }
     }
 

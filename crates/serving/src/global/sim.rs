@@ -32,8 +32,9 @@
 //!   maintained at every health/outlier/up transition;
 //! * the loop itself is resumable ([`Sim::run_until`]): the
 //!   cell-sharded parallel driver in [`super::shard`] advances many
-//!   independent `Sim`s in epoch-sized slices and merges their reports
-//!   deterministically.
+//!   independent `Sim`s in speculative epoch windows, restores clones
+//!   when a window mispredicts the fleet floor, and merges their
+//!   reports deterministically.
 //!
 //! Every processed event increments a local counter that is flushed to
 //! [`mtia_core::perfcount`] when the report is built, which is what
@@ -243,6 +244,7 @@ enum CopyEnd {
 /// `eligible[d]` is derived — `up && !outlier && health ∈ {Healthy,
 /// Recovering}` — and refreshed at every site that mutates one of its
 /// inputs, so the hot scans are single boolean loads.
+#[derive(Clone)]
 struct Devices {
     pod: Vec<u32>,
     region: Vec<u32>,
@@ -303,6 +305,7 @@ impl Devices {
     }
 }
 
+#[derive(Clone)]
 struct PodState {
     region: u32,
     up: u32,
@@ -318,8 +321,10 @@ struct PodState {
 /// A resumable single-cell DES over one `(spec, config, trace, plan,
 /// policy)` input tuple. [`Sim::run_until`] advances it through every
 /// event at or before a limit; the sharded driver uses this to
-/// interleave many cells epoch by epoch, and [`Sim::into_report`]
-/// closes out a fully-drained run.
+/// advance many cells in epoch windows, and clones it to checkpoint a
+/// window it may roll back. [`Sim::into_report`] closes out a
+/// fully-drained run.
+#[derive(Clone)]
 pub(super) struct Sim<'a> {
     spec: &'a GlobalFleetSpec,
     config: &'a GlobalConfig,
