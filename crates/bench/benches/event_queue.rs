@@ -1,22 +1,27 @@
-//! Microbenchmarks of the DES event queue: the slab indexed binary heap
-//! (`mtia_core::eventq::EventQueue`) against the `BTreeMap<(SimTime,
-//! u64), T>` it replaced in the serving DES hot path, across pending-set
-//! sizes from 10³ to 10⁶.
+//! Microbenchmarks of the DES event queue: the slab queue
+//! (`mtia_core::eventq::EventQueue`, a sorted run beside a 4-ary heap)
+//! against the `BTreeMap<(SimTime, u64), T>` it replaced in the serving
+//! DES hot path, across pending-set sizes from 10³ to 10⁶.
 //!
-//! Three access patterns, mirroring what `mtia_serving::global::Sim`
-//! actually does per simulated request:
+//! Four access patterns:
 //!
-//! - **churn**: pop the earliest event, schedule a replacement — the
-//!   steady-state inner loop (≥98% of queue traffic in a replay);
+//! - **constant-delay churn**: pop the earliest event, schedule its
+//!   successor a fixed delay after the popped time — the steady-state
+//!   inner loop of a replay, whose completions are `now + service_time`
+//!   and retry timers `now + attempt_timeout`. These pushes arrive in
+//!   ascending key order, so the slab queue appends them to its run;
+//! - **random-window churn**: the same pop/push loop with the new time
+//!   drawn from a narrow LCG window around the popped one, so pushes
+//!   interleave with the pending set and the heap depth matters — the
+//!   out-of-order case (fault-scaled service times, hedges);
 //! - **cancel**: revoke a pending event by handle — hedge timers and
 //!   device wakes that a completion beats;
 //! - **fill+drain**: bulk build-up then full drain — trace load and
 //!   end-of-horizon.
 //!
-//! Times are drawn from a narrow LCG window around the current front so
-//! the heap depth actually matters; both structures see the identical
-//! key sequence. The equivalence of pop *order* is proved elsewhere
-//! (`tests/event_queue_model.rs`); this file only measures speed.
+//! Both structures see the identical key sequence. The equivalence of
+//! pop *order* is proved elsewhere (`tests/event_queue_model.rs`); this
+//! file only measures speed.
 
 use std::collections::BTreeMap;
 
@@ -41,6 +46,12 @@ impl Lcg {
 }
 
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
+/// Pending-set sizes for constant-delay churn: a sharded cell's queues
+/// hold well under 10⁵ events.
+const DES_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
+/// Fixed delay of the constant-delay churn: every popped event is
+/// replaced this many nanoseconds after its own time.
+const DELAY_NS: u64 = 1_000_000;
 /// Pop/push (or cancel/push) pairs measured per iteration.
 const CHURN: u64 = 1_000;
 
@@ -60,6 +71,45 @@ fn prefill_map(n: usize) -> (BTreeMap<(SimTime, u64), u64>, Lcg, u64) {
         m.insert((SimTime::from_nanos(lcg.next_offset()), seq), seq);
     }
     (m, lcg, n as u64)
+}
+
+/// `n` events one nanosecond apart, each replaced `DELAY_NS` after its
+/// own time when popped: the pending set stays at `n` and every push
+/// lands after every pending key.
+fn bench_constant_delay_churn(c: &mut Criterion) {
+    let delay = SimTime::from_nanos(DELAY_NS);
+    for n in DES_SIZES {
+        c.bench_function(&format!("slab_queue_const_delay_churn_{n}"), |b| {
+            let mut q = EventQueue::with_capacity(n);
+            for seq in 0..n as u64 {
+                q.push(SimTime::from_nanos(seq), seq, seq);
+            }
+            let mut seq = n as u64;
+            b.iter(|| {
+                for _ in 0..CHURN {
+                    let (t, _, v) = q.pop().expect("pending set never drains");
+                    black_box(v);
+                    q.push(t + delay, seq, seq);
+                    seq += 1;
+                }
+            });
+        });
+        c.bench_function(&format!("btreemap_const_delay_churn_{n}"), |b| {
+            let mut m = BTreeMap::new();
+            for seq in 0..n as u64 {
+                m.insert((SimTime::from_nanos(seq), seq), seq);
+            }
+            let mut seq = n as u64;
+            b.iter(|| {
+                for _ in 0..CHURN {
+                    let ((t, _), v) = m.pop_first().expect("pending set never drains");
+                    black_box(v);
+                    m.insert((t + delay, seq), seq);
+                    seq += 1;
+                }
+            });
+        });
+    }
 }
 
 fn bench_churn(c: &mut Criterion) {
@@ -174,6 +224,6 @@ fn bench_fill_drain(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_churn, bench_cancel, bench_fill_drain
+    targets = bench_constant_delay_churn, bench_churn, bench_cancel, bench_fill_drain
 }
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Slab-allocated indexed binary heaps and generational arenas for
+//! Slab-allocated event queues and generational arenas for
 //! discrete-event simulator hot paths.
 //!
 //! The global serving DES (`mtia-serving::global`) schedules millions of
@@ -10,24 +10,38 @@
 //!
 //! - a **slab** of event slots reused through a free-list — steady-state
 //!   simulation performs zero allocation;
-//! - a **4-ary min-heap** of self-contained `(key, slot, gen)` entries,
-//!   so sift comparisons never leave one contiguous array and siblings
-//!   share a cache line — and, crucially, pops come out in exactly the
-//!   `BTreeMap` iteration order: ascending `(time, seq)`;
+//! - a **sorted run** of `(key, slot, gen)` entries: a push whose key is
+//!   strictly greater than the run's tail is appended to it in O(1).
+//!   Simulator events are mostly `now + constant delay` (a completion is
+//!   `now + service_time`, a retry timer `now + attempt_timeout`) with a
+//!   monotone `seq`, so nearly every push lands here and never sifts —
+//!   the observation behind calendar queues (Brown, CACM 1988);
+//! - a **4-ary min-heap** of the same self-contained entries for every
+//!   other push, so sift comparisons never leave one contiguous array
+//!   and siblings share a cache line;
 //! - **lazy cancellation**: `cancel` is O(1) — it frees the slot and
-//!   leaves the heap entry behind as a tombstone, discarded when it
-//!   surfaces at the root — so revoked hedge timers and device wakes
-//!   cost nothing until their time would have come anyway;
+//!   leaves the run or heap entry behind as a tombstone, discarded when
+//!   it surfaces at the front of its source — so revoked hedge timers
+//!   and device wakes cost nothing until their time would have come
+//!   anyway;
 //! - **generational [`EventId`]s**, so a stale handle to a cancelled and
 //!   since-reused slot is detected instead of silently cancelling an
 //!   unrelated event.
 //!
-//! Determinism: the heap tie-breaks on the caller-supplied `seq`, never
+//! Exactness: the run and the heap are each sorted by `(time, seq)`, every
+//! live event sits in exactly one of them, and both fronts are kept live,
+//! so the smaller of the two fronts is the minimum pending event. Keys
+//! are unique among live events, so the two fronts never tie, and pops
+//! come out in exactly the `BTreeMap` iteration order — whichever source
+//! an event was pushed into.
+//!
+//! Determinism: both sources order on the caller-supplied `seq`, never
 //! on slot index or insertion order, so two runs that push the same
 //! `(time, seq, payload)` multisets pop identical sequences regardless
-//! of cancellation patterns or slab reuse. The property test in
-//! `tests/event_queue_model.rs` checks this against a `BTreeMap`
-//! reference model under random interleavings.
+//! of cancellation patterns or slab reuse. The property tests in
+//! `tests/event_queue_model.rs` check this against a `BTreeMap`
+//! reference model under random interleavings and under the
+//! constant-delay push pattern that fills the run.
 //!
 //! [`Arena`] is the companion structure for per-request state: a
 //! generational slab whose stable [`ArenaRef`]s replace `BTreeMap<u64, T>`
@@ -38,6 +52,8 @@
 //! before the clone resolves (or is stale) identically in both. The
 //! sharded planetary driver restores cells from such clones when a
 //! speculative window has to be rolled back.
+
+use std::collections::VecDeque;
 
 use crate::units::SimTime;
 
@@ -73,9 +89,9 @@ struct Slot<T> {
     payload: Option<T>,
 }
 
-/// One heap entry: 32 bytes, two per cache line, fully self-contained.
-/// Sift comparisons read only this array — the slab is never touched on
-/// the heap's hot path.
+/// One run or heap entry: 32 bytes, two per cache line, fully
+/// self-contained. Front and sift comparisons read only these arrays —
+/// the slab is never touched on the hot path.
 #[derive(Clone, Copy)]
 struct HeapEntry {
     /// Ascending key: time first, then the caller's sequence number.
@@ -94,13 +110,19 @@ struct HeapEntry {
 /// pending events (see `benches/event_queue.rs`).
 const ARITY: usize = 4;
 
-/// A 4-ary min-heap over slab-allocated timed events, with lazy
+/// A priority queue over slab-allocated timed events: a sorted run for
+/// in-order pushes beside a 4-ary min-heap for the rest, with lazy
 /// cancellation.
 ///
-/// Pops ascend in `(time, seq)` order — byte-identical to iterating a
-/// `BTreeMap<(SimTime, u64), T>` — with O(log n) `push`/`pop`, O(1)
-/// `cancel` (the entry is tombstoned and skipped when it surfaces at
-/// the root), and no per-event allocation after warm-up.
+/// A push whose key is strictly greater than the run's tail is appended
+/// to the run in O(1); any other push sifts into the heap in O(log n).
+/// `pop` takes the smaller of the run's front and the heap's root. Both
+/// sources are sorted and their fronts are live, so pops ascend in
+/// `(time, seq)` order — byte-identical to iterating a
+/// `BTreeMap<(SimTime, u64), T>` — whichever source an event went to.
+/// `cancel` is O(1) (the entry is tombstoned and skipped when it reaches
+/// the front of its source), and there is no per-event allocation after
+/// warm-up.
 ///
 /// ```
 /// use mtia_core::eventq::EventQueue;
@@ -119,11 +141,16 @@ const ARITY: usize = 4;
 #[derive(Clone)]
 pub struct EventQueue<T> {
     slots: Vec<Slot<T>>,
-    /// Min-heap of entries ordered by key. May contain dead entries for
-    /// cancelled events; the root is always live (or the heap empty).
+    /// Entries pushed in strictly ascending key order, so the run is
+    /// sorted. May contain dead entries for cancelled events; the front
+    /// is always live (or the run empty).
+    run: VecDeque<HeapEntry>,
+    /// Min-heap of the entries that did not extend the run. May contain
+    /// dead entries; the root is always live (or the heap empty).
     heap: Vec<HeapEntry>,
     free: Vec<u32>,
-    /// Live (non-cancelled) event count; `heap.len()` can exceed it.
+    /// Live (non-cancelled) event count; `run.len() + heap.len()` can
+    /// exceed it.
     live: usize,
 }
 
@@ -138,6 +165,7 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             slots: Vec::new(),
+            run: VecDeque::new(),
             heap: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -149,6 +177,7 @@ impl<T> EventQueue<T> {
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             slots: Vec::with_capacity(cap),
+            run: VecDeque::with_capacity(cap),
             heap: Vec::with_capacity(cap),
             free: Vec::new(),
             live: 0,
@@ -168,7 +197,9 @@ impl<T> EventQueue<T> {
     /// Schedules `payload` at `(time, seq)` and returns a handle usable
     /// with [`cancel`](Self::cancel). `seq` is the deterministic
     /// tie-break among same-time events; callers must keep it unique
-    /// among live events.
+    /// among live events. O(1) when `(time, seq)` is greater than the
+    /// run's tail — always the case for pushes in ascending key order —
+    /// and O(log n) otherwise.
     pub fn push(&mut self, time: SimTime, seq: u64, payload: T) -> EventId {
         let slot = match self.free.pop() {
             Some(s) => {
@@ -188,46 +219,72 @@ impl<T> EventQueue<T> {
             }
         };
         let gen = self.slots[slot as usize].gen;
-        let pos = self.heap.len();
-        self.heap.push(HeapEntry {
+        let entry = HeapEntry {
             key: (time, seq),
             slot,
             gen,
-        });
-        self.sift_up(pos);
+        };
+        if self.run.back().is_none_or(|tail| entry.key > tail.key) {
+            self.run.push_back(entry);
+        } else {
+            let pos = self.heap.len();
+            self.heap.push(entry);
+            self.sift_up(pos);
+        }
         self.live += 1;
         EventId { slot, gen }
     }
 
     /// The earliest pending `(time, seq)` key, if any.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.first().map(|e| e.key)
+        match (self.run.front(), self.heap.first()) {
+            (Some(r), Some(h)) => Some(r.key.min(h.key)),
+            (r, h) => r.or(h).map(|e| e.key),
+        }
     }
 
     /// Removes and returns the earliest event as `(time, seq, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        // The root is live by invariant (dead entries are purged as soon
-        // as they surface), so this is the true minimum pending event.
-        let &HeapEntry {
+        // Both fronts are live by invariant (dead entries are purged as
+        // soon as they surface) and both sources are sorted, so the
+        // smaller front is the true minimum pending event. Freeing its
+        // slot cannot kill the other front, so only the popped source
+        // needs purging afterwards.
+        let from_run = match (self.run.front(), self.heap.first()) {
+            (Some(r), Some(h)) => r.key < h.key,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        let HeapEntry {
             key: (time, seq),
             slot,
             gen,
-        } = self.heap.first()?;
-        debug_assert_eq!(self.slots[slot as usize].gen, gen, "root must be live");
-        self.discard_root();
+        } = if from_run {
+            self.run.pop_front().expect("run front exists")
+        } else {
+            let root = self.heap[0];
+            self.discard_root();
+            root
+        };
+        debug_assert_eq!(self.slots[slot as usize].gen, gen, "front must be live");
         let sl = &mut self.slots[slot as usize];
         sl.gen = sl.gen.wrapping_add(1);
         let payload = sl.payload.take().expect("popped slot holds a payload");
         self.free.push(slot);
         self.live -= 1;
-        self.purge_dead_roots();
+        if from_run {
+            self.purge_dead_run_front();
+        } else {
+            self.purge_dead_roots();
+        }
         Some((time, seq, payload))
     }
 
     /// Cancels a pending event in O(1), returning its payload, or
     /// `None` if the handle is stale (the event already popped or was
-    /// cancelled). The heap entry stays behind as a tombstone and is
-    /// discarded when it reaches the root.
+    /// cancelled). The entry stays behind as a tombstone and is discarded
+    /// when it reaches the front of the run or the root of the heap.
     pub fn cancel(&mut self, id: EventId) -> Option<T> {
         let sl = self.slots.get_mut(id.slot as usize)?;
         if sl.gen != id.gen {
@@ -240,6 +297,7 @@ impl<T> EventQueue<T> {
         sl.gen = sl.gen.wrapping_add(1);
         self.free.push(id.slot);
         self.live -= 1;
+        self.purge_dead_run_front();
         self.purge_dead_roots();
         Some(payload)
     }
@@ -262,6 +320,7 @@ impl<T> EventQueue<T> {
                 self.free.push(i as u32);
             }
         }
+        self.run.clear();
         self.heap.clear();
         self.live = 0;
     }
@@ -280,7 +339,17 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Restores the invariant that the root is live: tombstones from
+    /// Restores the invariant that the run's front is live.
+    fn purge_dead_run_front(&mut self) {
+        while let Some(e) = self.run.front() {
+            if self.is_live(e) {
+                break;
+            }
+            self.run.pop_front();
+        }
+    }
+
+    /// Restores the invariant that the heap's root is live: tombstones from
     /// lazy cancellation are discarded as they surface. Amortized, each
     /// cancelled event is purged exactly once.
     fn purge_dead_roots(&mut self) {
@@ -600,6 +669,70 @@ mod tests {
         let original = drain(&mut q);
         assert_eq!(original.len(), 9);
         assert_eq!(drain(&mut copy), original);
+    }
+
+    #[test]
+    fn ascending_pushes_stay_in_the_run_and_never_touch_the_heap() {
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            // Constant-delay pattern: later times, and equal times with a
+            // larger seq, both extend the run.
+            q.push(SimTime::from_micros(i / 2), i, i);
+        }
+        assert_eq!(q.run.len(), 100);
+        assert!(q.heap.is_empty(), "in-order pushes must not sift");
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        assert_eq!(popped, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn equal_time_push_with_a_lower_seq_pops_before_the_run_tail() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(4);
+        q.push(SimTime::from_millis(1), 10, "head");
+        q.push(t, 20, "tail");
+        // Same instant, smaller seq: the logical-id keyed retry/hedge
+        // pattern. It cannot extend the run, so it goes to the heap.
+        q.push(t, 15, "logical");
+        assert_eq!((q.run.len(), q.heap.len()), (2, 1));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 10, "head")));
+        assert_eq!(q.peek_key(), Some((t, 15)));
+        assert_eq!(q.pop(), Some((t, 15, "logical")));
+        assert_eq!(q.pop(), Some((t, 20, "tail")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn cancelling_the_run_front_keeps_peek_at_the_true_minimum() {
+        let mut q = EventQueue::new();
+        let front = q.push(SimTime::from_millis(1), 0, 0);
+        q.push(SimTime::from_millis(5), 1, 1);
+        q.push(SimTime::from_millis(9), 2, 2);
+        // Out of order: lands in the heap, between the run's entries.
+        q.push(SimTime::from_millis(3), 3, 3);
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.peek_key(), Some((SimTime::from_millis(1), 0)));
+        assert_eq!(q.cancel(front), Some(0));
+        assert_eq!(q.peek_key(), Some((SimTime::from_millis(3), 3)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(3), 3, 3)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_millis(5), 1)));
+    }
+
+    #[test]
+    fn clear_empties_both_sources() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(2), 0, 0);
+        q.push(SimTime::from_millis(4), 1, 1);
+        q.push(SimTime::from_millis(1), 2, 2);
+        assert!(!q.run.is_empty() && !q.heap.is_empty());
+        q.clear();
+        assert!(q.run.is_empty() && q.heap.is_empty());
+        assert_eq!(q.peek_key(), None);
+        assert_eq!(q.pop(), None);
+        // An early push after clear starts a fresh run.
+        q.push(SimTime::ZERO, 3, 3);
+        assert_eq!(q.run.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 3, 3)));
     }
 
     #[test]

@@ -17,11 +17,18 @@
 //! correctness, because a planetary replay (E24) pushes ≥10⁷ requests
 //! and several times that many timed events through this loop:
 //!
-//! * completions, wakes, and hedge timers live in slab-allocated
-//!   indexed binary heaps ([`EventQueue`]) whose pops ascend in
-//!   exactly the `(time, id)` order the original `BTreeMap`/`BTreeSet`
-//!   queues iterated in — zero allocation at steady state, O(log n)
-//!   cancel by handle when a fault kills an in-flight request;
+//! * completions, wakes, hedge and retry timers live in slab-allocated
+//!   event queues ([`EventQueue`]) whose pops ascend in exactly the
+//!   `(time, id)` order the original `BTreeMap`/`BTreeSet` queues
+//!   iterated in — zero allocation at steady state, O(1) cancel by
+//!   handle when a fault kills an in-flight request. A completion is
+//!   `now + service_time` and a retry timer `now + attempt_timeout`,
+//!   so nearly every push is above the queue's latest one and is
+//!   appended to its sorted run without a heap sift; the rest (a
+//!   fault-scaled service time, a same-instant timer keyed on a lower
+//!   logical id) go to its 4-ary heap. Both sources are sorted and
+//!   keys are unique, so the smaller of the two fronts is always the
+//!   true next event;
 //! * per-request state lives in a generational slab ([`Arena`]); the
 //!   registry keeps each request's *logical* (monotonic) id as the
 //!   hedge-timer tie-break so slot reuse can never reorder same-instant

@@ -26,20 +26,21 @@ cargo build --release --workspace
 
 echo "==> reproduce smoke: determinism + perf (--filter quick)"
 # The fast experiment subset (fig5, e19_rung, e21_rung, e22_rung,
-# e23_rung, e24_rung, e25_rung), run at one thread and at all host
-# threads: fails
-# if the rendered tables are not byte-identical, and leaves the
-# per-experiment wall-clock/speedup/events-per-sec/peak-RSS/cache
-# telemetry (global + non-zero per-shard counters) in BENCH_PERF.json.
+# e23_rung, e24_rung, e25_rung, e26_rung), run at one thread and at all
+# host threads: fails if the rendered tables are not byte-identical,
+# and leaves the per-experiment wall-clock/speedup/events-per-sec/
+# peak-RSS/cache telemetry (global + non-zero per-shard counters) in
+# BENCH_PERF.json.
 # e25_rung's design search re-evaluates kernels through
 # sim::costcache, so a 0% overall hit rate here is a regression (the
 # binary warns on it).
 #
 # --perf-baseline regression-gates the DES core's single-thread
 # events/sec against the checked-in BENCH_BASELINE.json: any gated
-# experiment (≥100k simulated events; in the quick subset that is
-# e24_rung, the cell-sharded planetary replay) more than 25% slower
-# than baseline fails the build. On a host with known slower/noisier
+# experiment (≥100k simulated events; in the quick subset that is fig5,
+# the Fig. 5 remote/merge scheduler's 1.2M kernel pops, and e24_rung,
+# the cell-sharded planetary replay) more than 25% slower than
+# baseline fails the build. On a host with known slower/noisier
 # clocks than the baseline machine, export MTIA_PERF_ALLOW_REGRESSION=1
 # to downgrade the failure to a warning; refresh BENCH_BASELINE.json
 # (copy a representative BENCH_PERF.json) when a slowdown is intended.
