@@ -50,7 +50,12 @@
 //!                        the paper's hand-picked point
 //!   --explore-smoke      exhaustively search the tiny pinned space and
 //!                        fail unless the optimum is the paper's design
-//!                        point (the CI rung behind the golden fixture)
+//!                        point (the CI rung behind the golden fixture);
+//!                        then sweep the whole paper space as an oracle
+//!                        and fail unless its best is (or dominates)
+//!                        the paper's point and the seeded E25 search
+//!                        reports no Perf/TCO above it; prints the
+//!                        search-to-sweep gap
 //! ```
 //!
 //! Experiments are pure `(config, seed)` functions, so every mode prints
@@ -633,9 +638,12 @@ fn explore_full(threads: usize) -> bool {
     passed
 }
 
-/// Exhaustively searches the tiny pinned space and passes only when the
-/// optimum is exactly the paper's design point — the cheap CI rung that
-/// backs the golden-frontier fixture.
+/// The CI explore rungs. First it exhaustively searches the tiny pinned
+/// space and requires the optimum to be exactly the paper's design
+/// point (the rung that backs the golden-frontier fixture). Then it
+/// sweeps the whole paper space as an oracle: the sweep's best must be
+/// the shipped point or Pareto-dominate it, and the seeded E25 search
+/// must report no Perf/TCO above the sweep's best.
 fn explore_smoke() -> bool {
     use mtia_bench::experiments::explore_exps::{self, Verdict};
 
@@ -647,7 +655,37 @@ fn explore_smoke() -> bool {
         best.score.perf_per_tco,
         run.paper_score.perf_per_tco,
     );
-    let passed = run.verdict == Verdict::Rediscovered;
+    let tiny_ok = run.verdict == Verdict::Rediscovered;
+
+    let sweep = explore_exps::e25_sweep_run();
+    let search = explore_exps::e25_run();
+    let optimum = &sweep.outcome.best;
+    let found = &search.outcome.best;
+    eprintln!(
+        "  paper-space sweep optimum: {} perf/TCO {:.4} over {} candidates \
+         ({} infeasible; paper {:.4})",
+        optimum.design.label(),
+        optimum.score.perf_per_tco,
+        sweep.outcome.evaluated.len() + sweep.outcome.infeasible,
+        sweep.outcome.infeasible,
+        sweep.paper_score.perf_per_tco,
+    );
+    eprintln!(
+        "  seeded search best: {} perf/TCO {:.4}; search-to-sweep gap {:.4}",
+        found.design.label(),
+        found.score.perf_per_tco,
+        optimum.score.perf_per_tco - found.score.perf_per_tco,
+    );
+    let sweep_ok = sweep.verdict != Verdict::FellShort;
+    let search_ok = found.score.perf_per_tco <= optimum.score.perf_per_tco;
+    if !sweep_ok {
+        eprintln!("  the sweep's optimum neither is nor dominates the shipped point");
+    }
+    if !search_ok {
+        eprintln!("  the seeded search beat the exhaustive sweep: the two disagree");
+    }
+
+    let passed = tiny_ok && sweep_ok && search_ok;
     eprintln!("explore smoke {}", if passed { "passed" } else { "FAILED" });
     passed
 }

@@ -167,7 +167,9 @@ fn zipf_sensitivity() -> Table {
     let hc3 = models.iter().find(|m| m.name == "HC3").unwrap().graph();
     // One independent (skew, model) simulation pair per rung.
     let rows = mtia_core::pool::parallel_map(vec![0.80, 0.90, 0.95, 1.05, 1.15], |_, skew| {
-        let sim = ChipSim::new(chips::mtia2i_128gb()).with_zipf_skew(skew);
+        let sim = ChipSim::new(chips::mtia2i_128gb())
+            .with_zipf_skew(skew)
+            .expect("ablation skews lie in (0, 2)");
         let a = sim.run_optimized(&lc3).tbe_hit_rate;
         let b = sim.run_optimized(&hc3).tbe_hit_rate;
         [fx(skew, 2), pct(a), pct(b)]

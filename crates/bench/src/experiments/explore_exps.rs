@@ -193,6 +193,14 @@ pub fn e25_run() -> ExploreRun {
     run_search(&ChipSpecSpace::paper(), &ExploreConfig::paper())
 }
 
+/// The exhaustive sweep of the paper space under the E25 objective:
+/// every candidate is evaluated, so its best is the true optimum — the
+/// oracle `reproduce --explore-smoke` holds [`e25_run`]'s search to.
+pub fn e25_sweep_run() -> ExploreRun {
+    let space = ChipSpecSpace::paper();
+    run_search(&space, &ExploreConfig::exhaustive(space.len()))
+}
+
 /// The tiny pinned scenario behind the CI smoke and the golden
 /// frontier fixture: exhaustive over [`ChipSpecSpace::tiny`], so the
 /// optimum is the true optimum.

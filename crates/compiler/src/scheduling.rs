@@ -252,4 +252,74 @@ mod tests {
         let g = DhenConfig::small(16).build();
         assert_eq!(min_liveness_order(&g), min_liveness_order(&g));
     }
+
+    /// The `HashMap` liveness sweep `Graph::peak_activation_bytes_for_order`
+    /// used before it moved to dense per-tensor vectors, kept verbatim
+    /// as the reference.
+    fn map_peak_activation_bytes(g: &Graph, order: &[usize]) -> mtia_core::units::Bytes {
+        let nodes = g.nodes();
+        let mut position = vec![usize::MAX; nodes.len()];
+        for (pos, &n) in order.iter().enumerate() {
+            position[n] = pos;
+        }
+        let bufferable = |t: TensorId| {
+            matches!(
+                g.tensor(t).kind,
+                TensorKind::Activation | TensorKind::Input | TensorKind::Output
+            )
+        };
+        let mut birth: HashMap<TensorId, usize> = HashMap::new();
+        let mut death: HashMap<TensorId, usize> = HashMap::new();
+        for (i, node) in nodes.iter().enumerate() {
+            let pos = position[i];
+            for &t in &node.outputs {
+                if bufferable(t) {
+                    birth.insert(t, pos);
+                    death.entry(t).or_insert(pos);
+                }
+            }
+            for &t in &node.inputs {
+                if bufferable(t) {
+                    birth.entry(t).or_insert(0);
+                    let d = death.entry(t).or_insert(pos);
+                    *d = (*d).max(pos);
+                }
+            }
+        }
+        let steps = nodes.len();
+        let mut delta = vec![0i128; steps + 1];
+        for (&t, &b) in &birth {
+            let d = death[&t];
+            let bytes = g.tensor(t).bytes().as_u64() as i128;
+            delta[b] += bytes;
+            delta[d + 1] -= bytes;
+        }
+        let mut live = 0i128;
+        let mut peak = 0i128;
+        for d in delta.iter().take(steps) {
+            live += d;
+            peak = peak.max(live);
+        }
+        mtia_core::units::Bytes::new(peak as u64)
+    }
+
+    #[test]
+    fn dense_liveness_matches_the_map_sweep_on_the_zoo() {
+        for m in mtia_model::models::zoo::fig6_models() {
+            let raw = m.graph();
+            let compiled = crate::compile(&raw, crate::CompilerOptions::all()).graph;
+            for g in [&raw, &compiled] {
+                let program: Vec<usize> = (0..g.nodes().len()).collect();
+                for order in [program, min_liveness_order(g)] {
+                    assert_eq!(
+                        g.peak_activation_bytes_for_order(&order),
+                        map_peak_activation_bytes(g, &order),
+                        "{} ({} nodes)",
+                        m.name,
+                        g.nodes().len()
+                    );
+                }
+            }
+        }
+    }
 }

@@ -368,33 +368,37 @@ impl Graph {
 
         // For each activation-like tensor: birth = producer position (or 0
         // for inputs), death = max consumer position.
-        let mut birth: HashMap<TensorId, usize> = HashMap::new();
-        let mut death: HashMap<TensorId, usize> = HashMap::new();
+        // Dense per-tensor slots (indexed by `TensorId`); a tensor is live
+        // somewhere iff its birth is set, and then its death is set too.
+        let mut birth: Vec<Option<usize>> = vec![None; self.tensors.len()];
+        let mut death: Vec<Option<usize>> = vec![None; self.tensors.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             let pos = position[i];
             for &t in &node.outputs {
                 if self.is_bufferable(t) {
-                    birth.insert(t, pos);
-                    death.entry(t).or_insert(pos);
+                    birth[t.0] = Some(pos);
+                    death[t.0].get_or_insert(pos);
                 }
             }
             for &t in &node.inputs {
                 if self.is_bufferable(t) {
-                    birth.entry(t).or_insert(0);
-                    let d = death.entry(t).or_insert(pos);
+                    birth[t.0].get_or_insert(0);
+                    let d = death[t.0].get_or_insert(pos);
                     *d = (*d).max(pos);
                 }
             }
         }
 
-        // Sweep.
+        // Sweep. Only integers are summed into `delta`, so the tensor
+        // visiting order cannot change the result.
         let steps = self.nodes.len();
         let mut delta = vec![0i128; steps + 1];
-        for (&t, &b) in &birth {
-            let d = death[&t];
-            let bytes = self.tensors[t.0].bytes().as_u64() as i128;
-            delta[b] += bytes;
-            delta[d + 1] -= bytes;
+        for (t, (b, d)) in birth.iter().zip(&death).enumerate() {
+            if let (Some(b), Some(d)) = (*b, *d) {
+                let bytes = self.tensors[t].bytes().as_u64() as i128;
+                delta[b] += bytes;
+                delta[d + 1] -= bytes;
+            }
         }
         let mut live = 0i128;
         let mut peak = 0i128;

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 
+use mtia_core::error::ConfigError;
 use mtia_core::spec::{ChipSpec, EccMode};
 use mtia_core::telemetry::{Json, Telemetry};
 use mtia_core::units::{Bytes, SimTime};
@@ -15,9 +16,8 @@ use mtia_model::graph::Graph;
 use mtia_model::ops::{OpCategory, OpKind};
 
 use crate::control::JobLaunchModel;
-use crate::costcache::{cost_op_cached, env_signature};
+use crate::costcache::{cost_op_cached, env_signature, zipf_hit_rate_cached};
 use crate::kernels::{FcVariant, KernelEnv};
-use crate::mem::cache::zipf_hit_rate;
 use crate::mem::lpddr::LpddrController;
 use crate::mem::sram::place_model;
 use crate::noc::NocModel;
@@ -123,11 +123,20 @@ impl ChipSim {
     }
 
     /// Overrides the embedding-popularity skew.
-    #[must_use]
-    pub fn with_zipf_skew(mut self, skew: f64) -> Self {
-        assert!(skew > 0.0 && skew < 2.0, "unsupported zipf skew");
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::OutOfRange`] unless `skew` is in `(0, 2)`,
+    /// the range the Zipf/Che solver supports (NaN is rejected).
+    pub fn with_zipf_skew(mut self, skew: f64) -> Result<Self, ConfigError> {
+        if !(skew > 0.0 && skew < 2.0) {
+            return Err(ConfigError::OutOfRange {
+                what: "zipf skew",
+                valid: "(0, 2)",
+            });
+        }
         self.zipf_skew = skew;
-        self
+        Ok(self)
     }
 
     /// The chip specification.
@@ -336,7 +345,7 @@ impl ChipSim {
             return 1.0;
         }
         let cached_rows = cache_bytes.as_u64() / row_bytes;
-        zipf_hit_rate(total_rows, cached_rows, self.zipf_skew)
+        zipf_hit_rate_cached(total_rows, cached_rows, self.zipf_skew)
     }
 
     /// Convenience: total batch latency under the optimized plan.
@@ -500,5 +509,24 @@ mod tests {
         let mut plan = Plan::default_for(&g);
         plan.order.pop();
         let _ = sim().run(&g, &plan);
+    }
+
+    #[test]
+    fn out_of_range_zipf_skew_is_a_config_error() {
+        for skew in [0.0, 2.0, -0.5, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    sim().with_zipf_skew(skew),
+                    Err(ConfigError::OutOfRange {
+                        what: "zipf skew",
+                        ..
+                    })
+                ),
+                "skew {skew} must be rejected"
+            );
+        }
+        for skew in [1e-9, 1.0, 1.999] {
+            assert!(sim().with_zipf_skew(skew).is_ok(), "skew {skew} is valid");
+        }
     }
 }

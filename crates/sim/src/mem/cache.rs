@@ -8,7 +8,10 @@
 //! * [`zipf_hit_rate`] — Che's approximation for an LRU cache under
 //!   Zipf-distributed embedding-row popularity, used for the TBE hit-rate
 //!   predictions over multi-billion-row tables where streaming every access
-//!   is impractical.
+//!   is impractical. Its `t`-independent rank buckets are built once per
+//!   call, outside the bisection; `ChipSim` calls it through the
+//!   process-wide memo in [`crate::costcache`], so a repeated
+//!   `(catalog, cache, skew)` is solved once per process.
 
 /// Statistics of a cache simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,6 +149,17 @@ impl SetAssocCache {
 /// rate is `Σᵢ qᵢ (1 − e^{−qᵢ t_c})`. Both sums are evaluated by log-domain
 /// numeric integration so catalogs of billions of rows are cheap.
 ///
+/// The 400 log-spaced rank buckets do not depend on `t`, so their
+/// popularity `q(mid)` and width `dx` are computed once per call; each
+/// bisection step then costs one `exp` per bucket. Every float is formed
+/// by the same operations in the same order as a per-step recomputation
+/// would form it, so the result is bit-identical to that naive solver
+/// (pinned by the `sim` property suite).
+///
+/// This is the single, uncached solver. `ChipSim` reaches it through
+/// [`crate::costcache::zipf_hit_rate_cached`], which memoizes it on its
+/// exact inputs.
+///
 /// # Panics
 ///
 /// Panics if `skew` is not in `(0, 2)`, or `catalog == 0`.
@@ -167,22 +181,27 @@ pub fn zipf_hit_rate(catalog: u64, cache_size: u64, skew: f64) -> f64 {
     } else {
         (n.powf(1.0 - skew) - 1.0) / (1.0 - skew) + 1.0
     };
-    let q = |x: f64| x.powf(-skew) / h;
 
-    // Numeric integration over log-spaced rank buckets.
-    let integrate = |t: f64, weighted: bool| -> f64 {
-        const STEPS: usize = 400;
-        let log_n = n.ln();
-        let mut acc = 0.0;
-        let mut prev_x = 1.0f64;
-        for k in 1..=STEPS {
+    // Log-spaced rank buckets: (popularity at the midpoint, width).
+    const STEPS: usize = 400;
+    let log_n = n.ln();
+    let mut prev_x = 1.0f64;
+    let buckets: Vec<(f64, f64)> = (1..=STEPS)
+        .map(|k| {
             let x = (log_n * k as f64 / STEPS as f64).exp();
             let dx = x - prev_x;
             let mid = 0.5 * (x + prev_x);
-            let qi = q(mid);
+            prev_x = x;
+            (mid.powf(-skew) / h, dx)
+        })
+        .collect();
+
+    // Numeric integration over the buckets.
+    let integrate = |t: f64, weighted: bool| -> f64 {
+        let mut acc = 0.0;
+        for &(qi, dx) in &buckets {
             let p_in = 1.0 - (-qi * t).exp();
             acc += if weighted { qi * p_in * dx } else { p_in * dx };
-            prev_x = x;
         }
         acc
     };

@@ -6,6 +6,95 @@ use mtia_sim::noc::LeakyBucket;
 use mtia_sim::pe_pipeline::{simulate_pipeline, PipelineConfig};
 use proptest::prelude::*;
 
+/// The Che solver as it stood before its rank buckets were hoisted out
+/// of the bisection, kept verbatim as the bit-exact reference: every
+/// step recomputes each bucket's `exp`, `powf` and width.
+fn per_bucket_zipf_hit_rate(catalog: u64, cache_size: u64, skew: f64) -> f64 {
+    assert!(catalog > 0, "empty catalog");
+    assert!(skew > 0.0 && skew < 2.0, "unsupported zipf skew {skew}");
+    if cache_size == 0 {
+        return 0.0;
+    }
+    if cache_size >= catalog {
+        return 1.0;
+    }
+    let n = catalog as f64;
+    let c = cache_size as f64;
+
+    // Normalization: H = Σ x^-s approximated by the integral.
+    let h = if (skew - 1.0).abs() < 1e-9 {
+        n.ln() + 0.5772
+    } else {
+        (n.powf(1.0 - skew) - 1.0) / (1.0 - skew) + 1.0
+    };
+    let q = |x: f64| x.powf(-skew) / h;
+
+    // Numeric integration over log-spaced rank buckets.
+    let integrate = |t: f64, weighted: bool| -> f64 {
+        const STEPS: usize = 400;
+        let log_n = n.ln();
+        let mut acc = 0.0;
+        let mut prev_x = 1.0f64;
+        for k in 1..=STEPS {
+            let x = (log_n * k as f64 / STEPS as f64).exp();
+            let dx = x - prev_x;
+            let mid = 0.5 * (x + prev_x);
+            let qi = q(mid);
+            let p_in = 1.0 - (-qi * t).exp();
+            acc += if weighted { qi * p_in * dx } else { p_in * dx };
+            prev_x = x;
+        }
+        acc
+    };
+
+    // Solve for t_c with bisection on a wide bracket.
+    let (mut lo, mut hi) = (1.0f64, 1e18f64);
+    for _ in 0..200 {
+        let mid = (lo * hi).sqrt();
+        if integrate(mid, false) < c {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if hi / lo < 1.0 + 1e-9 {
+            break;
+        }
+    }
+    let t_c = (lo * hi).sqrt();
+    integrate(t_c, true).clamp(0.0, 1.0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The hoisted solver returns exactly the reference's bits, for
+    /// catalogs up to 10¹², caches on both sides of the catalog, and
+    /// skews across `(0, 2)` (exactly 1.0 and its ±1e-9 branch included).
+    #[test]
+    fn hoisted_zipf_matches_per_bucket_solver_bit_for_bit(
+        catalog_exp in 0.0f64..=12.0,
+        cache_frac in 0.0f64..1.25,
+        skew_kind in 0u8..4,
+        skew_raw in 1e-6f64..2.0,
+    ) {
+        let catalog = (10f64.powf(catalog_exp) as u64).max(1);
+        let cache = (catalog as f64 * cache_frac) as u64;
+        let skew = match skew_kind {
+            0 => 1.0,
+            1 => 1.0 + (skew_raw - 1.0) * 1e-9,
+            _ => skew_raw,
+        };
+        let hoisted = zipf_hit_rate(catalog, cache, skew);
+        let reference = per_bucket_zipf_hit_rate(catalog, cache, skew);
+        prop_assert_eq!(
+            hoisted.to_bits(),
+            reference.to_bits(),
+            "catalog {} cache {} skew {}: {} vs {}",
+            catalog, cache, skew, hoisted, reference
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -64,12 +64,16 @@ echo "==> chaos smoke: failover survives the seeded correlated-fault suite"
 # everywhere, goodput >= 90 %.
 target/release/reproduce --chaos-smoke
 
-echo "==> explore smoke: the tiny-space search rediscovers the paper point"
+echo "==> explore smoke: tiny-space rung + paper-space oracle for the search"
 # Exhaustive search over the tiny pinned design space (the one behind
 # tests/goldens/explore_frontier.golden) at the default seed: fails
 # unless the argmax is exactly the shipped sram256 8x8 lpddr 1350MHz
 # lm384 point — the cheapest end-to-end check that the objective,
 # cost model, and search driver still agree on the paper's design.
+# Then the exhaustive paper-space sweep (384 candidates x 5 models)
+# serves as an oracle: its best must be the shipped point or
+# Pareto-dominate it, and the seeded E25 search must report no
+# Perf/TCO above the sweep's best. The search-to-sweep gap is printed.
 target/release/reproduce --explore-smoke
 
 echo "==> cargo test"
