@@ -50,12 +50,6 @@ impl Table {
         self.rows.push(cells.to_vec());
         self
     }
-
-    /// Appends a row from display-able cells.
-    pub fn row_display(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
 }
 
 impl fmt::Display for Table {

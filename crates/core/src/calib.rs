@@ -80,12 +80,6 @@ pub const GPU_GATHER_BW_EFFICIENCY: f64 = 0.75;
 /// MTIA effective LPDDR bandwidth fraction for irregular gather traffic.
 pub const MTIA_GATHER_BW_EFFICIENCY: f64 = 0.70;
 
-/// Fraction of a serving request spent in host-side work (feature
-/// preprocessing, batching, network) for a mid-complexity ranking model,
-/// before accelerator-side time. §2 notes retrieval models "can spend a
-/// significant amount of time on feature preprocessing".
-pub const HOST_OVERHEAD_FRACTION: f64 = 0.10;
-
 #[cfg(test)]
 mod tests {
     // The constants under test are compile-time values by design: these

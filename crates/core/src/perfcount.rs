@@ -37,8 +37,3 @@ pub fn add_events(n: u64) {
 pub fn events() -> u64 {
     DES_EVENTS.load(Ordering::Relaxed)
 }
-
-/// Resets the counter to zero (bench-runner bookkeeping between runs).
-pub fn reset_events() {
-    DES_EVENTS.store(0, Ordering::Relaxed);
-}

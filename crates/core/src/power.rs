@@ -67,11 +67,6 @@ impl PowerModel {
                 .dynamic_at_nominal
                 .scale(utilization * f_ratio * v_ratio)
     }
-
-    /// Peak (100 % utilization) power at a given frequency.
-    pub fn peak_at_frequency(&self, frequency: Hertz) -> Watts {
-        self.at(1.0, frequency, self.nominal_voltage)
-    }
 }
 
 #[cfg(test)]

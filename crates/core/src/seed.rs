@@ -5,9 +5,9 @@
 //! function of one documented `u64` so that any reported number can be
 //! reproduced bit-for-bit from the command line. Examples and
 //! integration tests derive their RNG streams from [`DEFAULT_SEED`]
-//! through [`derive`] rather than scattering ad-hoc literals.
+//! through [`derive()`] rather than scattering ad-hoc literals.
 //!
-//! [`derive`] splits the root seed per *purpose label*, so independent
+//! [`derive()`] splits the root seed per *purpose label*, so independent
 //! subsystems (e.g. the fault plan and the arrival process) get
 //! decorrelated streams while remaining reproducible: changing the
 //! label changes the stream, changing the root seed changes all of them.

@@ -57,13 +57,6 @@ impl FirmwareBundle {
         deadlock_possible(self.deadlock_config_under_load())
             && rng.gen_bool(STRESS_TRIGGER_PROBABILITY)
     }
-
-    /// Whether a production server serving an affected model hangs in the
-    /// observation window.
-    pub fn production_server_hangs<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        deadlock_possible(self.deadlock_config_under_load())
-            && rng.gen_bool(PRODUCTION_TRIGGER_PROBABILITY)
-    }
 }
 
 /// One rollout stage: a fleet fraction and a soak duration.
@@ -286,8 +279,6 @@ pub fn simulate_rollout_replicas(
 
 /// Continuous-deployment cadence facts (§5.5).
 pub mod cadence {
-    /// Firmware builds per day on the CI pipeline.
-    pub const BUILDS_PER_DAY: u32 = 3;
     /// Fleet-wide bundle releases shipped in 2024.
     pub const RELEASES_2024: u32 = 23;
     /// Third-party GPU firmware updates achievable per year.

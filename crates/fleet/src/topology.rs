@@ -167,11 +167,6 @@ impl FleetTopology {
         }
     }
 
-    /// Module index of `device`.
-    pub fn module_of(&self, device: DeviceId) -> u32 {
-        device / self.config.devices_per_module
-    }
-
     /// The ancestor domain of `device` at `level`.
     pub fn domain_of(&self, level: DomainLevel, device: DeviceId) -> u32 {
         device / self.domain_size(level)

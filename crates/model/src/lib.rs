@@ -1,9 +1,8 @@
 //! Model-side substrates of the MTIA 2i reproduction: a graph IR with the
 //! paper's operator vocabulary, generators for Meta's production model
 //! families (DLRM, DHEN, HSTU, plus a Llama-style LLM for the suitability
-//! study), jagged tensors, dynamic INT8 quantization, real rANS/LZSS
-//! compression, 2:4 structured sparsity, and the §5.1 memory-error
-//! injection tool.
+//! study), dynamic INT8 quantization, real rANS/LZSS compression, and the
+//! §5.1 memory-error injection tool.
 //!
 //! # Quick tour
 //!
@@ -21,14 +20,10 @@
 pub mod compress;
 pub mod error_inject;
 pub mod graph;
-pub mod hstu_bias;
 pub mod integrity;
-pub mod jagged;
 pub mod models;
-pub mod norm;
 pub mod ops;
 pub mod quant;
-pub mod sparsity;
 pub mod tensor;
 
 pub use graph::{Graph, GraphError, GraphStats, Node, NodeId, TensorDef, TensorId, TensorKind};

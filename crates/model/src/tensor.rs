@@ -3,9 +3,9 @@
 //! Most of the workspace reasons about tensors symbolically (shapes, dtypes,
 //! byte counts) — that is [`Shape`] and `TensorDef` in [`crate::graph`]. The
 //! numeric experiments (dynamic INT8 quantization quality in §4.4, memory
-//! error injection in §5.1, 2:4 sparsity accuracy in §3.3) additionally need
-//! real values; [`DenseTensor`] provides a compact row-major `f32` tensor
-//! with just enough linear algebra for those studies.
+//! error injection in §5.1) additionally need real values; [`DenseTensor`]
+//! provides a compact row-major `f32` tensor with just enough linear algebra
+//! for those studies.
 
 use std::fmt;
 

@@ -2,7 +2,6 @@
 
 use mtia_core::DType;
 use mtia_model::graph::{Graph, TensorKind};
-use mtia_model::jagged::JaggedTensor;
 use mtia_model::ops::OpKind;
 use mtia_model::tensor::{f32_to_f16_to_f32, DenseTensor, Shape};
 use proptest::prelude::*;
@@ -31,45 +30,6 @@ proptest! {
         let r = f32_to_f16_to_f32(v);
         let rel = ((r - v) / v).abs();
         prop_assert!(rel <= 2.0_f32.powi(-11), "rel err {rel} for {v}");
-    }
-
-    /// Jagged → dense → jagged round-trips for arbitrary layouts.
-    #[test]
-    fn jagged_dense_roundtrip(
-        lengths in proptest::collection::vec(0usize..16, 1..16),
-        dim in 1usize..8,
-    ) {
-        let mut jagged = JaggedTensor::zeros(&lengths, dim);
-        let mut counter = 0.0f32;
-        for i in 0..jagged.batch() {
-            for v in jagged.row_mut(i) {
-                counter += 1.0;
-                *v = counter;
-            }
-        }
-        let dense = jagged.to_dense();
-        let back = JaggedTensor::from_dense(&dense, &lengths, dim);
-        prop_assert_eq!(back, jagged);
-    }
-
-    /// Sum-pooling a jagged tensor conserves mass.
-    #[test]
-    fn jagged_pool_conserves_sum(
-        lengths in proptest::collection::vec(0usize..12, 1..12),
-        dim in 1usize..6,
-    ) {
-        let mut jagged = JaggedTensor::zeros(&lengths, dim);
-        let mut counter = 0.0f32;
-        for i in 0..jagged.batch() {
-            for v in jagged.row_mut(i) {
-                counter += 0.5;
-                *v = counter;
-            }
-        }
-        let total: f64 = jagged.values().iter().map(|&v| v as f64).sum();
-        let pooled = jagged.sum_pool();
-        let pooled_total: f64 = pooled.data().iter().map(|&v| v as f64).sum();
-        prop_assert!((total - pooled_total).abs() < 1e-3 * total.abs().max(1.0));
     }
 
     /// Graph liveness peak is at least the largest single live pair
@@ -111,21 +71,6 @@ proptest! {
         prop_assert_eq!(g.validate(), Ok(()));
         let peak = g.peak_activation_bytes().as_u64();
         prop_assert!(peak >= max_pair, "peak {peak} < max pair {max_pair}");
-    }
-
-    /// 2:4 pruning is idempotent and never increases weight energy.
-    #[test]
-    fn sparsity_pruning_idempotent(
-        values in proptest::collection::vec(-10.0f32..10.0, 4..128),
-    ) {
-        let cols = values.len();
-        let t = DenseTensor::from_data(1, cols, values);
-        let once = mtia_model::sparsity::prune_2_4(&t);
-        let twice = mtia_model::sparsity::prune_2_4(&once);
-        prop_assert_eq!(&once, &twice);
-        prop_assert!(mtia_model::sparsity::satisfies_2_4(&once));
-        let energy = mtia_model::sparsity::energy_retained(&t, &once);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&energy));
     }
 
     /// Every op's reported byte volumes are consistent: fused boundary

@@ -17,9 +17,6 @@ pub struct HostPipeline {
     /// Host-memory copies each input byte makes before reaching PCIe
     /// (2 naive: extract → staging → pinned; 1 after copy elimination).
     pub memory_copies: u32,
-    /// Whether the FP32→FP16 cast runs on the accelerator (halving the
-    /// bytes that cross host DRAM and PCIe).
-    pub cast_on_device: bool,
 }
 
 impl HostPipeline {
@@ -28,16 +25,15 @@ impl HostPipeline {
         HostPipeline {
             input_bytes_per_sample,
             memory_copies: 2,
-            cast_on_device: false,
         }
     }
 
-    /// The §3.4-optimized pipeline.
+    /// The §3.4-optimized pipeline: one copy pass, with the FP32→FP16
+    /// cast offloaded to the accelerator.
     pub fn optimized(input_bytes_per_sample: Bytes) -> Self {
         HostPipeline {
             input_bytes_per_sample,
             memory_copies: 1,
-            cast_on_device: true,
         }
     }
 
@@ -47,17 +43,6 @@ impl HostPipeline {
     /// a second full-width copy.
     pub fn host_bytes_per_sample(&self) -> Bytes {
         self.input_bytes_per_sample * (2 * self.memory_copies) as u64
-    }
-
-    /// Bytes crossing PCIe per sample: FP16 on the wire halves the FP32
-    /// feature payload ("halving data transfer by converting FP32 to
-    /// FP16", §3.4).
-    pub fn pcie_bytes_per_sample(&self) -> Bytes {
-        if self.cast_on_device {
-            self.input_bytes_per_sample.scale(0.5)
-        } else {
-            self.input_bytes_per_sample
-        }
     }
 }
 

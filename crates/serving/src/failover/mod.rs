@@ -23,8 +23,9 @@
 //!   reproducible.
 //! * [`sim`] — the failover event loop: replica promotion on domain
 //!   loss, warm restore from checkpoint, re-replication onto spares,
-//!   integrated with the [`DegradationController`]
-//!   (crate::resilience::DegradationController) admission path.
+//!   integrated with the
+//!   [`DegradationController`](crate::resilience::DegradationController)
+//!   admission path.
 //! * [`report`] — the availability scorecard: goodput,
 //!   unavailable-seconds, incident-window P99, recovery time.
 

@@ -128,15 +128,6 @@ impl GlobalReport {
         (self.served_full + self.served_degraded) as f64 / self.offered as f64
     }
 
-    /// Served-or-deliberately-shed fraction: the share of offered load
-    /// the system *decided* about rather than dropped on the floor.
-    pub fn answered_or_shed(&self) -> f64 {
-        if self.offered == 0 {
-            return 1.0;
-        }
-        (self.served_full + self.served_degraded + self.shed) as f64 / self.offered as f64
-    }
-
     /// Requests in no terminal bucket — zero in a fully-drained run;
     /// the conservation check the property tests assert on.
     pub fn unaccounted(&self) -> u64 {

@@ -21,10 +21,10 @@
 //! [`simulate_planet`] defines the coupled replay as **lock-step**
 //! epochs — every cell runs to barrier *k*, the barrier sets the floor
 //! for epoch *k+1* — but executes it **optimistically** (Time Warp
-//! style), because the floor rarely moves. Each resumable
-//! [`Sim`](super::sim) runs a window of `w` epochs on its own under the
-//! current floor, recording `(load, up, pending)` at every barrier it
-//! crosses; the driver then folds the records barrier by barrier:
+//! style), because the floor rarely moves. Each resumable `Sim` runs a
+//! window of `w` epochs on its own under the current floor, recording
+//! `(load, up, pending)` at every barrier it crosses; the driver then
+//! folds the records barrier by barrier:
 //!
 //! ```text
 //! window from barrier b, w = max(1, held/2) epochs, cells on parallel_map:

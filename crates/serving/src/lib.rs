@@ -29,19 +29,16 @@
 #![warn(missing_docs)]
 
 pub mod ab;
-pub mod allocation;
 pub mod cluster;
 pub mod coalescer;
 pub mod failover;
 pub mod global;
-pub mod replayer;
 pub mod resilience;
 pub mod scheduler;
 pub mod sdc;
 pub mod traffic;
 
 pub use ab::{normalized_entropy, run_ab_test, AbReport, PlatformArm};
-pub use allocation::{AllocationError, Placement, ServerAllocator};
 pub use coalescer::{simulate_coalescer, CoalescerConfig, CoalescerStats};
 pub use failover::{
     compare_failover, place_replicas, simulate_cell_failover, simulate_cell_failover_traced,
@@ -54,7 +51,6 @@ pub use global::{
     LadderConfig, Priority, RegionalTrace, RegionalTrafficConfig, RoutingPolicy,
 };
 pub use mtia_core::telemetry::LatencyHistogram;
-pub use replayer::{overclock_gain_on_trace, replay, ReplayDeployment, ReplayReport};
 pub use resilience::{
     compare_policies, simulate_resilient_remote_merge, simulate_resilient_remote_merge_traced,
     DeviceSet, DispatchPolicy, HealthConfig, HealthMachine, HealthState, HedgePolicy,
@@ -69,6 +65,4 @@ pub use sdc::{
     run_sdc_sim, DetectionPolicy, DeviceImage, ImageSpec, InlineRepair, QuarantineDecision,
     QuarantineHandler, QuarantineRequest, SdcReport, SdcSimConfig,
 };
-pub use traffic::{
-    ArrivalProcess, DiurnalArrivals, FlashCrowd, PoissonArrivals, RegionalArrivals, ReplayTrace,
-};
+pub use traffic::{ArrivalProcess, DiurnalArrivals, FlashCrowd, PoissonArrivals, RegionalArrivals};

@@ -99,15 +99,6 @@ impl SdcReport {
         }
     }
 
-    /// Fraction of served responses that were corrupted.
-    pub fn served_corruption_rate(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.served_corrupted as f64 / self.served as f64
-        }
-    }
-
     /// Total model executions the run performed.
     pub fn total_executions(&self) -> u64 {
         self.execs_user

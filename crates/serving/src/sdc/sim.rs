@@ -2,9 +2,8 @@
 //! suspicion scoring, and quarantine hand-off.
 //!
 //! [`run_sdc_sim`] drives a small fleet of [`DeviceImage`]s through a
-//! deterministic request stream while a seeded
-//! [`FaultPlan`](mtia_sim::faults::FaultPlan) injects §5.1 LPDDR bit
-//! flips. The defense ladder is entirely policy-driven:
+//! deterministic request stream while a seeded [`FaultPlan`] injects §5.1
+//! LPDDR bit flips. The defense ladder is entirely policy-driven:
 //!
 //! * **Inline guards** — every execution runs the checksum/bounds/range
 //!   guards; a violation rejects the response and retries on a peer.

@@ -2,8 +2,7 @@
 //!
 //! Production traffic is Poisson at short horizons with a strong diurnal
 //! envelope at long horizons; §5.3/§5.4 lean on that variability (peak
-//! buffers, P90 budgeting). Offline replay (§5.2, §6) feeds recorded
-//! arrival times instead.
+//! buffers, P90 budgeting).
 
 use mtia_core::SimTime;
 use rand::Rng;
@@ -213,68 +212,6 @@ impl<R: Rng> ArrivalProcess for RegionalArrivals<R> {
     }
 }
 
-/// Replays a recorded arrival trace (offline replayer tests, §5.2/§6).
-#[derive(Debug, Clone)]
-pub struct ReplayTrace {
-    arrivals: Vec<SimTime>,
-    cursor: usize,
-}
-
-impl ReplayTrace {
-    /// Creates a trace from sorted arrival times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the times are not non-decreasing.
-    pub fn new(arrivals: Vec<SimTime>) -> Self {
-        assert!(
-            arrivals.windows(2).all(|w| w[0] <= w[1]),
-            "replay trace must be sorted"
-        );
-        ReplayTrace {
-            arrivals,
-            cursor: 0,
-        }
-    }
-
-    /// Records a trace from any process, `n` arrivals long.
-    pub fn record(process: &mut impl ArrivalProcess, n: usize) -> Self {
-        let mut arrivals = Vec::with_capacity(n);
-        let mut now = SimTime::ZERO;
-        for _ in 0..n {
-            match process.next_arrival(now) {
-                Some(t) => {
-                    arrivals.push(t);
-                    now = t;
-                }
-                None => break,
-            }
-        }
-        ReplayTrace {
-            arrivals,
-            cursor: 0,
-        }
-    }
-
-    /// Number of arrivals remaining.
-    pub fn remaining(&self) -> usize {
-        self.arrivals.len() - self.cursor
-    }
-}
-
-impl ArrivalProcess for ReplayTrace {
-    fn next_arrival(&mut self, now: SimTime) -> Option<SimTime> {
-        while self.cursor < self.arrivals.len() {
-            let t = self.arrivals[self.cursor];
-            self.cursor += 1;
-            if t > now {
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,26 +363,5 @@ mod tests {
             (0.25..0.5).contains(&share),
             "crowd share {share} ({inside}/{total})"
         );
-    }
-
-    #[test]
-    fn replay_roundtrip() {
-        let mut p = PoissonArrivals::new(100.0, StdRng::seed_from_u64(5));
-        let mut trace = ReplayTrace::record(&mut p, 100);
-        assert_eq!(trace.remaining(), 100);
-        let mut now = SimTime::ZERO;
-        let mut n = 0;
-        while let Some(t) = trace.next_arrival(now) {
-            assert!(t > now);
-            now = t;
-            n += 1;
-        }
-        assert_eq!(n, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted")]
-    fn unsorted_trace_panics() {
-        let _ = ReplayTrace::new(vec![SimTime::from_secs(2), SimTime::from_secs(1)]);
     }
 }

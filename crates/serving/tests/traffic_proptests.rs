@@ -1,9 +1,8 @@
-//! Property tests for the arrival-process contracts: recorded traces
-//! are sorted and sized, replay consumes monotonically, and a replayed
-//! Poisson trace reproduces the live process event-for-event.
+//! Property tests for the arrival-process contracts: stochastic
+//! processes never go backwards and never run dry.
 
 use mtia_core::SimTime;
-use mtia_serving::traffic::{ArrivalProcess, DiurnalArrivals, PoissonArrivals, ReplayTrace};
+use mtia_serving::traffic::{ArrivalProcess, DiurnalArrivals, PoissonArrivals};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,76 +10,28 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `record` produces non-decreasing arrival times and exactly `n`
-    /// of them (stochastic processes never run dry), whatever the rate,
-    /// seed, or process family.
+    /// Poisson and diurnal arrivals never go backwards and yield all `n`
+    /// requested arrivals, whatever the rate, seed, or process family.
     #[test]
-    fn recorded_traces_are_sorted_and_full_length(
+    fn arrivals_are_sorted_and_never_run_dry(
         rate in 1.0f64..500.0,
         seed in any::<u64>(),
         n in 0usize..200,
         diurnal in any::<bool>(),
     ) {
         let rng = StdRng::seed_from_u64(seed);
-        let trace = if diurnal {
-            let mut p = DiurnalArrivals::new(rate, 0.5, SimTime::from_secs(60), rng);
-            ReplayTrace::record(&mut p, n)
+        let mut process: Box<dyn ArrivalProcess> = if diurnal {
+            Box::new(DiurnalArrivals::new(rate, 0.5, SimTime::from_secs(60), rng))
         } else {
-            let mut p = PoissonArrivals::new(rate, rng);
-            ReplayTrace::record(&mut p, n)
+            Box::new(PoissonArrivals::new(rate, rng))
         };
-        prop_assert_eq!(trace.remaining(), n);
-        let mut replay = trace;
-        let mut prev = SimTime::ZERO;
-        while let Some(t) = replay.next_arrival(prev) {
-            prop_assert!(t >= prev, "trace went backwards");
-            prev = t;
-        }
-    }
-
-    /// Each `next_arrival` call that yields consumes exactly one
-    /// recorded event: `remaining` decrements by one per yield until
-    /// the trace runs dry, then stays at zero.
-    #[test]
-    fn remaining_decrements_by_one_per_yield(
-        rate in 1.0f64..200.0,
-        seed in any::<u64>(),
-        n in 1usize..100,
-    ) {
-        let mut p = PoissonArrivals::new(rate, StdRng::seed_from_u64(seed));
-        let mut replay = ReplayTrace::record(&mut p, n);
-        let mut now = SimTime::ZERO;
-        for left in (0..n).rev() {
-            let t = replay.next_arrival(now);
-            prop_assert!(t.is_some(), "trace ran dry early");
-            now = t.unwrap();
-            prop_assert_eq!(replay.remaining(), left);
-        }
-        prop_assert_eq!(replay.next_arrival(now), None);
-        prop_assert_eq!(replay.remaining(), 0);
-    }
-
-    /// Replaying a recorded Poisson trace reproduces the live process
-    /// event-for-event: same seed, same arrival times, in order.
-    #[test]
-    fn replay_reproduces_the_poisson_process(
-        rate in 1.0f64..500.0,
-        seed in any::<u64>(),
-        n in 1usize..150,
-    ) {
-        let mut recorded = PoissonArrivals::new(rate, StdRng::seed_from_u64(seed));
-        let mut replay = ReplayTrace::record(&mut recorded, n);
-        let mut live = PoissonArrivals::new(rate, StdRng::seed_from_u64(seed));
         let mut now = SimTime::ZERO;
         for i in 0..n {
-            let from_live = live.next_arrival(now).expect("poisson never runs dry");
-            let from_replay = replay.next_arrival(now);
-            prop_assert_eq!(
-                from_replay, Some(from_live),
-                "replay diverged from the live process at event {}", i
-            );
-            now = from_live;
+            let t = process.next_arrival(now);
+            prop_assert!(t.is_some(), "process ran dry at arrival {}", i);
+            let t = t.unwrap();
+            prop_assert!(t >= now, "arrival {} went backwards", i);
+            now = t;
         }
-        prop_assert_eq!(replay.next_arrival(now), None);
     }
 }

@@ -728,11 +728,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Events targeting one device.
-    pub fn events_for(&self, device: DeviceId) -> impl Iterator<Item = &FaultEvent> {
-        self.events.iter().filter(move |e| e.device == device)
-    }
-
     /// FNV-1a digest over every event field: two plans with equal
     /// fingerprints injected the same trace. Reports embed this so
     /// "compared under identical fault traces" is checkable.

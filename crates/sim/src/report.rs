@@ -120,12 +120,6 @@ impl ExecutionReport {
             .sum()
     }
 
-    /// Fraction of peak DPE utilization implied by the achieved rate, for
-    /// power modelling. `peak` is the chip's GEMM peak in FLOPS/s.
-    pub fn compute_utilization(&self, peak: f64) -> f64 {
-        (self.achieved_flops_per_s() / peak).clamp(0.0, 1.0)
-    }
-
     /// The single most time-consuming bottleneck class.
     pub fn dominant_bottleneck(&self) -> Option<Bottleneck> {
         let mut totals: BTreeMap<u8, (SimTime, Bottleneck)> = BTreeMap::new();

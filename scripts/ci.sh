@@ -21,6 +21,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings)"
+# Broken, ambiguous or private intra-doc links fail the build, so deleting
+# an item can never leave a dangling link in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -12,8 +12,8 @@
 //!   LPDDR + ECC, NoC (incl. the §5.5 deadlock), kernel cost models, job
 //!   launch, host link, and the GPU comparator.
 //! * [`model`] — graph IR, DLRM/DHEN/HSTU/LLM generators, the Table 1 and
-//!   Fig. 6 model zoos, quantization, rANS/LZSS compression, 2:4 sparsity,
-//!   memory-error injection.
+//!   Fig. 6 model zoos, quantization, rANS/LZSS compression, memory-error
+//!   injection.
 //! * [`compiler`] — fusion passes, delayed broadcast, memory-aware
 //!   scheduling, FC kernel variants, the autotuning performance database.
 //! * [`autotune`] — the §4.1 pipeline: data placement, batch size,
