@@ -27,7 +27,7 @@ use mtia_serving::failover::{
 };
 
 use crate::chaos::ChaosSchedule;
-use crate::{fx, ExperimentReport, Table};
+use crate::{fx, ms, pct2, secs, ExperimentReport, Table};
 
 /// The acceptance scenario: crash host 0 — the host that naive
 /// contiguous packing concentrates the first shards on — for `repair`
@@ -39,18 +39,6 @@ fn host0_crash(topo: &FleetTopology, seed: u64) -> ChaosSchedule {
         repair: SimTime::from_secs(20),
     };
     schedule
-}
-
-fn pct2(x: f64) -> String {
-    format!("{:.2}%", x * 100.0)
-}
-
-fn secs(t: SimTime) -> String {
-    format!("{:.2} s", t.as_secs_f64())
-}
-
-fn ms(t: SimTime) -> String {
-    format!("{:.1} ms", t.as_secs_f64() * 1e3)
 }
 
 fn arm_row(r: &FailoverReport) -> Vec<String> {

@@ -30,7 +30,7 @@ use mtia_serving::global::{
 use mtia_sim::faults::FaultPlan;
 
 use crate::chaos::GlobalChaosSchedule;
-use crate::{fx, ExperimentReport, Table};
+use crate::{fx, ms, pct2, secs, ExperimentReport, Table};
 
 /// The E22 headline inputs, shared between the experiment table and the
 /// paper-claims acceptance test: the planetary fleet, a ≥10⁶-request
@@ -114,18 +114,6 @@ impl E22Scenario {
             .count();
         during as f64 / self.trace.len() as f64
     }
-}
-
-fn pct2(x: f64) -> String {
-    format!("{:.2}%", x * 100.0)
-}
-
-fn secs(t: SimTime) -> String {
-    format!("{:.2} s", t.as_secs_f64())
-}
-
-fn ms(t: SimTime) -> String {
-    format!("{:.1} ms", t.as_secs_f64() * 1e3)
 }
 
 fn arm_row(r: &GlobalReport) -> Vec<String> {

@@ -35,7 +35,7 @@ use mtia_serving::global::{
 use mtia_sim::faults::FaultPlan;
 
 use crate::chaos::{GlobalChaosScenario, GlobalChaosSchedule};
-use crate::{fx, ExperimentReport, Table};
+use crate::{fx, ms, pct2, ExperimentReport, Table};
 
 /// The E23 headline inputs, shared between the experiment table and the
 /// paper-claims acceptance test: the planetary fleet, a ≥10⁶-request
@@ -140,14 +140,6 @@ impl E23Scenario {
         let clean = reports.pop().expect("three arms");
         [clean, naive, resilient]
     }
-}
-
-fn pct2(x: f64) -> String {
-    format!("{:.2}%", x * 100.0)
-}
-
-fn ms(t: SimTime) -> String {
-    format!("{:.1} ms", t.as_secs_f64() * 1e3)
 }
 
 /// P99 inflation of `r` over the fault-free yardstick.

@@ -16,6 +16,8 @@ pub mod traces;
 
 use std::fmt;
 
+use mtia_core::SimTime;
+
 /// A printable experiment result table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -128,6 +130,21 @@ pub fn pct(x: f64) -> String {
 /// Formats a float with `d` decimals.
 pub fn fx(x: f64, d: usize) -> String {
     format!("{x:.d$}")
+}
+
+/// Formats a ratio as a two-decimal percentage string ("99.87%").
+pub(crate) fn pct2(x: f64) -> String {
+    format!("{:.2}%", x * 100.0)
+}
+
+/// Formats a simulated duration in seconds ("12.50 s").
+pub(crate) fn secs(t: SimTime) -> String {
+    format!("{:.2} s", t.as_secs_f64())
+}
+
+/// Formats a simulated duration in milliseconds ("86.4 ms").
+pub(crate) fn ms(t: SimTime) -> String {
+    format!("{:.1} ms", t.as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]

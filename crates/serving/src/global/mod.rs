@@ -254,6 +254,31 @@ impl Default for LadderConfig {
     }
 }
 
+impl LadderConfig {
+    /// The hysteresis-free tier for utilization `util`: the tier a
+    /// ladder at tier 0 enters, and the fleet-wide floor the sharded
+    /// driver derives at each barrier.
+    fn entry_tier(&self, util: f64) -> u8 {
+        if util >= self.degrade_enter {
+            2
+        } else if util >= self.shed_enter {
+            1
+        } else {
+            0
+        }
+    }
+}
+
+/// Ladder utilization: `busy + queued` slots over `up` slots, infinite
+/// with no capacity up.
+fn utilization(load: u64, up: u64) -> f64 {
+    if up == 0 {
+        f64::INFINITY
+    } else {
+        load as f64 / up as f64
+    }
+}
+
 /// The gray-failure stack carried by [`RoutingPolicy::GrayResilient`]:
 /// detector tuning plus the hedge policy. Inert under the other arms.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -10,7 +10,9 @@ use mtia_core::telemetry::LatencyHistogram;
 /// exactly ([`GlobalReport::unaccounted`] returns the residue).
 #[derive(Debug, Clone)]
 pub struct GlobalReport {
-    /// Routing arm name (`"static-local"` / `"global-router"`).
+    /// Routing arm name (`"static-local"`, `"global-router"`,
+    /// `"outlier-hedge"`, `"naive-retry"` or `"overload-resilient"`; see
+    /// [`RoutingPolicy::name`](super::RoutingPolicy::name)).
     pub policy: &'static str,
     /// The run's base seed.
     pub seed: u64,
@@ -116,6 +118,54 @@ pub struct TimelineBucket {
 }
 
 impl GlobalReport {
+    /// A report with every counter zero, empty histograms and timeline,
+    /// full headroom, and a zeroed `regions × pods` routing matrix —
+    /// what a run counts into, and what a merge folds cells into.
+    /// Identity fields not passed here (fingerprints, `offered`) start
+    /// at zero.
+    pub(super) fn empty(
+        policy: &'static str,
+        seed: u64,
+        regions: usize,
+        pods: usize,
+        timeline_bucket: SimTime,
+    ) -> Self {
+        GlobalReport {
+            policy,
+            seed,
+            fault_fingerprint: 0,
+            trace_fingerprint: 0,
+            offered: 0,
+            served_full: 0,
+            served_degraded: 0,
+            shed: 0,
+            lost: 0,
+            lost_unroutable: 0,
+            lost_killed: 0,
+            lost_deadline: 0,
+            spillover: 0,
+            hedges_issued: 0,
+            hedge_wins: 0,
+            duplicates_suppressed: 0,
+            hedges_cancelled: 0,
+            retries_issued: 0,
+            retries_shed: 0,
+            breaker_opens: 0,
+            cancelled_at_admission: 0,
+            scale_events: 0,
+            outlier_demotions: 0,
+            device_downs: 0,
+            events: 0,
+            request_latency: LatencyHistogram::new(),
+            spillover_latency: LatencyHistogram::new(),
+            recovery_time: SimTime::ZERO,
+            capacity_headroom: 1.0,
+            routed: vec![vec![0; pods]; regions],
+            timeline: Vec::new(),
+            timeline_bucket,
+        }
+    }
+
     /// Served fraction of offered load (full + degraded) — the
     /// brownout-not-blackout headline. Shed low-priority work is a
     /// deliberate ladder decision, not a failure, but it still isn't a

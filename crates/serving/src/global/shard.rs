@@ -61,13 +61,15 @@
 //!
 //! [`simulate_global`]: super::simulate_global
 
-use mtia_core::telemetry::{LatencyHistogram, Telemetry};
+use mtia_core::telemetry::Telemetry;
 use mtia_core::SimTime;
 use mtia_sim::faults::FaultPlan;
 
 use super::report::GlobalReport;
 use super::sim::Sim;
-use super::{GlobalConfig, GlobalFleetSpec, LadderConfig, RegionalTrace, RoutingPolicy};
+use super::{
+    utilization, GlobalConfig, GlobalFleetSpec, LadderConfig, RegionalTrace, RoutingPolicy,
+};
 
 /// One serving cell: a complete, self-contained global-DES input
 /// tuple. Cells are simulated independently and merged.
@@ -124,7 +126,8 @@ pub struct PlanetReport {
     /// The fleet-wide merge: counters summed, latency histograms
     /// merged, recovery time maxed, headroom min'd, fingerprints
     /// folded in cell order, `routed` block-diagonal over the cells'
-    /// disjoint region/pod index spaces.
+    /// disjoint region/pod index spaces, timelines summed bucket by
+    /// bucket. `policy` and `seed` are cell 0's.
     pub merged: GlobalReport,
     /// Barriers whose fleet floor differed from the floor the cells had
     /// already run past them under, so every cell was restored to its
@@ -155,38 +158,15 @@ fn merge_reports(cells: &[GlobalReport]) -> GlobalReport {
         .map(|c| c.routed.first().map_or(0, Vec::len))
         .sum();
     let mut merged = GlobalReport {
-        policy: cells[0].policy,
-        seed: cells[0].seed,
         fault_fingerprint: fold_fingerprints(cells.iter().map(|c| c.fault_fingerprint)),
         trace_fingerprint: fold_fingerprints(cells.iter().map(|c| c.trace_fingerprint)),
-        offered: 0,
-        served_full: 0,
-        served_degraded: 0,
-        shed: 0,
-        lost: 0,
-        lost_unroutable: 0,
-        lost_killed: 0,
-        lost_deadline: 0,
-        spillover: 0,
-        hedges_issued: 0,
-        hedge_wins: 0,
-        duplicates_suppressed: 0,
-        hedges_cancelled: 0,
-        retries_issued: 0,
-        retries_shed: 0,
-        breaker_opens: 0,
-        cancelled_at_admission: 0,
-        scale_events: 0,
-        outlier_demotions: 0,
-        device_downs: 0,
-        events: 0,
-        request_latency: LatencyHistogram::new(),
-        spillover_latency: LatencyHistogram::new(),
-        recovery_time: SimTime::ZERO,
-        capacity_headroom: 1.0,
-        routed: vec![vec![0; total_pods]; total_regions],
-        timeline: Vec::new(),
-        timeline_bucket: cells[0].timeline_bucket,
+        ..GlobalReport::empty(
+            cells[0].policy,
+            cells[0].seed,
+            total_regions,
+            total_pods,
+            cells[0].timeline_bucket,
+        )
     };
     let (mut region_base, mut pod_base) = (0usize, 0usize);
     for cell in cells {
@@ -216,7 +196,7 @@ fn merge_reports(cells: &[GlobalReport]) -> GlobalReport {
         merged.recovery_time = merged.recovery_time.max(cell.recovery_time);
         merged.capacity_headroom = merged.capacity_headroom.min(cell.capacity_headroom);
         // Element-wise timeline sum: buckets are absolute arrival-time
-        // indices, identical across cells sharing one bucket width.
+        // indices, and every cell shares one bucket width.
         if merged.timeline.len() < cell.timeline.len() {
             merged
                 .timeline
@@ -258,18 +238,7 @@ fn ladder_floor(ladder: &LadderConfig, records: impl Iterator<Item = BarrierReco
         load += r.load;
         up += r.up;
     }
-    let util = if up == 0 {
-        f64::INFINITY
-    } else {
-        load as f64 / up as f64
-    };
-    if util >= ladder.degrade_enter {
-        2
-    } else if util >= ladder.shed_enter {
-        1
-    } else {
-        0
-    }
+    ladder.entry_tier(utilization(load, up))
 }
 
 /// Runs every cell on the pool through the `epochs` epochs after
@@ -310,6 +279,12 @@ fn run_window<'a>(
 /// event counts.
 pub fn simulate_planet(cells: &[CellSpec], planet: PlanetConfig) -> PlanetReport {
     assert!(!cells.is_empty(), "a planet needs at least one cell");
+    assert!(
+        cells
+            .iter()
+            .all(|c| c.config.timeline_bucket == cells[0].config.timeline_bucket),
+        "every cell must share one timeline bucket width"
+    );
     assert!(
         planet.epoch > SimTime::ZERO,
         "epoch must advance simulated time"
@@ -387,9 +362,12 @@ pub fn simulate_planet(cells: &[CellSpec], planet: PlanetConfig) -> PlanetReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{build_regional_trace, simulate_global, RegionalTrafficConfig};
+    use crate::global::{
+        build_regional_trace, simulate_global, AutoscaleConfig, RegionalTrafficConfig,
+    };
     use mtia_core::pool;
     use mtia_core::seed::derive_indexed;
+    use mtia_sim::faults::{FaultEvent, FaultKind};
 
     fn toy_cell(index: u64, policy: RoutingPolicy) -> CellSpec {
         let spec = GlobalFleetSpec::symmetric(2, 2, 8, SimTime::from_millis(60));
@@ -423,14 +401,7 @@ mod tests {
                 let (sl, su) = sim.load();
                 (l + sl, u + su)
             });
-            let util = load as f64 / up as f64;
-            let floor = if util >= ladder.degrade_enter {
-                2
-            } else if util >= ladder.shed_enter {
-                1
-            } else {
-                0
-            };
+            let floor = ladder.entry_tier(load as f64 / up as f64);
             for sim in &mut sims {
                 sim.set_tier_floor(floor);
             }
@@ -496,36 +467,92 @@ mod tests {
         }
     }
 
+    /// An overloaded `OverloadResilient` cell with the autoscaler on
+    /// and reserve devices to recruit; one pod dies outright for 6 s.
+    /// As in E26, little traffic is sheddable and the degraded tier
+    /// costs full service time, so the ladder cannot absorb the
+    /// overload and the retry, breaker and admission defenses engage.
+    fn stormy_cell() -> CellSpec {
+        let mut cell = toy_cell(1, RoutingPolicy::OverloadResilient);
+        let horizon = SimTime::from_secs(20);
+        let mut traffic = RegionalTrafficConfig::production(30.0, horizon);
+        traffic.low_priority_share = 0.05;
+        cell.trace = build_regional_trace(&traffic, cell.spec.regions, horizon, cell.config.seed);
+        cell.config.degraded_service_time = cell.config.service_time;
+        cell.config.reserve_per_pod = 2;
+        cell.config.autoscale = Some(AutoscaleConfig::production(horizon));
+        let first = 2 * cell.spec.devices_per_pod;
+        for device in first..first + cell.spec.devices_per_pod {
+            cell.plan = cell.plan.with_event(FaultEvent {
+                at: SimTime::from_secs(5),
+                device,
+                kind: FaultKind::PodLoss,
+                duration: SimTime::from_secs(6),
+            });
+        }
+        cell
+    }
+
     #[test]
     fn one_uncoupled_cell_matches_simulate_global_exactly() {
-        let cell = toy_cell(0, RoutingPolicy::HealthAware);
-        let direct = simulate_global(
+        for cell in [toy_cell(0, RoutingPolicy::HealthAware), stormy_cell()] {
+            let direct = simulate_global(
+                &cell.spec,
+                &cell.config,
+                &cell.trace,
+                &cell.plan,
+                cell.policy,
+            );
+            let planet = simulate_planet(
+                std::slice::from_ref(&cell),
+                PlanetConfig::uncoupled(SimTime::from_millis(250)),
+            );
+            assert_eq!(format!("{:?}", planet.cells[0]), format!("{direct:?}"));
+            // The merge folds even a single cell's fingerprints.
+            let folded = GlobalReport {
+                fault_fingerprint: fold_fingerprints(std::iter::once(direct.fault_fingerprint)),
+                trace_fingerprint: fold_fingerprints(std::iter::once(direct.trace_fingerprint)),
+                ..direct
+            };
+            assert_eq!(format!("{:?}", planet.merged), format!("{folded:?}"));
+        }
+    }
+
+    #[test]
+    fn stormy_cell_moves_every_overload_counter() {
+        let cell = stormy_cell();
+        let r = simulate_global(
             &cell.spec,
             &cell.config,
             &cell.trace,
             &cell.plan,
             cell.policy,
         );
-        let planet = simulate_planet(
-            std::slice::from_ref(&cell),
-            PlanetConfig::uncoupled(SimTime::from_millis(250)),
-        );
-        let sharded = &planet.merged;
-        assert_eq!(direct.offered, sharded.offered);
-        assert_eq!(direct.served_full, sharded.served_full);
-        assert_eq!(direct.served_degraded, sharded.served_degraded);
-        assert_eq!(direct.shed, sharded.shed);
-        assert_eq!(direct.lost, sharded.lost);
-        assert_eq!(direct.spillover, sharded.spillover);
-        assert_eq!(direct.events, sharded.events);
-        assert_eq!(direct.routed, sharded.routed);
-        assert_eq!(
-            direct.request_latency.count(),
-            sharded.request_latency.count()
-        );
-        assert_eq!(
-            direct.request_latency.quantile(0.99),
-            sharded.request_latency.quantile(0.99)
+        assert_eq!(r.unaccounted(), 0);
+        for (name, value) in [
+            ("retries_issued", r.retries_issued),
+            ("retries_shed", r.retries_shed),
+            ("breaker_opens", r.breaker_opens),
+            ("cancelled_at_admission", r.cancelled_at_admission),
+            ("scale_events", r.scale_events),
+            ("device_downs", r.device_downs),
+            ("lost", r.lost),
+        ] {
+            assert!(value > 0, "{name} never moved");
+        }
+        assert!(r.recovery_time > SimTime::ZERO);
+        assert!(r.capacity_headroom < 1.0);
+        assert!(!r.timeline.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "one timeline bucket width")]
+    fn cells_with_different_timeline_buckets_are_rejected() {
+        let mut other = toy_cell(1, RoutingPolicy::HealthAware);
+        other.config.timeline_bucket = SimTime::from_millis(500);
+        simulate_planet(
+            &[toy_cell(0, RoutingPolicy::HealthAware), other],
+            PlanetConfig::uncoupled(SimTime::from_secs(1)),
         );
     }
 

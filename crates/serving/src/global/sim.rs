@@ -43,9 +43,11 @@
 //!   when a window mispredicts the fleet floor, and merges their
 //!   reports deterministically.
 //!
-//! Every processed event increments a local counter that is flushed to
-//! [`mtia_core::perfcount`] when the report is built, which is what
-//! `reproduce --bench-perf` reports as simulated events/sec.
+//! The run counts every outcome, and every processed event, straight
+//! into the [`GlobalReport`] it returns. Closing the run only derives
+//! `lost` and `breaker_opens` and adds the event count to
+//! [`mtia_core::perfcount`], which is what `reproduce --bench-perf`
+//! reports as simulated events/sec.
 //!
 //! Fault-plan interpretation:
 //!
@@ -96,7 +98,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mtia_core::eventq::{Arena, ArenaRef, EventId, EventQueue};
-use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
+use mtia_core::telemetry::{Json, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceFaultState, FaultKind, FaultPlan};
 
@@ -105,92 +107,84 @@ use crate::resilience::{CircuitBreaker, HealthMachine, HealthState, RetryBudget}
 
 use super::autoscale::{target_devices_per_pod, DiurnalForecast};
 use super::report::{GlobalComparison, GlobalReport, TimelineBucket};
-use super::{Arrivals, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace, RoutingPolicy};
+use super::{
+    utilization, Arrivals, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace, RoutingPolicy,
+};
 
-/// Merges possibly-overlapping `(start, end)` windows into disjoint
-/// ascending intervals.
-fn merge_windows(mut windows: Vec<(SimTime, SimTime)>) -> Vec<(SimTime, SimTime)> {
-    windows.sort();
-    let mut merged: Vec<(SimTime, SimTime)> = Vec::new();
-    for (start, end) in windows {
-        match merged.last_mut() {
-            Some(last) if start <= last.1 => last.1 = last.1.max(end),
-            _ => merged.push((start, end)),
+/// Unions each key's `(start, end)` fault windows into disjoint
+/// intervals and returns their `(time, key, on)` toggles, sorted by
+/// time, then key, then onsets before ends. Merged windows of one key
+/// never touch, so the last rule only orders a zero-length window.
+fn window_toggles(
+    windows: impl Iterator<Item = (u32, SimTime, SimTime)>,
+) -> Vec<(SimTime, u32, bool)> {
+    let mut per_key: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+    for (key, start, end) in windows {
+        per_key.entry(key).or_default().push((start, end));
+    }
+    let mut toggles = Vec::new();
+    for (key, mut windows) in per_key {
+        windows.sort();
+        let mut merged: Vec<(SimTime, SimTime)> = Vec::new();
+        for (start, end) in windows {
+            match merged.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => merged.push((start, end)),
+            }
+        }
+        for (start, end) in merged {
+            toggles.push((start, key, true));
+            toggles.push((end, key, false));
         }
     }
-    merged
+    toggles.sort_by_key(|&(at, key, on)| (at, key, !on));
+    toggles
 }
 
-/// Per-device ±1 up/down toggles derived from the plan's fail-stop
-/// capacity windows, sorted `(time, device, delta)` so drops apply
-/// before restorations at the same instant.
-fn device_capacity_events(plan: &FaultPlan) -> Vec<(SimTime, u32, i32)> {
-    let mut per_device: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-    for event in plan.events() {
-        if matches!(
-            event.kind,
-            FaultKind::HostCrash
-                | FaultKind::RackPowerLoss
-                | FaultKind::PodLoss
-                | FaultKind::RegionOutage
-        ) {
-            per_device
-                .entry(event.device)
-                .or_default()
-                .push((event.at, event.until()));
-        }
-    }
-    let mut deltas = Vec::new();
-    for (device, windows) in per_device {
-        for (start, end) in merge_windows(windows) {
-            deltas.push((start, device, -1));
-            deltas.push((end, device, 1));
-        }
-    }
-    deltas.sort_by_key(|&(at, device, delta)| (at, device, delta));
-    deltas
+/// Per-device down (`true`) / up toggles from the plan's fail-stop
+/// capacity windows.
+fn device_capacity_events(plan: &FaultPlan) -> Vec<(SimTime, u32, bool)> {
+    window_toggles(
+        plan.events()
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    FaultKind::HostCrash
+                        | FaultKind::RackPowerLoss
+                        | FaultKind::PodLoss
+                        | FaultKind::RegionOutage
+                )
+            })
+            .map(|e| (e.device, e.at, e.until())),
+    )
 }
 
 /// Indexes of the plan's fail-slow events in `(time, device)` order —
 /// each is applied to the owning device's fault state at its onset.
+/// The plan keeps its events sorted by `(at, device)`, so the filtered
+/// indices already ascend in that order.
 fn gray_fault_events(plan: &FaultPlan) -> Vec<(SimTime, usize)> {
-    let mut events: Vec<(SimTime, usize)> = plan
-        .events()
+    plan.events()
         .iter()
         .enumerate()
         .filter(|(_, e)| e.kind.is_fail_slow())
         .map(|(i, e)| (e.at, i))
-        .collect();
-    events.sort_by_key(|&(at, i)| (at, i));
-    events
+        .collect()
 }
 
-/// Per-region partition on/off toggles derived from the plan's
-/// partition windows, sorted `(time, region, on)` so heals apply
-/// before fresh partitions at the same instant.
+/// Per-region partition on/off toggles from the plan's partition
+/// windows.
 fn partition_toggles(spec: &GlobalFleetSpec, plan: &FaultPlan) -> Vec<(SimTime, u32, bool)> {
-    let mut per_region: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
-    for event in plan.events() {
-        if matches!(
-            event.kind,
-            FaultKind::WanPartition | FaultKind::NicPartition
-        ) {
-            let region = spec.region_of_pod(spec.pod_of_device(event.device));
-            per_region
-                .entry(region)
-                .or_default()
-                .push((event.at, event.until()));
-        }
-    }
-    let mut toggles = Vec::new();
-    for (region, windows) in per_region {
-        for (start, end) in merge_windows(windows) {
-            toggles.push((start, region, true));
-            toggles.push((end, region, false));
-        }
-    }
-    toggles.sort_by_key(|&(at, region, on)| (at, region, on));
-    toggles
+    window_toggles(
+        plan.events()
+            .iter()
+            .filter(|e| matches!(e.kind, FaultKind::WanPartition | FaultKind::NicPartition))
+            .map(|e| {
+                let region = spec.region_of_pod(spec.pod_of_device(e.device));
+                (region, e.at, e.until())
+            }),
+    )
 }
 
 /// One copy of a request (primary or hedge) sitting in a device queue
@@ -336,7 +330,6 @@ pub(super) struct Sim<'a> {
     spec: &'a GlobalFleetSpec,
     config: &'a GlobalConfig,
     plan: &'a FaultPlan,
-    trace: &'a RegionalTrace,
     arrivals: Arrivals<'a>,
     policy: RoutingPolicy,
     gray_on: bool,
@@ -375,7 +368,7 @@ pub(super) struct Sim<'a> {
     total_busy: u64,
     total_queued: u64,
     // event-source cursors (the resumable loop state)
-    deltas: Vec<(SimTime, u32, i32)>,
+    deltas: Vec<(SimTime, u32, bool)>,
     grays: Vec<(SimTime, usize)>,
     toggles: Vec<(SimTime, u32, bool)>,
     di: usize,
@@ -387,31 +380,9 @@ pub(super) struct Sim<'a> {
     scale_at: SimTime,
     last_arrival: SimTime,
     end: SimTime,
-    events: u64,
-    // outcome accumulators
-    served_full: u64,
-    served_degraded: u64,
-    shed: u64,
-    lost_unroutable: u64,
-    lost_killed: u64,
-    lost_deadline: u64,
-    spillover: u64,
-    hedges_issued: u64,
-    hedge_wins: u64,
-    duplicates_suppressed: u64,
-    hedges_cancelled: u64,
-    retries_issued: u64,
-    retries_shed: u64,
-    cancelled_at_admission: u64,
-    scale_events: u64,
-    outlier_demotions: u64,
-    device_downs: u64,
-    request_latency: LatencyHistogram,
-    spillover_latency: LatencyHistogram,
-    recovery_time: SimTime,
-    capacity_headroom: f64,
-    routed: Vec<Vec<u64>>,
-    timeline: Vec<TimelineBucket>,
+    /// Every outcome counter and the event count, counted in place;
+    /// [`Sim::into_report`] derives the rest.
+    report: GlobalReport,
 }
 
 impl<'a> Sim<'a> {
@@ -498,7 +469,6 @@ impl<'a> Sim<'a> {
             spec,
             config,
             plan,
-            trace,
             arrivals: trace.arrivals(),
             policy,
             gray_on,
@@ -537,30 +507,18 @@ impl<'a> Sim<'a> {
             scale_at,
             last_arrival,
             end: SimTime::ZERO,
-            events: 0,
-            served_full: 0,
-            served_degraded: 0,
-            shed: 0,
-            lost_unroutable: 0,
-            lost_killed: 0,
-            lost_deadline: 0,
-            spillover: 0,
-            hedges_issued: 0,
-            hedge_wins: 0,
-            duplicates_suppressed: 0,
-            hedges_cancelled: 0,
-            retries_issued: 0,
-            retries_shed: 0,
-            cancelled_at_admission: 0,
-            scale_events: 0,
-            outlier_demotions: 0,
-            device_downs: 0,
-            request_latency: LatencyHistogram::new(),
-            spillover_latency: LatencyHistogram::new(),
-            recovery_time: SimTime::ZERO,
-            capacity_headroom: 1.0,
-            routed: vec![vec![0; spec.pods() as usize]; spec.regions as usize],
-            timeline: Vec::new(),
+            report: GlobalReport {
+                fault_fingerprint: plan.fingerprint(),
+                trace_fingerprint: trace.fingerprint(),
+                offered: trace.len() as u64,
+                ..GlobalReport::empty(
+                    policy.name(),
+                    config.seed,
+                    spec.regions as usize,
+                    spec.pods() as usize,
+                    config.timeline_bucket,
+                )
+            },
         }
     }
 
@@ -569,10 +527,11 @@ impl<'a> Sim<'a> {
     fn bucket_mut(&mut self, arrived: SimTime) -> &mut TimelineBucket {
         let width = self.config.timeline_bucket.as_picos().max(1);
         let b = (arrived.as_picos() / width) as usize;
-        if self.timeline.len() <= b {
-            self.timeline.resize(b + 1, TimelineBucket::default());
+        let timeline = &mut self.report.timeline;
+        if timeline.len() <= b {
+            timeline.resize(b + 1, TimelineBucket::default());
         }
-        &mut self.timeline[b]
+        &mut timeline[b]
     }
 
     /// Breaker for the `(ingress, pod)` edge, when the defense is armed.
@@ -618,20 +577,103 @@ impl<'a> Sim<'a> {
         let (answered, live) = (state.answered, state.live);
         if answered {
             match end {
-                CopyEnd::Cancelled => self.hedges_cancelled += 1,
-                _ => self.duplicates_suppressed += 1,
+                CopyEnd::Cancelled => self.report.hedges_cancelled += 1,
+                _ => self.report.duplicates_suppressed += 1,
             }
         } else if live == 0 {
             match end {
                 // A copy is cancelled only once the request is answered.
                 CopyEnd::Cancelled => debug_assert!(false, "cancelled an unanswered request"),
-                CopyEnd::Expired => self.lost_deadline += 1,
-                CopyEnd::Killed => self.lost_killed += 1,
+                CopyEnd::Expired => self.report.lost_deadline += 1,
+                CopyEnd::Killed => self.report.lost_killed += 1,
             }
         }
         if live == 0 {
             self.reqs.remove(req);
         }
+    }
+
+    /// Fault-free service time of `copy` at its tier.
+    fn base_service(&self, copy: &QueuedCopy) -> SimTime {
+        if copy.degraded {
+            self.config.degraded_service_time
+        } else {
+            self.config.service_time
+        }
+    }
+
+    /// Deadline propagation's estimate of a fresh copy's queue +
+    /// service time at `pod`.
+    fn expected_wait(&self, pod: u32) -> SimTime {
+        let p = &self.pods[pod as usize];
+        let depth = (p.queued + p.busy) as f64 / p.up.max(1) as f64;
+        self.config.service_time.scale(depth + 1.0)
+    }
+
+    /// Queues a copy of request `id` on `device` — charged the WAN
+    /// round trip between its ingress and the device's region — and
+    /// tries to start it.
+    fn enqueue(&mut self, at: SimTime, device: u32, id: ArenaRef, req: &ReqState, hedge: bool) {
+        let di = device as usize;
+        let dest_region = self.dev.region[di];
+        let wan_rtt = self.spec.wan_latency(req.ingress, dest_region)
+            + self.spec.wan_latency(dest_region, req.ingress);
+        self.dev.queue[di].push_back(QueuedCopy {
+            req: id,
+            arrived: req.arrived,
+            ingress: req.ingress,
+            wan_rtt,
+            degraded: req.degraded,
+            tier: req.tier,
+            hedge,
+        });
+        self.pods[self.dev.pod[di] as usize].queued += 1;
+        self.total_queued += 1;
+        self.dispatch(device, at);
+    }
+
+    /// Re-deals device `d`'s queue over its pod's peers through
+    /// [`Sim::assign_device`] and tries to start each target — a no-op
+    /// when the queue is empty or the pod has no capacity up to take it.
+    fn redeal_queue(&mut self, at: SimTime, d: usize) {
+        let pod = self.dev.pod[d];
+        if self.pods[pod as usize].up == 0 || self.dev.queue[d].is_empty() {
+            return;
+        }
+        let moved: Vec<QueuedCopy> = self.dev.queue[d].drain(..).collect();
+        let mut targets = BTreeSet::new();
+        for copy in moved {
+            let t = self.assign_device(pod);
+            self.dev.queue[t as usize].push_back(copy);
+            targets.insert(t);
+        }
+        for t in targets {
+            self.dispatch(t, at);
+        }
+    }
+
+    /// One unit of `pod`'s effective capacity leaves at `at`; the
+    /// pod's zero-capacity clock starts if it was the last.
+    fn capacity_down(&mut self, at: SimTime, pod: usize) {
+        let p = &mut self.pods[pod];
+        p.up -= 1;
+        self.total_up -= 1;
+        if p.up == 0 && p.down_since.is_none() {
+            p.down_since = Some(at);
+        }
+    }
+
+    /// One unit of `pod`'s effective capacity returns at `at`, closing
+    /// any zero-capacity window into the report's recovery time.
+    fn capacity_up(&mut self, at: SimTime, pod: usize) {
+        let p = &mut self.pods[pod];
+        if p.up == 0 {
+            if let Some(since) = p.down_since.take() {
+                self.report.recovery_time = self.report.recovery_time.max(at.saturating_sub(since));
+            }
+        }
+        p.up += 1;
+        self.total_up += 1;
     }
 
     /// Starts the device's next queued copy if it is up, idle, and its
@@ -685,12 +727,9 @@ impl<'a> Sim<'a> {
                 self.drop_copy(copy.req, CopyEnd::Expired);
                 continue;
             }
-            let base = if copy.degraded {
-                self.config.degraded_service_time
-            } else {
-                self.config.service_time
-            };
-            let service = base.scale(self.dev.faults[di].service_time_factor(now));
+            let service = self
+                .base_service(&copy)
+                .scale(self.dev.faults[di].service_time_factor(now));
             self.seq += 1;
             let id = self.completions.push(
                 now + service,
@@ -746,23 +785,19 @@ impl<'a> Sim<'a> {
     /// Applies one per-device up/down toggle. Down kills the device's
     /// in-flight copy and re-deals its queue to surviving pod peers;
     /// up starts probation and drains whatever queued on it meanwhile.
-    fn apply_device_delta(&mut self, at: SimTime, d: u32, delta: i32) {
+    fn apply_device_delta(&mut self, at: SimTime, d: u32, down: bool) {
         let di = d as usize;
         let pod = self.dev.pod[di] as usize;
-        if delta < 0 {
+        if down {
             debug_assert!(self.dev.up[di], "merged windows alternate");
             self.dev.up[di] = false;
             self.dev.health[di].set_offline(at);
             self.dev.refresh_eligible(di);
-            self.device_downs += 1;
+            self.report.device_downs += 1;
             // Inactive reserves carry no capacity, so their fault
             // windows must not touch the effective-capacity counters.
             if self.dev.active[di] {
-                self.pods[pod].up -= 1;
-                self.total_up -= 1;
-                if self.pods[pod].up == 0 && self.pods[pod].down_since.is_none() {
-                    self.pods[pod].down_since = Some(at);
-                }
+                self.capacity_down(at, pod);
             }
             if let Some(id) = self.dev.busy[di].take() {
                 let inflight = self
@@ -778,30 +813,13 @@ impl<'a> Sim<'a> {
                 }
                 self.drop_copy(inflight.copy.req, CopyEnd::Killed);
             }
-            if self.pods[pod].up > 0 && !self.dev.queue[di].is_empty() {
-                let moved: Vec<QueuedCopy> = self.dev.queue[di].drain(..).collect();
-                let mut targets = BTreeSet::new();
-                for copy in moved {
-                    let t = self.assign_device(pod as u32);
-                    self.dev.queue[t as usize].push_back(copy);
-                    targets.insert(t);
-                }
-                for t in targets {
-                    self.dispatch(t, at);
-                }
-            }
+            self.redeal_queue(at, di);
         } else {
-            if self.dev.active[di] && self.pods[pod].up == 0 {
-                if let Some(since) = self.pods[pod].down_since.take() {
-                    self.recovery_time = self.recovery_time.max(at.saturating_sub(since));
-                }
-            }
             self.dev.up[di] = true;
             self.dev.health[di].begin_recovery(at);
             self.dev.refresh_eligible(di);
             if self.dev.active[di] {
-                self.pods[pod].up += 1;
-                self.total_up += 1;
+                self.capacity_up(at, pod);
                 self.dispatch(d, at);
             }
         }
@@ -870,7 +888,7 @@ impl<'a> Sim<'a> {
                     // Offline, which fail-slow must never do.
                     if self.dev.health[d].state() == HealthState::Healthy {
                         self.dev.health[d].observe_error(now);
-                        self.outlier_demotions += 1;
+                        self.report.outlier_demotions += 1;
                     }
                 } else if matches!(
                     self.dev.health[d].state(),
@@ -886,22 +904,11 @@ impl<'a> Sim<'a> {
     /// Moves the degradation ladder against global utilization with
     /// hysteresis.
     fn update_tier(&mut self) {
-        let util = if self.total_up == 0 {
-            f64::INFINITY
-        } else {
-            (self.total_busy + self.total_queued) as f64 / self.total_up as f64
-        };
+        let (load, up) = self.load();
+        let util = utilization(load, up);
         let ladder = &self.config.ladder;
         self.tier = match self.tier {
-            0 => {
-                if util >= ladder.degrade_enter {
-                    2
-                } else if util >= ladder.shed_enter {
-                    1
-                } else {
-                    0
-                }
-            }
+            0 => ladder.entry_tier(util),
             1 => {
                 if util >= ladder.degrade_enter {
                     2
@@ -972,7 +979,7 @@ impl<'a> Sim<'a> {
             // exceed `up`.
             self.total_up.saturating_sub(self.total_busy) as f64 / self.total_up as f64
         };
-        self.capacity_headroom = self.capacity_headroom.min(headroom);
+        self.report.capacity_headroom = self.report.capacity_headroom.min(headroom);
         self.bucket_mut(at).offered += 1;
 
         let pod = match self.policy {
@@ -988,13 +995,13 @@ impl<'a> Sim<'a> {
             | RoutingPolicy::OverloadResilient => {
                 self.update_tier();
                 if self.effective_tier() >= 1 && priority == Priority::Low {
-                    self.shed += 1;
+                    self.report.shed += 1;
                     return;
                 }
                 match self.route(region, None) {
                     Some(pod) => pod,
                     None => {
-                        self.lost_unroutable += 1;
+                        self.report.lost_unroutable += 1;
                         return;
                     }
                 }
@@ -1005,12 +1012,9 @@ impl<'a> Sim<'a> {
             // whose expected queue + service time already exceeds its
             // end-to-end budget is cancelled up front instead of burning
             // capacity on an answer nobody can use.
-            let p = &self.pods[pod as usize];
-            let depth = (p.queued + p.busy) as f64 / p.up.max(1) as f64;
-            let expected = self.config.service_time.scale(depth + 1.0);
-            if expected > self.config.deadline {
-                self.cancelled_at_admission += 1;
-                self.shed += 1;
+            if self.expected_wait(pod) > self.config.deadline {
+                self.report.cancelled_at_admission += 1;
+                self.report.shed += 1;
                 return;
             }
             if let Some(b) = self.breaker_mut(region, pod) {
@@ -1020,20 +1024,17 @@ impl<'a> Sim<'a> {
                 self.budgets[pod as usize].admit_fresh();
             }
         }
-        let dest_region = self.pods[pod as usize].region;
-        let wan_rtt =
-            self.spec.wan_latency(region, dest_region) + self.spec.wan_latency(dest_region, region);
-        if dest_region != region {
-            self.spillover += 1;
+        if self.pods[pod as usize].region != region {
+            self.report.spillover += 1;
         }
-        self.routed[region as usize][pod as usize] += 1;
+        self.report.routed[region as usize][pod as usize] += 1;
         let routed_arm = self.policy != RoutingPolicy::StaticLocal;
         let degraded = routed_arm && self.effective_tier() == 2;
         let tier = if routed_arm { self.effective_tier() } else { 0 };
         let device = self.assign_device(pod);
         self.next_req += 1;
         let logical = self.next_req;
-        let req = self.reqs.insert(ReqState {
+        let state = ReqState {
             logical,
             arrived: at,
             ingress: region,
@@ -1044,19 +1045,9 @@ impl<'a> Sim<'a> {
             live: 1,
             hedges: 0,
             answered: false,
-        });
-        self.dev.queue[device as usize].push_back(QueuedCopy {
-            req,
-            arrived: at,
-            ingress: region,
-            wan_rtt,
-            degraded,
-            tier,
-            hedge: false,
-        });
-        self.pods[pod as usize].queued += 1;
-        self.total_queued += 1;
-        self.dispatch(device, at);
+        };
+        let req = self.reqs.insert(state);
+        self.enqueue(at, device, req, &state, false);
         if self.gray_on && self.config.gray.hedge.is_some() {
             self.hedges
                 .push(at + self.pods[pod as usize].hedge_deadline, logical, req);
@@ -1113,24 +1104,10 @@ impl<'a> Sim<'a> {
         entry.hedges += 1;
         entry.live += 1;
         let more = entry.hedges < policy.max_hedges;
-        self.hedges_issued += 1;
-        let dest_region = self.dev.region[target as usize];
-        let wan_rtt = self.spec.wan_latency(req.ingress, dest_region)
-            + self.spec.wan_latency(dest_region, req.ingress);
-        let pod = self.dev.pod[target as usize] as usize;
-        self.dev.queue[target as usize].push_back(QueuedCopy {
-            req: id,
-            arrived: req.arrived,
-            ingress: req.ingress,
-            wan_rtt,
-            degraded: req.degraded,
-            tier: req.tier,
-            hedge: true,
-        });
-        self.pods[pod].queued += 1;
-        self.total_queued += 1;
-        self.dispatch(target, at);
+        self.report.hedges_issued += 1;
+        self.enqueue(at, target, id, &req, true);
         if more {
+            let pod = self.dev.pod[target as usize] as usize;
             self.hedges
                 .push(at + self.pods[pod].hedge_deadline, req.logical, id);
         }
@@ -1167,17 +1144,14 @@ impl<'a> Sim<'a> {
             return;
         };
         if !self.budgets.is_empty() && !self.budgets[pod as usize].try_spend() {
-            self.retries_shed += 1;
+            self.report.retries_shed += 1;
             return;
         }
         if self.defended {
             // Deadline propagation: the remaining end-to-end budget must
             // still cover the target's expected queue + service time.
-            let p = &self.pods[pod as usize];
-            let depth = (p.queued + p.busy) as f64 / p.up.max(1) as f64;
-            let expected = self.config.service_time.scale(depth + 1.0);
-            if at + expected > expiry {
-                self.cancelled_at_admission += 1;
+            if at + self.expected_wait(pod) > expiry {
+                self.report.cancelled_at_admission += 1;
                 return;
             }
             if let Some(b) = self.breaker_mut(req.ingress, pod) {
@@ -1189,22 +1163,8 @@ impl<'a> Sim<'a> {
         entry.hedges += 1;
         entry.live += 1;
         let copies = entry.hedges;
-        self.retries_issued += 1;
-        let dest_region = self.dev.region[device as usize];
-        let wan_rtt = self.spec.wan_latency(req.ingress, dest_region)
-            + self.spec.wan_latency(dest_region, req.ingress);
-        self.dev.queue[device as usize].push_back(QueuedCopy {
-            req: id,
-            arrived: req.arrived,
-            ingress: req.ingress,
-            wan_rtt,
-            degraded: req.degraded,
-            tier: req.tier,
-            hedge: false,
-        });
-        self.pods[pod as usize].queued += 1;
-        self.total_queued += 1;
-        self.dispatch(device, at);
+        self.report.retries_issued += 1;
+        self.enqueue(at, device, id, &req, false);
         let next = at + self.config.overload.attempt_timeout;
         if copies + 1 < self.config.overload.max_attempts && next < expiry {
             self.retries.push(next, req.logical, id);
@@ -1262,16 +1222,10 @@ impl<'a> Sim<'a> {
             };
             self.dev.active[di] = true;
             self.dev.refresh_eligible(di);
-            self.scale_events += 1;
+            self.report.scale_events += 1;
             active += 1;
             if self.dev.up[di] {
-                if self.pods[pod_i].up == 0 {
-                    if let Some(since) = self.pods[pod_i].down_since.take() {
-                        self.recovery_time = self.recovery_time.max(at.saturating_sub(since));
-                    }
-                }
-                self.pods[pod_i].up += 1;
-                self.total_up += 1;
+                self.capacity_up(at, pod_i);
                 self.dispatch(di as u32, at);
             }
         }
@@ -1290,27 +1244,12 @@ impl<'a> Sim<'a> {
             }
             self.dev.active[di] = false;
             self.dev.refresh_eligible(di);
-            self.scale_events += 1;
+            self.report.scale_events += 1;
             active -= 1;
             if self.dev.up[di] {
-                self.pods[pod_i].up -= 1;
-                self.total_up -= 1;
-                if self.pods[pod_i].up == 0 && self.pods[pod_i].down_since.is_none() {
-                    self.pods[pod_i].down_since = Some(at);
-                }
+                self.capacity_down(at, pod_i);
             }
-            if self.pods[pod_i].up > 0 && !self.dev.queue[di].is_empty() {
-                let moved: Vec<QueuedCopy> = self.dev.queue[di].drain(..).collect();
-                let mut targets = BTreeSet::new();
-                for copy in moved {
-                    let t = self.assign_device(pod);
-                    self.dev.queue[t as usize].push_back(copy);
-                    targets.insert(t);
-                }
-                for t in targets {
-                    self.dispatch(t, at);
-                }
-            }
+            self.redeal_queue(at, di);
         }
     }
 
@@ -1330,13 +1269,11 @@ impl<'a> Sim<'a> {
             // Observe the dimensionless service factor (actual over
             // base for this copy's tier) so degraded-tier responses
             // don't skew the pod median.
-            let base = if copy.degraded {
-                self.config.degraded_service_time
-            } else {
-                self.config.service_time
-            };
             let factor = finish.saturating_sub(inflight.started).as_secs_f64()
-                / base.as_secs_f64().max(f64::MIN_POSITIVE);
+                / self
+                    .base_service(&copy)
+                    .as_secs_f64()
+                    .max(f64::MIN_POSITIVE);
             let local = di - pod * self.spec.devices_per_pod as usize;
             self.pods[pod].detector.observe(local, factor);
         }
@@ -1350,7 +1287,7 @@ impl<'a> Sim<'a> {
             if closed {
                 self.reqs.remove(copy.req);
             }
-            self.duplicates_suppressed += 1;
+            self.report.duplicates_suppressed += 1;
             self.dispatch(inflight.device, finish);
             return;
         }
@@ -1364,7 +1301,7 @@ impl<'a> Sim<'a> {
             // the server still burned the slot — that wasted service is
             // exactly the amplification that latches metastable
             // collapse in the naive arm.
-            self.lost_deadline += 1;
+            self.report.lost_deadline += 1;
             if self.defended {
                 if let Some(b) = self.breaker_mut(copy.ingress, pod as u32) {
                     b.record_failure(finish);
@@ -1381,18 +1318,18 @@ impl<'a> Sim<'a> {
             }
         }
         if copy.hedge {
-            self.hedge_wins += 1;
+            self.report.hedge_wins += 1;
         }
         if copy.degraded {
-            self.served_degraded += 1;
+            self.report.served_degraded += 1;
         } else {
-            self.served_full += 1;
+            self.report.served_full += 1;
         }
         let latency = finish.saturating_sub(copy.arrived) + copy.wan_rtt;
-        self.request_latency.record(latency);
+        self.report.request_latency.record(latency);
         let spilled = self.dev.region[di] != copy.ingress;
         if spilled {
-            self.spillover_latency.record(latency);
+            self.report.spillover_latency.record(latency);
         }
         if tel.is_enabled() {
             // The request's whole lifecycle chain, emitted atomically at
@@ -1461,12 +1398,12 @@ impl<'a> Sim<'a> {
     /// Processes one event from source `order` at time `at`.
     fn step(&mut self, at: SimTime, order: u8, tel: &mut Telemetry) {
         self.end = self.end.max(at);
-        self.events += 1;
+        self.report.events += 1;
         match order {
             0 => {
-                let (_, device, delta) = self.deltas[self.di];
+                let (_, device, down) = self.deltas[self.di];
                 self.di += 1;
-                self.apply_device_delta(at, device, delta);
+                self.apply_device_delta(at, device, down);
             }
             1 => {
                 let (_, idx) = self.grays[self.gi];
@@ -1519,20 +1456,21 @@ impl<'a> Sim<'a> {
     /// [`SimTime::MAX`] to drain). Returns the number of events
     /// processed by this call.
     pub(super) fn run_until(&mut self, limit: SimTime, tel: &mut Telemetry) -> u64 {
-        let before = self.events;
+        let before = self.report.events;
         while let Some((at, order)) = self.next_event() {
             if at > limit {
                 break;
             }
             self.step(at, order, tel);
         }
-        self.events - before
+        self.report.events - before
     }
 
     /// Closes out a fully-drained run: asserts the drain invariants,
     /// flushes the event count to the process-wide perf counter, and
-    /// builds the report.
+    /// derives the report's `lost` and `breaker_opens`.
     pub(super) fn into_report(self) -> GlobalReport {
+        let mut report = self.report;
         // Fully drained: every fault window is finite, so capacity
         // always returns, flapped links clear, and the queues empty out.
         debug_assert!(self.completions.is_empty());
@@ -1544,45 +1482,14 @@ impl<'a> Sim<'a> {
             .zip(&self.dev.busy)
             .all(|(q, b)| q.is_empty() && b.is_none()));
         debug_assert!(
-            self.duplicates_suppressed + self.hedges_cancelled + self.hedge_wins
-                <= 2 * (self.hedges_issued + self.retries_issued),
+            report.duplicates_suppressed + report.hedges_cancelled + report.hedge_wins
+                <= 2 * (report.hedges_issued + report.retries_issued),
             "more duplicate outcomes than copies issued"
         );
-        mtia_core::perfcount::add_events(self.events);
-        GlobalReport {
-            policy: self.policy.name(),
-            seed: self.config.seed,
-            fault_fingerprint: self.plan.fingerprint(),
-            trace_fingerprint: self.trace.fingerprint(),
-            offered: self.trace.len() as u64,
-            served_full: self.served_full,
-            served_degraded: self.served_degraded,
-            shed: self.shed,
-            lost: self.lost_unroutable + self.lost_killed + self.lost_deadline,
-            lost_unroutable: self.lost_unroutable,
-            lost_killed: self.lost_killed,
-            lost_deadline: self.lost_deadline,
-            spillover: self.spillover,
-            hedges_issued: self.hedges_issued,
-            hedge_wins: self.hedge_wins,
-            duplicates_suppressed: self.duplicates_suppressed,
-            hedges_cancelled: self.hedges_cancelled,
-            retries_issued: self.retries_issued,
-            retries_shed: self.retries_shed,
-            breaker_opens: self.breakers.iter().map(|b| b.opens()).sum(),
-            cancelled_at_admission: self.cancelled_at_admission,
-            scale_events: self.scale_events,
-            outlier_demotions: self.outlier_demotions,
-            device_downs: self.device_downs,
-            events: self.events,
-            request_latency: self.request_latency,
-            spillover_latency: self.spillover_latency,
-            recovery_time: self.recovery_time,
-            capacity_headroom: self.capacity_headroom,
-            routed: self.routed,
-            timeline: self.timeline,
-            timeline_bucket: self.config.timeline_bucket,
-        }
+        mtia_core::perfcount::add_events(report.events);
+        report.lost = report.lost_unroutable + report.lost_killed + report.lost_deadline;
+        report.breaker_opens = self.breakers.iter().map(|b| b.opens()).sum();
+        report
     }
 }
 
@@ -1608,30 +1515,32 @@ pub fn simulate_global_traced(
 
     let mut sim = Sim::new(spec, config, trace, plan, policy);
     sim.run_until(SimTime::MAX, tel);
+    let end = sim.end;
+    let report = sim.into_report();
 
-    let lost = sim.lost_unroutable + sim.lost_killed + sim.lost_deadline;
-    tel.counter_add("global.served_full", sim.served_full);
-    tel.counter_add("global.served_degraded", sim.served_degraded);
-    tel.counter_add("global.shed", sim.shed);
-    tel.counter_add("global.lost", lost);
-    tel.counter_add("global.spillover", sim.spillover);
-    tel.counter_add("global.hedges_issued", sim.hedges_issued);
-    tel.counter_add("global.hedge_wins", sim.hedge_wins);
-    tel.counter_add("global.duplicates_suppressed", sim.duplicates_suppressed);
-    tel.counter_add("global.outlier_demotions", sim.outlier_demotions);
+    tel.counter_add("global.served_full", report.served_full);
+    tel.counter_add("global.served_degraded", report.served_degraded);
+    tel.counter_add("global.shed", report.shed);
+    tel.counter_add("global.lost", report.lost);
+    tel.counter_add("global.spillover", report.spillover);
+    tel.counter_add("global.hedges_issued", report.hedges_issued);
+    tel.counter_add("global.hedge_wins", report.hedge_wins);
+    tel.counter_add("global.duplicates_suppressed", report.duplicates_suppressed);
+    tel.counter_add("global.outlier_demotions", report.outlier_demotions);
     if policy.retries() {
         // Only the retry arms emit the overload counters, so the
         // pre-existing golden traces stay byte-identical.
-        tel.counter_add("global.retries_issued", sim.retries_issued);
-        tel.counter_add("global.retries_shed", sim.retries_shed);
-        let opens: u64 = sim.breakers.iter().map(|b| b.opens()).sum();
-        tel.counter_add("global.breaker_opens", opens);
-        tel.counter_add("global.cancelled_at_admission", sim.cancelled_at_admission);
-        tel.counter_add("global.scale_events", sim.scale_events);
+        tel.counter_add("global.retries_issued", report.retries_issued);
+        tel.counter_add("global.retries_shed", report.retries_shed);
+        tel.counter_add("global.breaker_opens", report.breaker_opens);
+        tel.counter_add(
+            "global.cancelled_at_admission",
+            report.cancelled_at_admission,
+        );
+        tel.counter_add("global.scale_events", report.scale_events);
     }
-    tel.end_span(sim.end);
-
-    sim.into_report()
+    tel.end_span(end);
+    report
 }
 
 /// Untraced [`simulate_global_traced`].
@@ -1851,6 +1760,26 @@ mod tests {
                 report.lost_unroutable + report.lost_killed + report.lost_deadline
             );
         }
+    }
+
+    #[test]
+    fn zero_length_partition_window_opens_and_heals_at_its_instant() {
+        // Region 1 is partitioned and healed at t = 1 s, long before
+        // region 0's outage needs to spill into it.
+        let spec = small_spec();
+        let trace = small_trace(&spec, 5);
+        let config = GlobalConfig::production(5);
+        let outage = region0_outage(&spec);
+        let blip = outage.clone().with_event(FaultEvent {
+            at: SimTime::from_secs(1),
+            device: spec.pods_in_region(1)[0] * spec.devices_per_pod,
+            kind: FaultKind::WanPartition,
+            duration: SimTime::ZERO,
+        });
+        let plain = simulate_global(&spec, &config, &trace, &outage, RoutingPolicy::HealthAware);
+        let blipped = simulate_global(&spec, &config, &trace, &blip, RoutingPolicy::HealthAware);
+        assert!(plain.spillover > 0);
+        assert_eq!(blipped.routed, plain.routed);
     }
 
     #[test]

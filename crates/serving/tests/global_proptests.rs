@@ -118,7 +118,7 @@ proptest! {
 
     /// Every offered request is answered, shed, or lost — exactly, with
     /// the loss breakdown summing too, under arbitrary fault storms and
-    /// both routing policies. The routed matrix is the cross-check:
+    /// every routing policy. The routed matrix is the cross-check:
     /// requests reach a pod queue iff they were neither shed nor
     /// unroutable.
     #[test]
@@ -131,7 +131,13 @@ proptest! {
         let spec = decode_spec(spec_raw);
         let trace = small_trace(&spec, rate, seed);
         let plan = storm_plan(&spec, &storm, seed ^ 0xD15A57E2);
-        for policy in [RoutingPolicy::StaticLocal, RoutingPolicy::HealthAware] {
+        for policy in [
+            RoutingPolicy::StaticLocal,
+            RoutingPolicy::HealthAware,
+            RoutingPolicy::GrayResilient,
+            RoutingPolicy::NaiveRetry,
+            RoutingPolicy::OverloadResilient,
+        ] {
             let r = simulate_global(&spec, &GlobalConfig::production(seed), &trace, &plan, policy);
             prop_assert_eq!(r.offered, trace.len() as u64);
             prop_assert_eq!(
@@ -150,6 +156,28 @@ proptest! {
                 r.offered - r.shed - r.lost_unroutable,
                 "{:?}: routed matrix disagrees with admission accounting", policy
             );
+            // Every copy past a request's first ends as at most one
+            // suppressed duplicate or cancellation, and only a hedge
+            // copy can win as a hedge.
+            prop_assert!(
+                r.duplicates_suppressed + r.hedges_cancelled <= r.hedges_issued + r.retries_issued,
+                "{:?}: more duplicate outcomes than extra copies", policy
+            );
+            prop_assert!(r.hedge_wins <= r.hedges_issued, "{:?}: hedge wins", policy);
+            // Each mechanism counts only under the arm that arms it.
+            if policy != RoutingPolicy::GrayResilient {
+                prop_assert_eq!(r.hedges_issued, 0, "{:?}: hedges", policy);
+            }
+            if !policy.retries() {
+                prop_assert_eq!(r.retries_issued, 0, "{:?}: retries", policy);
+            }
+            if policy != RoutingPolicy::OverloadResilient {
+                prop_assert_eq!(
+                    (r.retries_shed, r.breaker_opens, r.cancelled_at_admission),
+                    (0, 0, 0),
+                    "{:?}: overload defenses", policy
+                );
+            }
         }
     }
 

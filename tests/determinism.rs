@@ -8,11 +8,21 @@
 //! gray-failure rung, the E24 sharded-planet rung, the E25 explore
 //! rung, and the E26 metastable-storm rung — the same selection
 //! `scripts/ci.sh` smoke-checks — plus the E22, E23, E24, E25, and E26
-//! comparisons at 1/2/8 threads.
+//! comparisons at 1/2/8 threads. The serial render is also pinned to
+//! `tests/goldens/quick_tables.golden`, so any change to a quick-subset
+//! table fails here. To re-pin after an intentional change:
+//!
+//! ```text
+//! UPDATE_GOLDENS=1 cargo test --test determinism quick_subset
+//! git diff tests/goldens/   # review every shifted row before committing
+//! ```
+
+use std::path::PathBuf;
 
 use mtia_bench::experiments;
 use mtia_bench::render_reports;
 use mtia_core::pool;
+use mtia_core::telemetry::diff_canonical;
 
 fn render_at(threads: usize) -> String {
     pool::set_threads(threads);
@@ -31,6 +41,21 @@ fn quick_subset_is_byte_identical_across_thread_counts() {
         "reproduce output differs between 1 and 4 threads:\n\
          --- 1 thread ---\n{serial}\n--- 4 threads ---\n{threaded}"
     );
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/quick_tables.golden");
+    if std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1") {
+        std::fs::write(&path, &serial).unwrap();
+        eprintln!("updated {}", path.display());
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); run UPDATE_GOLDENS=1 cargo test --test determinism quick_subset",
+            path.display()
+        )
+    });
+    if let Some(diff) = diff_canonical(&expected, &serial) {
+        panic!("quick-subset tables drift (UPDATE_GOLDENS=1 re-pins after intentional changes):\n{diff}");
+    }
 }
 
 #[test]
