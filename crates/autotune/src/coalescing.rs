@@ -6,10 +6,10 @@
 //! its P99 latency SLO is highly sensitive to these parameters. With
 //! effective autotuning, we typically achieve >95 % requests per batch."
 //!
-//! The model here is analytic (the event-driven version lives in
-//! `mtia-serving`): Poisson arrivals at rate λ are gathered for up to a
-//! window `w` across `p` parallel windows; a batch closes early once it
-//! reaches the snapshot's batch size. P99 ≈ gather wait + queueing-inflated
+//! The model here is analytic, and it is the only coalescing model in the
+//! workspace: Poisson arrivals at rate λ are gathered for up to a window
+//! `w` across `p` parallel windows; a batch closes early once it reaches
+//! the snapshot's batch size. P99 ≈ gather wait + queueing-inflated
 //! service time (M/D/1-style), where utilization is offered load over the
 //! configuration's sustainable batch throughput.
 

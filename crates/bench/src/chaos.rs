@@ -38,11 +38,11 @@ use mtia_serving::failover::{
     simulate_cell_failover_traced, FailoverConfig, FailoverReport, PlacementPolicy,
 };
 use mtia_serving::global::{
-    build_regional_trace, build_regional_trace_crested, compare_global, simulate_global_traced,
-    AutoscaleConfig, GlobalComparison, GlobalConfig, GlobalReport, RegionalTrace,
-    RegionalTrafficConfig, RoutingPolicy,
+    build_regional_trace, build_regional_trace_crested, compare_global, diurnal_crest,
+    simulate_global_traced, AutoscaleConfig, GlobalComparison, GlobalConfig, GlobalReport,
+    RegionalTrace, RegionalTrafficConfig, RoutingPolicy,
 };
-use mtia_serving::traffic::{ArrivalProcess, DiurnalArrivals, PoissonArrivals};
+use mtia_serving::traffic::{ArrivalProcess, PoissonArrivals, RegionalArrivals};
 use mtia_sim::faults::{throttle_floor, FaultEvent, FaultKind, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -260,10 +260,12 @@ impl ChaosSchedule {
     pub fn arrivals(&self) -> Box<dyn ArrivalProcess> {
         let rng = StdRng::seed_from_u64(derive(self.seed, "chaos.arrivals"));
         match self.scenario {
-            ChaosScenario::PartitionDuringPeak { .. } => Box::new(DiurnalArrivals::new(
+            ChaosScenario::PartitionDuringPeak { .. } => Box::new(RegionalArrivals::new(
                 self.rate_per_s,
                 0.6,
                 self.horizon,
+                SimTime::ZERO,
+                Vec::new(),
                 rng,
             )),
             _ => Box::new(PoissonArrivals::new(self.rate_per_s, rng)),
@@ -462,19 +464,13 @@ impl GlobalChaosSchedule {
         let horizon = SimTime::from_secs(60);
         let traffic = Self::smoke_traffic(horizon);
         let region = (derive(seed, "chaos.outage-region") % global.region_count() as u64) as u32;
-        // Region r's phase-shifted sinusoid crests where
-        // (t + phase_r) / period = 1/4, i.e. a quarter period in minus
-        // the region's timezone offset (mod period).
-        let regions = global.region_count() as f64;
-        let crest = 0.25 - region as f64 / regions;
-        let crest = if crest < 0.0 { crest + 1.0 } else { crest };
         GlobalChaosSchedule {
             name: "region-outage-at-peak",
             scenario: GlobalChaosScenario::RegionOutageAtPeak {
                 region,
                 repair: SimTime::from_secs(15),
             },
-            start: traffic.period.scale(crest),
+            start: diurnal_crest(traffic.period, region, global.region_count()),
             traffic,
             horizon,
             seed,

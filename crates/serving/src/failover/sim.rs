@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use mtia_core::des::Kernel;
 use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
-use mtia_sim::faults::{DeviceId, FaultClock, FaultPlan};
+use mtia_sim::faults::{DeviceId, FaultPlan};
 
 use crate::resilience::controller::{DegradationConfig, DegradationController};
 use crate::resilience::device::{DeviceSet, FaultImpact};
@@ -421,12 +421,8 @@ impl<'a> Engine<'a> {
         plan: &FaultPlan,
         horizon: SimTime,
     ) -> FailoverReport {
-        let mut clock = FaultClock::new(plan);
-        let mut index = 0usize;
-        while let Some(at) = clock.next_at() {
-            clock.pop_due(SimTime::MAX);
-            self.des.schedule(at, Ev::FaultAt { index });
-            index += 1;
+        for (index, fault) in plan.events().iter().enumerate() {
+            self.des.schedule(fault.at, Ev::FaultAt { index });
         }
         if self.config.failover {
             self.des

@@ -171,7 +171,8 @@ impl GlobalFleetSpec {
     }
 }
 
-/// Which arm routes the traffic.
+/// Which arm routes the traffic: a named row of the one mechanism
+/// table, `RoutingPolicy::defenses`, which the variant docs describe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// Static assignment: each region's requests round-robin over that
@@ -220,12 +221,70 @@ impl RoutingPolicy {
         }
     }
 
-    /// Whether this arm runs client-side attempt timers at all.
-    pub fn retries(&self) -> bool {
-        matches!(
-            self,
-            RoutingPolicy::NaiveRetry | RoutingPolicy::OverloadResilient
-        )
+    /// The mechanisms this arm runs under `config` — the only place an
+    /// arm maps to mechanisms, so the simulator never asks for the arm.
+    pub(super) fn defenses(self, config: &GlobalConfig) -> Defenses {
+        use RoutingPolicy::*;
+        let defended = self == OverloadResilient;
+        let retrying = matches!(self, NaiveRetry | OverloadResilient);
+        Defenses {
+            routed: self != StaticLocal,
+            outliers: self == GrayResilient,
+            reissue: match self {
+                GrayResilient => config.gray.hedge.map(Reissue::Hedge),
+                _ if retrying && config.overload.max_attempts > 1 => Some(Reissue::Retry),
+                _ => None,
+            },
+            client_deadline: retrying,
+            server_cancel: self != NaiveRetry,
+            admission_cancel: defended,
+            budget: config.overload.budget.filter(|_| defended),
+            breaker: config.overload.breaker.filter(|_| defended),
+            autoscale: config.autoscale.filter(|_| defended),
+        }
+    }
+}
+
+/// How an arm re-issues a request still unanswered when its timer
+/// fires. One kind per arm: an arm hedges or retries, never both.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) enum Reissue {
+    /// Duplicate onto a clean device past the pod's hedge deadline.
+    Hedge(HedgePolicy),
+    /// Mint a fresh routed copy every [`OverloadConfig::attempt_timeout`].
+    Retry,
+}
+
+/// The mechanisms one arm runs, resolved by [`RoutingPolicy::defenses`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct Defenses {
+    /// Probes, the ladder and scored routing (else local round-robin).
+    pub(super) routed: bool,
+    /// Peer-relative outlier demotion, and assignment that avoids it.
+    pub(super) outliers: bool,
+    /// Re-issue of unanswered requests, if any.
+    pub(super) reissue: Option<Reissue>,
+    /// An answer past the end-to-end deadline counts as lost.
+    pub(super) client_deadline: bool,
+    /// Servers drop answered and expired copies instead of serving them.
+    pub(super) server_cancel: bool,
+    /// Cancel work whose expected wait exceeds its remaining deadline.
+    pub(super) admission_cancel: bool,
+    /// Per-pod retry token buckets.
+    pub(super) budget: Option<BudgetConfig>,
+    /// Per-(ingress, pod) circuit breakers.
+    pub(super) breaker: Option<BreakerConfig>,
+    /// Forecast-driven capacity planning.
+    pub(super) autoscale: Option<AutoscaleConfig>,
+}
+
+impl Defenses {
+    /// The hedge delay (every pod hedge deadline's floor), else zero.
+    pub(super) fn hedge_floor(&self) -> SimTime {
+        match self.reissue {
+            Some(Reissue::Hedge(policy)) => policy.delay,
+            _ => SimTime::ZERO,
+        }
     }
 }
 
@@ -360,7 +419,8 @@ impl OverloadConfig {
 /// diurnal arrival curve and activates/deactivates per-pod reserve
 /// devices ([`GlobalConfig::reserve_per_pod`]) ahead of the forecast,
 /// so the reactive defenses (budget, breaker, ladder) fire rarely.
-/// Consulted only by [`RoutingPolicy::OverloadResilient`].
+/// Kept only by the [`RoutingPolicy::OverloadResilient`] row of
+/// `RoutingPolicy::defenses`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleConfig {
     /// Control-plane cadence: the planner re-derives per-pod capacity
@@ -411,15 +471,16 @@ pub struct GlobalConfig {
     pub spillover_max_utilization: f64,
     /// Degradation-ladder thresholds.
     pub ladder: LadderConfig,
-    /// Gray-failure detection and hedging, consulted only by the
-    /// [`RoutingPolicy::GrayResilient`] arm.
+    /// Gray-failure detection and hedging, in effect only under the
+    /// [`RoutingPolicy::GrayResilient`] row of `RoutingPolicy::defenses`.
     pub gray: GrayResilienceConfig,
-    /// Client retries and their defenses, consulted only by the
-    /// retrying arms ([`RoutingPolicy::retries`]).
+    /// Client retries and their defenses; `RoutingPolicy::defenses`
+    /// gives retries to the two retrying arms and the budget and breaker
+    /// to [`RoutingPolicy::OverloadResilient`] alone.
     pub overload: OverloadConfig,
     /// Forecast-driven capacity planning; `None` (the default) leaves
-    /// capacity static. Consulted only by
-    /// [`RoutingPolicy::OverloadResilient`].
+    /// capacity static. Only the [`RoutingPolicy::OverloadResilient`]
+    /// row of `RoutingPolicy::defenses` keeps it.
     pub autoscale: Option<AutoscaleConfig>,
     /// Highest-indexed devices per pod held *inactive* at start — the
     /// reserve pool the autoscaler can energize. `0` (the default)
@@ -915,6 +976,91 @@ mod tests {
             config.deadline,
             "attempt_timeout × max_attempts must equal the global deadline"
         );
+    }
+
+    #[test]
+    fn each_arm_resolves_to_its_row_of_the_mechanism_table() {
+        use RoutingPolicy::*;
+        let autoscale = AutoscaleConfig::production(SimTime::from_secs(300));
+        let config = GlobalConfig {
+            autoscale: Some(autoscale),
+            ..GlobalConfig::production(1)
+        };
+        let overload = config.overload;
+        let health_aware = Defenses {
+            routed: true,
+            outliers: false,
+            reissue: None,
+            client_deadline: false,
+            server_cancel: true,
+            admission_cancel: false,
+            budget: None,
+            breaker: None,
+            autoscale: None,
+        };
+        let retry = Some(Reissue::Retry);
+        let rows = [
+            (
+                StaticLocal,
+                Defenses {
+                    routed: false,
+                    ..health_aware
+                },
+            ),
+            (HealthAware, health_aware),
+            (
+                GrayResilient,
+                Defenses {
+                    outliers: true,
+                    reissue: Some(Reissue::Hedge(HedgePolicy::production())),
+                    ..health_aware
+                },
+            ),
+            (
+                NaiveRetry,
+                Defenses {
+                    reissue: retry,
+                    client_deadline: true,
+                    server_cancel: false,
+                    ..health_aware
+                },
+            ),
+            (
+                OverloadResilient,
+                Defenses {
+                    reissue: retry,
+                    client_deadline: true,
+                    admission_cancel: true,
+                    budget: overload.budget,
+                    breaker: overload.breaker,
+                    autoscale: Some(autoscale),
+                    ..health_aware
+                },
+            ),
+        ];
+        for (policy, row) in rows {
+            assert_eq!(policy.defenses(&config), row, "{policy:?}");
+        }
+
+        // Config values that switch a mechanism off.
+        let mut no_hedge = config.clone();
+        no_hedge.gray.hedge = None;
+        assert_eq!(GrayResilient.defenses(&no_hedge).reissue, None);
+        assert_eq!(
+            GrayResilient.defenses(&no_hedge).hedge_floor(),
+            SimTime::ZERO
+        );
+        let mut one_attempt = config.clone();
+        one_attempt.overload.max_attempts = 1;
+        for policy in [NaiveRetry, OverloadResilient] {
+            let arm = policy.defenses(&one_attempt);
+            assert!(arm.client_deadline, "{policy:?}");
+            assert_eq!(arm.reissue, None, "{policy:?}");
+        }
+        // A budget and breaker in the config never reach the naive arm.
+        assert!(overload.budget.is_some() && overload.breaker.is_some());
+        let naive = NaiveRetry.defenses(&config);
+        assert_eq!((naive.budget, naive.breaker), (None, None));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! inputs — fleet spec, config, arrival trace, fault plan, routing
 //! policy — are plain values, the simulation is a pure function of
 //! them, and every tie is broken by a fixed source order (device
-//! capacity < gray fault < partition < wake < probe < completion <
-//! hedge < arrival, then ascending ids), so byte-identical inputs give
-//! byte-identical reports at any thread count.
+//! capacity < gray fault < partition < wake < probe < autoscale tick <
+//! completion < re-issue timer < arrival, then ascending ids), so
+//! byte-identical inputs give byte-identical reports at any thread count.
 //!
 //! # The hot core
 //!
@@ -17,7 +17,7 @@
 //! correctness, because a planetary replay (E24) pushes ≥10⁷ requests
 //! and several times that many timed events through this loop:
 //!
-//! * completions, wakes, hedge and retry timers live in slab-allocated
+//! * completions, wakes and re-issue timers live in slab-allocated
 //!   event queues ([`EventQueue`]) whose pops ascend in exactly the
 //!   `(time, id)` order the original `BTreeMap`/`BTreeSet` queues
 //!   iterated in — zero allocation at steady state, O(1) cancel by
@@ -31,8 +31,8 @@
 //!   true next event;
 //! * per-request state lives in a generational slab ([`Arena`]); the
 //!   registry keeps each request's *logical* (monotonic) id as the
-//!   hedge-timer tie-break so slot reuse can never reorder same-instant
-//!   hedges;
+//!   re-issue-timer tie-break so slot reuse can never reorder
+//!   same-instant timers;
 //! * per-device state is struct-of-arrays ([`Devices`]): the routing
 //!   and probe sweeps scan dense `Vec<bool>`/`Vec<u32>` columns instead
 //!   of striding over fat structs, with a derived `eligible` column
@@ -44,10 +44,13 @@
 //!   reports deterministically.
 //!
 //! The run counts every outcome, and every processed event, straight
-//! into the [`GlobalReport`] it returns. Closing the run only derives
-//! `lost` and `breaker_opens` and adds the event count to
-//! [`mtia_core::perfcount`], which is what `reproduce --bench-perf`
-//! reports as simulated events/sec.
+//! into the [`GlobalReport`] it returns. Closing the run derives `lost`
+//! and `breaker_opens`, checks request conservation, and adds the event
+//! count to [`mtia_core::perfcount`], which is what
+//! `reproduce --bench-perf` reports as simulated events/sec.
+//!
+//! [`Sim::new`] resolves the arm once through [`RoutingPolicy::defenses`];
+//! every mechanism reads only that set, never the arm itself.
 //!
 //! Fault-plan interpretation:
 //!
@@ -103,12 +106,14 @@ use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceFaultState, FaultKind, FaultPlan};
 
 use crate::resilience::outlier::OutlierDetector;
+use crate::resilience::retry::HedgePolicy;
 use crate::resilience::{CircuitBreaker, HealthMachine, HealthState, RetryBudget};
 
 use super::autoscale::{target_devices_per_pod, DiurnalForecast};
 use super::report::{GlobalComparison, GlobalReport, TimelineBucket};
 use super::{
-    utilization, Arrivals, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace, RoutingPolicy,
+    utilization, Arrivals, Defenses, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace,
+    Reissue, RoutingPolicy,
 };
 
 /// Unions each key's `(start, end)` fault windows into disjoint
@@ -331,12 +336,7 @@ pub(super) struct Sim<'a> {
     config: &'a GlobalConfig,
     plan: &'a FaultPlan,
     arrivals: Arrivals<'a>,
-    policy: RoutingPolicy,
-    gray_on: bool,
-    /// Client-side retry timers run (NaiveRetry / OverloadResilient).
-    retry_on: bool,
-    /// The full defense stack is armed (OverloadResilient only).
-    defended: bool,
+    arm: Defenses,
     dev: Devices,
     pods: Vec<PodState>,
     partitioned: Vec<bool>,
@@ -344,15 +344,14 @@ pub(super) struct Sim<'a> {
     rr: Vec<u64>,
     completions: EventQueue<InFlight>,
     wakes: EventQueue<u32>,
-    hedges: EventQueue<ArenaRef>,
-    /// Client retry timers, keyed `(fire, logical)` like hedges.
-    retries: EventQueue<ArenaRef>,
-    /// Per-pod retry token buckets (defended arm with a budget only).
+    /// Hedge or retry timers (one kind per arm), keyed `(fire, logical)`.
+    reissues: EventQueue<ArenaRef>,
+    /// Per-pod retry token buckets (armed budget only).
     budgets: Vec<RetryBudget>,
     /// Per-(ingress, pod) edge breakers, indexed `ingress × pods + pod`
-    /// (defended arm with a breaker config only).
+    /// (armed breaker only).
     breakers: Vec<CircuitBreaker>,
-    /// Fitted diurnal forecast (autoscaling arm only).
+    /// Fitted diurnal forecast; present exactly when autoscaling runs.
     forecast: Option<DiurnalForecast>,
     /// Devices per pod that are *not* reserve (the scale-down floor).
     nominal_per_pod: u32,
@@ -374,9 +373,7 @@ pub(super) struct Sim<'a> {
     di: usize,
     gi: usize,
     ti: usize,
-    probing: bool,
     probe_at: SimTime,
-    scaling: bool,
     scale_at: SimTime,
     last_arrival: SimTime,
     end: SimTime,
@@ -394,18 +391,13 @@ impl<'a> Sim<'a> {
         policy: RoutingPolicy,
     ) -> Self {
         spec.validate();
-        let gray_on = policy == RoutingPolicy::GrayResilient;
-        let retry_on = policy.retries();
-        let defended = policy == RoutingPolicy::OverloadResilient;
+        let arm = policy.defenses(config);
         // Before any sweep runs, hedge at multiplier × the base service
         // time (floored by the policy delay like every later value).
         let initial_deadline = SimTime::from_secs_f64(
             config.service_time.as_secs_f64() * config.gray.outlier.hedge_multiplier,
-        );
-        let initial_deadline = match config.gray.hedge {
-            Some(policy) => initial_deadline.max(policy.delay),
-            None => initial_deadline,
-        };
+        )
+        .max(arm.hedge_floor());
         // Reserve devices (the highest-indexed per pod) start inactive:
         // they are the pool only the autoscaler can energize. Clamped so
         // at least one device per pod stays active.
@@ -423,16 +415,12 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        let budgets = match (defended, config.overload.budget) {
-            (true, Some(budget)) => (0..spec.pods()).map(|_| RetryBudget::new(budget)).collect(),
-            _ => Vec::new(),
-        };
-        let breakers = match (defended, config.overload.breaker) {
-            (true, Some(breaker)) => (0..spec.regions * spec.pods())
-                .map(|_| CircuitBreaker::new(breaker))
-                .collect(),
-            _ => Vec::new(),
-        };
+        let budgets = arm.budget.map_or(Vec::new(), |b| {
+            vec![RetryBudget::new(b); spec.pods() as usize]
+        });
+        let breakers = arm.breaker.map_or(Vec::new(), |b| {
+            vec![CircuitBreaker::new(b); (spec.regions * spec.pods()) as usize]
+        });
         let pods = (0..spec.pods())
             .map(|p| PodState {
                 region: spec.region_of_pod(p),
@@ -448,32 +436,19 @@ impl<'a> Sim<'a> {
             .collect();
         let local_pods = (0..spec.regions).map(|r| spec.pods_in_region(r)).collect();
         let last_arrival = trace.last_at().unwrap_or(SimTime::ZERO);
-        // The autoscaling arm fits the per-region diurnal harmonic from
-        // the trace once, up front — the "forecast" the planner trusts.
-        let scaling = defended && config.autoscale.is_some() && !trace.is_empty();
-        let forecast = if scaling {
-            let autoscale = config.autoscale.as_ref().expect("scaling implies config");
-            Some(DiurnalForecast::fit(
-                trace,
-                spec.regions,
-                last_arrival,
-                autoscale,
-            ))
-        } else {
-            None
-        };
-        let scale_at = config
+        // Autoscaling fits the per-region diurnal harmonic from the
+        // trace once, up front — the "forecast" the planner trusts.
+        let forecast = arm
             .autoscale
-            .map_or(SimTime::ZERO, |autoscale| autoscale.interval);
+            .filter(|_| !trace.is_empty())
+            .map(|autoscale| DiurnalForecast::fit(trace, spec.regions, last_arrival, &autoscale));
+        let scale_at = arm.autoscale.map_or(SimTime::ZERO, |a| a.interval);
         Sim {
             spec,
             config,
             plan,
             arrivals: trace.arrivals(),
-            policy,
-            gray_on,
-            retry_on,
-            defended,
+            arm,
             dev,
             pods,
             partitioned: vec![false; spec.regions as usize],
@@ -481,8 +456,7 @@ impl<'a> Sim<'a> {
             rr: vec![0; spec.regions as usize],
             completions: EventQueue::new(),
             wakes: EventQueue::new(),
-            hedges: EventQueue::new(),
-            retries: EventQueue::new(),
+            reissues: EventQueue::new(),
             budgets,
             breakers,
             forecast,
@@ -501,9 +475,7 @@ impl<'a> Sim<'a> {
             di: 0,
             gi: 0,
             ti: 0,
-            probing: policy != RoutingPolicy::StaticLocal,
             probe_at: config.probe_interval,
-            scaling,
             scale_at,
             last_arrival,
             end: SimTime::ZERO,
@@ -536,11 +508,8 @@ impl<'a> Sim<'a> {
 
     /// Breaker for the `(ingress, pod)` edge, when the defense is armed.
     fn breaker_mut(&mut self, ingress: u32, pod: u32) -> Option<&mut CircuitBreaker> {
-        if self.breakers.is_empty() {
-            return None;
-        }
-        let idx = ingress as usize * self.pods.len() + pod as usize;
-        Some(&mut self.breakers[idx])
+        self.breakers
+            .get_mut(ingress as usize * self.pods.len() + pod as usize)
     }
 
     /// The ladder tier requests actually see: the cell's own hysteresis
@@ -712,17 +681,13 @@ impl<'a> Sim<'a> {
             // client has long given up, so it burns a full service slot
             // either way — the wasted work that sustains the metastable
             // latch. Every other arm cancels both for free here.
-            if answered && self.policy != RoutingPolicy::NaiveRetry {
+            if answered && self.arm.server_cancel {
                 self.drop_copy(copy.req, CopyEnd::Cancelled);
                 continue;
             }
-            if self.policy != RoutingPolicy::NaiveRetry && now > copy.arrived + self.config.deadline
-            {
-                if self.defended {
-                    let pod_id = self.dev.pod[di];
-                    if let Some(b) = self.breaker_mut(copy.ingress, pod_id) {
-                        b.record_failure(now);
-                    }
+            if self.arm.server_cancel && now > copy.arrived + self.config.deadline {
+                if let Some(b) = self.breaker_mut(copy.ingress, self.dev.pod[di]) {
+                    b.record_failure(now);
                 }
                 self.drop_copy(copy.req, CopyEnd::Expired);
                 continue;
@@ -764,7 +729,7 @@ impl<'a> Sim<'a> {
                     0 => {
                         self.dev.up[di]
                             && self.dev.active[di]
-                            && (!self.gray_on || self.dev.eligible[di])
+                            && (!self.arm.outliers || self.dev.eligible[di])
                     }
                     1 => self.dev.up[di] && self.dev.active[di],
                     // Down-but-active beats inactive: a down device
@@ -806,10 +771,8 @@ impl<'a> Sim<'a> {
                     .expect("busy implies a pending completion");
                 self.pods[pod].busy -= 1;
                 self.total_busy -= 1;
-                if self.defended {
-                    if let Some(b) = self.breaker_mut(inflight.copy.ingress, pod as u32) {
-                        b.record_failure(at);
-                    }
+                if let Some(b) = self.breaker_mut(inflight.copy.ingress, pod as u32) {
+                    b.record_failure(at);
                 }
                 self.drop_copy(inflight.copy.req, CopyEnd::Killed);
             }
@@ -846,12 +809,12 @@ impl<'a> Sim<'a> {
         for b in &mut self.breakers {
             b.on_window(now);
         }
-        if !self.gray_on {
+        if !self.arm.outliers {
             return;
         }
         let dpp = self.spec.devices_per_pod as usize;
         let service_secs = self.config.service_time.as_secs_f64();
-        let delay_floor = self.config.gray.hedge.map(|h| h.delay);
+        let delay_floor = self.arm.hedge_floor();
         let mut active = vec![false; dpp];
         for p in 0..self.pods.len() {
             let first = p * dpp;
@@ -874,11 +837,8 @@ impl<'a> Sim<'a> {
                 }
             }
             let sweep = self.pods[p].detector.sweep(1.0, &active);
-            let mut deadline = SimTime::from_secs_f64(sweep.hedge_deadline_secs * service_secs);
-            if let Some(floor) = delay_floor {
-                deadline = deadline.max(floor);
-            }
-            self.pods[p].hedge_deadline = deadline;
+            self.pods[p].hedge_deadline =
+                SimTime::from_secs_f64(sweep.hedge_deadline_secs * service_secs).max(delay_floor);
             for k in 0..dpp {
                 let d = first + k;
                 self.dev.outlier[d] = sweep.sustained[k];
@@ -949,9 +909,8 @@ impl<'a> Sim<'a> {
             if !reachable || state.up == 0 || !state.health.is_dispatchable() {
                 continue;
             }
-            if !self.breakers.is_empty()
-                && !self.breakers[ingress as usize * self.pods.len() + p as usize].allows()
-            {
+            let edge = ingress as usize * self.pods.len() + p as usize;
+            if self.breakers.get(edge).is_some_and(|b| !b.allows()) {
                 continue;
             }
             let load = (state.busy as f64 + state.queued as f64) / state.up as f64;
@@ -982,55 +941,43 @@ impl<'a> Sim<'a> {
         self.report.capacity_headroom = self.report.capacity_headroom.min(headroom);
         self.bucket_mut(at).offered += 1;
 
-        let pod = match self.policy {
-            RoutingPolicy::StaticLocal => {
-                let local = &self.local_pods[region as usize];
-                let pod = local[(self.rr[region as usize] % local.len() as u64) as usize];
-                self.rr[region as usize] += 1;
-                pod
-            }
-            RoutingPolicy::HealthAware
-            | RoutingPolicy::GrayResilient
-            | RoutingPolicy::NaiveRetry
-            | RoutingPolicy::OverloadResilient => {
-                self.update_tier();
-                if self.effective_tier() >= 1 && priority == Priority::Low {
-                    self.report.shed += 1;
-                    return;
-                }
-                match self.route(region, None) {
-                    Some(pod) => pod,
-                    None => {
-                        self.report.lost_unroutable += 1;
-                        return;
-                    }
-                }
-            }
-        };
-        if self.defended {
-            // Deadline propagation starts at admission: a fresh request
-            // whose expected queue + service time already exceeds its
-            // end-to-end budget is cancelled up front instead of burning
-            // capacity on an answer nobody can use.
-            if self.expected_wait(pod) > self.config.deadline {
-                self.report.cancelled_at_admission += 1;
+        let (pod, tier) = if self.arm.routed {
+            self.update_tier();
+            if self.effective_tier() >= 1 && priority == Priority::Low {
                 self.report.shed += 1;
                 return;
             }
-            if let Some(b) = self.breaker_mut(region, pod) {
-                b.note_probe();
-            }
-            if !self.budgets.is_empty() {
-                self.budgets[pod as usize].admit_fresh();
-            }
+            let Some(pod) = self.route(region, None) else {
+                self.report.lost_unroutable += 1;
+                return;
+            };
+            (pod, self.effective_tier())
+        } else {
+            let local = &self.local_pods[region as usize];
+            let pod = local[(self.rr[region as usize] % local.len() as u64) as usize];
+            self.rr[region as usize] += 1;
+            (pod, 0)
+        };
+        // Deadline propagation starts at admission: a fresh request
+        // whose expected queue + service time already exceeds its
+        // end-to-end budget is cancelled up front instead of burning
+        // capacity on an answer nobody can use.
+        if self.arm.admission_cancel && self.expected_wait(pod) > self.config.deadline {
+            self.report.cancelled_at_admission += 1;
+            self.report.shed += 1;
+            return;
+        }
+        if let Some(b) = self.breaker_mut(region, pod) {
+            b.note_probe();
+        }
+        if !self.budgets.is_empty() {
+            self.budgets[pod as usize].admit_fresh();
         }
         if self.pods[pod as usize].region != region {
             self.report.spillover += 1;
         }
         self.report.routed[region as usize][pod as usize] += 1;
-        let routed_arm = self.policy != RoutingPolicy::StaticLocal;
-        let degraded = routed_arm && self.effective_tier() == 2;
-        let tier = if routed_arm { self.effective_tier() } else { 0 };
+        let degraded = tier == 2;
         let device = self.assign_device(pod);
         self.next_req += 1;
         let logical = self.next_req;
@@ -1048,14 +995,12 @@ impl<'a> Sim<'a> {
         };
         let req = self.reqs.insert(state);
         self.enqueue(at, device, req, &state, false);
-        if self.gray_on && self.config.gray.hedge.is_some() {
-            self.hedges
-                .push(at + self.pods[pod as usize].hedge_deadline, logical, req);
-        }
-        if self.retry_on && self.config.overload.max_attempts > 1 {
-            self.retries
-                .push(at + self.config.overload.attempt_timeout, logical, req);
-        }
+        let fire = match self.arm.reissue {
+            Some(Reissue::Hedge(_)) => self.pods[pod as usize].hedge_deadline,
+            Some(Reissue::Retry) => self.config.overload.attempt_timeout,
+            None => return,
+        };
+        self.reissues.push(at + fire, logical, req);
     }
 
     /// Least-loaded clean device in `pod`, excluding `avoid` — `None`
@@ -1085,10 +1030,7 @@ impl<'a> Sim<'a> {
     /// reachability and spillover admission) as the fallback. No-op if
     /// the request already answered, exhausted its hedge budget, or no
     /// clean target exists.
-    fn fire_hedge(&mut self, at: SimTime, id: ArenaRef) {
-        let Some(policy) = self.config.gray.hedge else {
-            return;
-        };
+    fn fire_hedge(&mut self, at: SimTime, id: ArenaRef, policy: HedgePolicy) {
         let Some(req) = self.reqs.get(id).copied() else {
             return; // request fully closed
         };
@@ -1108,7 +1050,7 @@ impl<'a> Sim<'a> {
         self.enqueue(at, target, id, &req, true);
         if more {
             let pod = self.dev.pod[target as usize] as usize;
-            self.hedges
+            self.reissues
                 .push(at + self.pods[pod].hedge_deadline, req.logical, id);
         }
     }
@@ -1139,7 +1081,7 @@ impl<'a> Sim<'a> {
             // re-check at the next attempt boundary the deadline allows.
             let next = at + self.config.overload.attempt_timeout;
             if next < expiry {
-                self.retries.push(next, req.logical, id);
+                self.reissues.push(next, req.logical, id);
             }
             return;
         };
@@ -1147,16 +1089,14 @@ impl<'a> Sim<'a> {
             self.report.retries_shed += 1;
             return;
         }
-        if self.defended {
-            // Deadline propagation: the remaining end-to-end budget must
-            // still cover the target's expected queue + service time.
-            if at + self.expected_wait(pod) > expiry {
-                self.report.cancelled_at_admission += 1;
-                return;
-            }
-            if let Some(b) = self.breaker_mut(req.ingress, pod) {
-                b.note_probe();
-            }
+        // Deadline propagation: the remaining end-to-end budget must
+        // still cover the target's expected queue + service time.
+        if self.arm.admission_cancel && at + self.expected_wait(pod) > expiry {
+            self.report.cancelled_at_admission += 1;
+            return;
+        }
+        if let Some(b) = self.breaker_mut(req.ingress, pod) {
+            b.note_probe();
         }
         let device = self.assign_device(pod);
         let entry = self.reqs.get_mut(id).expect("checked above");
@@ -1167,7 +1107,7 @@ impl<'a> Sim<'a> {
         self.enqueue(at, device, id, &req, false);
         let next = at + self.config.overload.attempt_timeout;
         if copies + 1 < self.config.overload.max_attempts && next < expiry {
-            self.retries.push(next, req.logical, id);
+            self.reissues.push(next, req.logical, id);
         }
     }
 
@@ -1176,11 +1116,7 @@ impl<'a> Sim<'a> {
     /// headroom, and move reserve devices toward the target.
     fn scale(&mut self, at: SimTime) {
         let forecast = self.forecast.as_ref().expect("scaling implies forecast");
-        let autoscale = self
-            .config
-            .autoscale
-            .as_ref()
-            .expect("scaling implies config");
+        let autoscale = self.arm.autoscale.expect("scaling implies autoscale");
         let mut plan: Vec<(u32, u32)> = Vec::new();
         for region in 0..self.spec.regions {
             let pods = &self.local_pods[region as usize];
@@ -1265,7 +1201,7 @@ impl<'a> Sim<'a> {
         let pod = self.dev.pod[di] as usize;
         self.pods[pod].busy -= 1;
         self.total_busy -= 1;
-        if self.gray_on {
+        if self.arm.outliers {
             // Observe the dimensionless service factor (actual over
             // base for this copy's tier) so degraded-tier responses
             // don't skew the pod median.
@@ -1295,27 +1231,22 @@ impl<'a> Sim<'a> {
         if closed {
             self.reqs.remove(copy.req);
         }
-        if self.policy.retries() && finish > copy.arrived + self.config.deadline {
+        if self.arm.client_deadline && finish > copy.arrived + self.config.deadline {
             // The first copy to finish did so past the end-to-end
             // deadline: the client has long abandoned the request, but
             // the server still burned the slot — that wasted service is
             // exactly the amplification that latches metastable
             // collapse in the naive arm.
             self.report.lost_deadline += 1;
-            if self.defended {
-                if let Some(b) = self.breaker_mut(copy.ingress, pod as u32) {
-                    b.record_failure(finish);
-                }
+            if let Some(b) = self.breaker_mut(copy.ingress, pod as u32) {
+                b.record_failure(finish);
             }
             self.dispatch(inflight.device, finish);
             return;
         }
         self.bucket_mut(copy.arrived).served += 1;
-        if self.defended {
-            let queue_delay = inflight.started.saturating_sub(copy.arrived);
-            if let Some(b) = self.breaker_mut(copy.ingress, pod as u32) {
-                b.record_success(queue_delay);
-            }
+        if let Some(b) = self.breaker_mut(copy.ingress, pod as u32) {
+            b.record_success(inflight.started.saturating_sub(copy.arrived));
         }
         if copy.hedge {
             self.report.hedge_wins += 1;
@@ -1363,10 +1294,9 @@ impl<'a> Sim<'a> {
 
     /// Candidate next event over all sources; the tie order is the
     /// tuple's second field: device capacity < gray fault < partition <
-    /// wake < probe < autoscale tick < completion < hedge < retry timer
-    /// < arrival. Completions precede hedge and retry timers so a
-    /// request finishing exactly at its timer deadline never
-    /// duplicates.
+    /// wake < probe < autoscale tick < completion < re-issue timer <
+    /// arrival. Completions precede re-issue timers so a request
+    /// finishing exactly at its timer deadline never duplicates.
     fn next_event(&self) -> Option<(SimTime, u8)> {
         let mut next: Option<(SimTime, u8)> = None;
         let mut consider = |at: Option<SimTime>, order: u8| {
@@ -1381,17 +1311,17 @@ impl<'a> Sim<'a> {
         consider(self.toggles.get(self.ti).map(|t| t.0), 2);
         consider(self.wakes.peek_key().map(|k| k.0), 3);
         consider(
-            (self.probing && self.probe_at <= self.last_arrival).then_some(self.probe_at),
+            (self.arm.routed && self.probe_at <= self.last_arrival).then_some(self.probe_at),
             4,
         );
         consider(
-            (self.scaling && self.scale_at <= self.last_arrival).then_some(self.scale_at),
+            (self.forecast.is_some() && self.scale_at <= self.last_arrival)
+                .then_some(self.scale_at),
             5,
         );
         consider(self.completions.peek_key().map(|k| k.0), 6);
-        consider(self.hedges.peek_key().map(|k| k.0), 7);
-        consider(self.retries.peek_key().map(|k| k.0), 8);
-        consider(self.arrivals.peek_at(), 9);
+        consider(self.reissues.peek_key().map(|k| k.0), 7);
+        consider(self.arrivals.peek_at(), 8);
         next
     }
 
@@ -1429,21 +1359,19 @@ impl<'a> Sim<'a> {
             }
             5 => {
                 self.scale_at += self
-                    .config
+                    .arm
                     .autoscale
-                    .as_ref()
-                    .expect("scaling implies config")
+                    .expect("scaling implies autoscale")
                     .interval;
                 self.scale(at);
             }
             6 => self.complete(tel),
             7 => {
-                let (fire, _, req) = self.hedges.pop().expect("considered");
-                self.fire_hedge(fire, req);
-            }
-            8 => {
-                let (fire, _, req) = self.retries.pop().expect("considered");
-                self.fire_retry(fire, req);
+                let (fire, _, req) = self.reissues.pop().expect("considered");
+                match self.arm.reissue.expect("timers imply a re-issue kind") {
+                    Reissue::Hedge(policy) => self.fire_hedge(fire, req, policy),
+                    Reissue::Retry => self.fire_retry(fire, req),
+                }
             }
             _ => {
                 let arrival = self.arrivals.next().expect("considered");
@@ -1467,8 +1395,9 @@ impl<'a> Sim<'a> {
     }
 
     /// Closes out a fully-drained run: asserts the drain invariants,
-    /// flushes the event count to the process-wide perf counter, and
-    /// derives the report's `lost` and `breaker_opens`.
+    /// flushes the event count to the process-wide perf counter, derives
+    /// the report's `lost` and `breaker_opens`, and checks request
+    /// conservation in every build.
     pub(super) fn into_report(self) -> GlobalReport {
         let mut report = self.report;
         // Fully drained: every fault window is finite, so capacity
@@ -1488,6 +1417,11 @@ impl<'a> Sim<'a> {
         );
         mtia_core::perfcount::add_events(report.events);
         report.lost = report.lost_unroutable + report.lost_killed + report.lost_deadline;
+        assert_eq!(
+            report.offered,
+            report.served_full + report.served_degraded + report.shed + report.lost,
+            "request conservation"
+        );
         report.breaker_opens = self.breakers.iter().map(|b| b.opens()).sum();
         report
     }
@@ -1515,7 +1449,7 @@ pub fn simulate_global_traced(
 
     let mut sim = Sim::new(spec, config, trace, plan, policy);
     sim.run_until(SimTime::MAX, tel);
-    let end = sim.end;
+    let (end, retrying) = (sim.end, sim.arm.client_deadline);
     let report = sim.into_report();
 
     tel.counter_add("global.served_full", report.served_full);
@@ -1527,7 +1461,7 @@ pub fn simulate_global_traced(
     tel.counter_add("global.hedge_wins", report.hedge_wins);
     tel.counter_add("global.duplicates_suppressed", report.duplicates_suppressed);
     tel.counter_add("global.outlier_demotions", report.outlier_demotions);
-    if policy.retries() {
+    if retrying {
         // Only the retry arms emit the overload counters, so the
         // pre-existing golden traces stay byte-identical.
         tel.counter_add("global.retries_issued", report.retries_issued);

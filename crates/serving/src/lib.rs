@@ -1,5 +1,5 @@
-//! The serving-stack simulation: request arrivals, coalescing, remote/merge
-//! job scheduling on shared accelerators (Fig. 5), host-resource limits in
+//! The serving-stack simulation: request arrivals, remote/merge job
+//! scheduling on shared accelerators (Fig. 5), host-resource limits in
 //! the 24-accelerator server (§3.4), latency-percentile tracking against
 //! P99 SLOs, and the §5.6 live A/B testing harness.
 //!
@@ -30,7 +30,6 @@
 
 pub mod ab;
 pub mod cluster;
-pub mod coalescer;
 pub mod failover;
 pub mod global;
 pub mod resilience;
@@ -39,7 +38,6 @@ pub mod sdc;
 pub mod traffic;
 
 pub use ab::{normalized_entropy, run_ab_test, AbReport, PlatformArm};
-pub use coalescer::{simulate_coalescer, CoalescerConfig, CoalescerStats};
 pub use failover::{
     compare_failover, place_replicas, simulate_cell_failover, simulate_cell_failover_traced,
     CellCheckpoint, FailoverComparison, FailoverConfig, FailoverReport, FaultDomains,
@@ -65,4 +63,4 @@ pub use sdc::{
     run_sdc_sim, DetectionPolicy, DeviceImage, ImageSpec, InlineRepair, QuarantineDecision,
     QuarantineHandler, QuarantineRequest, SdcReport, SdcSimConfig,
 };
-pub use traffic::{ArrivalProcess, DiurnalArrivals, FlashCrowd, PoissonArrivals, RegionalArrivals};
+pub use traffic::{ArrivalProcess, FlashCrowd, PoissonArrivals, RegionalArrivals};

@@ -1,8 +1,8 @@
 //! Fault-injected remote/merge serving simulation.
 //!
 //! Reuses the §6 remote/merge workload from [`crate::scheduler`] but
-//! dispatches every job through a [`DeviceSet`] while a
-//! [`FaultClock`] injects a pre-generated [`FaultPlan`]. Two dispatch
+//! dispatches every job through a [`DeviceSet`] while a pre-generated
+//! [`FaultPlan`] injects its events in time order. Two dispatch
 //! policies run over *identical* traces:
 //!
 //! * [`DispatchPolicy::Naive`] — the pre-§5.5-tooling baseline: FIFO onto
@@ -23,7 +23,7 @@ use std::collections::{HashMap, VecDeque};
 use mtia_core::des::Kernel;
 use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
-use mtia_sim::faults::{DeviceId, FaultClock, FaultPlan};
+use mtia_sim::faults::{DeviceId, FaultPlan};
 
 use crate::scheduler::RemoteMergeConfig;
 use crate::traffic::ArrivalProcess;
@@ -314,12 +314,8 @@ impl<'a> Engine<'a> {
         horizon: SimTime,
     ) -> ResilienceReport {
         // Pre-load every injected fault and maintenance window.
-        let mut clock = FaultClock::new(plan);
-        let mut index = 0usize;
-        while let Some(at) = clock.next_at() {
-            clock.pop_due(SimTime::MAX);
-            self.des.schedule(at, Ev::FaultAt { index });
-            index += 1;
+        for (index, fault) in plan.events().iter().enumerate() {
+            self.des.schedule(fault.at, Ev::FaultAt { index });
         }
         for (i, w) in self.config.maintenance.iter().enumerate() {
             self.des

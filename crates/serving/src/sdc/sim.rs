@@ -23,11 +23,13 @@
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::iter::Peekable;
+use std::slice;
 
 use mtia_core::{DetectionMethod, SdcIncident, SimTime};
 use mtia_model::integrity::{output_fingerprint, IntegrityViolation, OutputGuard};
 use mtia_model::tensor::DenseTensor;
-use mtia_sim::faults::{FaultClock, FaultKind, FaultPlan};
+use mtia_sim::faults::{FaultEvent, FaultKind, FaultPlan};
 
 use crate::resilience::{HealthConfig, HealthMachine};
 
@@ -263,12 +265,12 @@ pub fn run_sdc_sim(
         },
     };
 
-    let mut clock = FaultClock::new(plan);
+    let mut faults = plan.events().iter().peekable();
     let mut end = SimTime::ZERO;
     for r in 0..cfg.requests {
         let now = cfg.inter_arrival * (r as u64 + 1);
         end = now;
-        sim.inject_due(&mut clock, now);
+        sim.inject_due(&mut faults, now);
         sim.return_repaired(now);
         sim.report.offered += 1;
 
@@ -292,8 +294,8 @@ pub fn run_sdc_sim(
 }
 
 impl Sim<'_> {
-    fn inject_due(&mut self, clock: &mut FaultClock<'_>, now: SimTime) {
-        while let Some(e) = clock.pop_due(now) {
+    fn inject_due(&mut self, faults: &mut Peekable<slice::Iter<'_, FaultEvent>>, now: SimTime) {
+        while let Some(e) = faults.next_if(|e| e.at <= now) {
             if let FaultKind::LpddrBitFlip { region, word, bit } = e.kind {
                 let d = (e.device as usize) % self.devs.len();
                 self.devs[d].image.apply_flip(region, word, bit);

@@ -41,65 +41,6 @@ impl<R: Rng> ArrivalProcess for PoissonArrivals<R> {
     }
 }
 
-/// Poisson arrivals whose rate follows a sinusoidal diurnal envelope:
-/// `rate(t) = base × (1 + amplitude · sin(2πt/period))`.
-#[derive(Debug, Clone)]
-pub struct DiurnalArrivals<R: Rng> {
-    base_rate_per_s: f64,
-    amplitude: f64,
-    period: SimTime,
-    rng: R,
-}
-
-impl<R: Rng> DiurnalArrivals<R> {
-    /// Creates a diurnal process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base rate is not positive or `amplitude` is outside
-    /// `[0, 1)`.
-    pub fn new(base_rate_per_s: f64, amplitude: f64, period: SimTime, rng: R) -> Self {
-        assert!(base_rate_per_s > 0.0, "arrival rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "amplitude must be in [0, 1)"
-        );
-        DiurnalArrivals {
-            base_rate_per_s,
-            amplitude,
-            period,
-            rng,
-        }
-    }
-
-    /// Instantaneous rate at `t`.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        let phase = 2.0 * std::f64::consts::PI * t.as_secs_f64() / self.period.as_secs_f64();
-        self.base_rate_per_s * (1.0 + self.amplitude * phase.sin())
-    }
-
-    /// Peak instantaneous rate.
-    pub fn peak_rate(&self) -> f64 {
-        self.base_rate_per_s * (1.0 + self.amplitude)
-    }
-}
-
-impl<R: Rng> ArrivalProcess for DiurnalArrivals<R> {
-    fn next_arrival(&mut self, now: SimTime) -> Option<SimTime> {
-        // Thinning: sample at the peak rate, accept with rate(t)/peak.
-        let peak = self.peak_rate();
-        let mut t = now;
-        loop {
-            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-            t += SimTime::from_secs_f64(-u.ln() / peak);
-            let accept: f64 = self.rng.gen();
-            if accept < self.rate_at(t) / peak {
-                return Some(t);
-            }
-        }
-    }
-}
-
 /// A multiplicative traffic burst: between `start` and `start + duration`
 /// the instantaneous rate is scaled by `multiplier` (≥ 1) — a flash
 /// crowd layered on top of the diurnal envelope.
@@ -124,7 +65,8 @@ impl FlashCrowd {
 ///
 /// `rate(t) = base × (1 + amplitude · sin(2π(t + phase)/period)) × crowd(t)`
 ///
-/// where `crowd(t)` is the product of every active burst's multiplier.
+/// where `crowd(t)` is the product of every active burst's multiplier;
+/// a zero phase and no crowds give the plain diurnal envelope.
 /// Each serving region gets one of these with its own phase — the peaks
 /// of a three-region deployment land a third of a period apart, exactly
 /// the follow-the-sun capacity picture the global router exploits.
@@ -248,10 +190,12 @@ mod tests {
 
     #[test]
     fn diurnal_rate_oscillates() {
-        let d = DiurnalArrivals::new(
+        let d = RegionalArrivals::new(
             100.0,
             0.5,
             SimTime::from_secs(86_400),
+            SimTime::ZERO,
+            Vec::new(),
             StdRng::seed_from_u64(3),
         );
         assert_eq!(d.peak_rate(), 150.0);
@@ -264,7 +208,14 @@ mod tests {
     #[test]
     fn diurnal_arrivals_follow_envelope() {
         let period = SimTime::from_secs(1000);
-        let mut d = DiurnalArrivals::new(500.0, 0.8, period, StdRng::seed_from_u64(4));
+        let mut d = RegionalArrivals::new(
+            500.0,
+            0.8,
+            period,
+            SimTime::ZERO,
+            Vec::new(),
+            StdRng::seed_from_u64(4),
+        );
         let mut now = SimTime::ZERO;
         let mut first_half = 0u32;
         let mut second_half = 0u32;

@@ -168,7 +168,7 @@ proptest! {
             if policy != RoutingPolicy::GrayResilient {
                 prop_assert_eq!(r.hedges_issued, 0, "{:?}: hedges", policy);
             }
-            if !policy.retries() {
+            if !matches!(policy, RoutingPolicy::NaiveRetry | RoutingPolicy::OverloadResilient) {
                 prop_assert_eq!(r.retries_issued, 0, "{:?}: retries", policy);
             }
             if policy != RoutingPolicy::OverloadResilient {

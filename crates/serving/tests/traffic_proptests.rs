@@ -2,7 +2,7 @@
 //! processes never go backwards and never run dry.
 
 use mtia_core::SimTime;
-use mtia_serving::traffic::{ArrivalProcess, DiurnalArrivals, PoissonArrivals};
+use mtia_serving::traffic::{ArrivalProcess, PoissonArrivals, RegionalArrivals};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,7 +21,14 @@ proptest! {
     ) {
         let rng = StdRng::seed_from_u64(seed);
         let mut process: Box<dyn ArrivalProcess> = if diurnal {
-            Box::new(DiurnalArrivals::new(rate, 0.5, SimTime::from_secs(60), rng))
+            Box::new(RegionalArrivals::new(
+                rate,
+                0.5,
+                SimTime::from_secs(60),
+                SimTime::ZERO,
+                Vec::new(),
+                rng,
+            ))
         } else {
             Box::new(PoissonArrivals::new(rate, rng))
         };

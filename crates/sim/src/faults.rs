@@ -6,8 +6,9 @@
 //! rollouts that contain escaped defects. This module turns those fault
 //! processes into a replayable artifact: a [`FaultPlan`] is generated once
 //! from a `u64` seed and then *injected* into any simulated device fleet
-//! through a [`FaultClock`], so a resilient serving policy and a naive
-//! baseline can be compared under byte-identical fault traces.
+//! by walking [`FaultPlan::events`] in time order, so a resilient serving
+//! policy and a naive baseline can be compared under byte-identical fault
+//! traces.
 //!
 //! Fault taxonomy (each maps to a paper mechanism):
 //!
@@ -773,43 +774,6 @@ fn sample_count_free(rng: &mut StdRng, mean: f64) -> u32 {
     }
 }
 
-/// Cursor over a [`FaultPlan`]: hands out events as simulation time
-/// advances. Pure iteration — replaying the same plan yields the same
-/// sequence.
-#[derive(Debug, Clone)]
-pub struct FaultClock<'a> {
-    plan: &'a FaultPlan,
-    cursor: usize,
-}
-
-impl<'a> FaultClock<'a> {
-    /// A clock at the start of `plan`.
-    pub fn new(plan: &'a FaultPlan) -> Self {
-        FaultClock { plan, cursor: 0 }
-    }
-
-    /// Injection time of the next undelivered event.
-    pub fn next_at(&self) -> Option<SimTime> {
-        self.plan.events.get(self.cursor).map(|e| e.at)
-    }
-
-    /// Delivers the next event if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<&'a FaultEvent> {
-        match self.plan.events.get(self.cursor) {
-            Some(e) if e.at <= now => {
-                self.cursor += 1;
-                Some(e)
-            }
-            _ => None,
-        }
-    }
-
-    /// Events not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.plan.events.len() - self.cursor
-    }
-}
-
 /// The lingering fault conditions on one device, updated as events are
 /// applied and queried by schedulers for service-time and connectivity
 /// effects.
@@ -1231,25 +1195,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_delivers_in_order_and_once() {
-        let plan = stress_plan(3);
-        let mut clock = FaultClock::new(&plan);
-        let mut seen = 0;
-        let mut last = SimTime::ZERO;
-        while let Some(at) = clock.next_at() {
-            let e = clock.pop_due(SimTime::MAX).expect("due event");
-            assert_eq!(e.at, at);
-            assert!(e.at >= last);
-            last = e.at;
-            seen += 1;
-        }
-        assert_eq!(seen, plan.events().len());
-        assert_eq!(clock.remaining(), 0);
-        assert!(clock.pop_due(SimTime::MAX).is_none());
-    }
-
-    #[test]
-    fn clock_respects_now() {
+    fn with_event_keeps_events_in_time_order() {
         let plan = FaultPlan::empty(0)
             .with_event(FaultEvent {
                 at: SimTime::from_secs(10),
@@ -1263,11 +1209,8 @@ mod tests {
                 kind: FaultKind::TransientJobFailure,
                 duration: SimTime::ZERO,
             });
-        let mut clock = FaultClock::new(&plan);
-        assert!(clock.pop_due(SimTime::from_secs(1)).is_none());
-        let first = clock.pop_due(SimTime::from_secs(6)).expect("first event");
-        assert_eq!(first.device, 1, "earlier event delivered first");
-        assert!(clock.pop_due(SimTime::from_secs(6)).is_none());
+        let devices: Vec<DeviceId> = plan.events().iter().map(|e| e.device).collect();
+        assert_eq!(devices, [1, 0], "added later but due earlier, so first");
     }
 
     #[test]

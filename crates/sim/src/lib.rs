@@ -38,9 +38,7 @@ pub mod pe_pipeline;
 pub mod report;
 
 pub use chip::{ChipSim, LaunchMode, Plan};
-pub use faults::{
-    DeviceFaultState, DeviceId, FaultClock, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig,
-};
+pub use faults::{DeviceFaultState, DeviceId, FaultEvent, FaultKind, FaultPlan, FaultPlanConfig};
 pub use gpu::{GpuReport, GpuSim};
 pub use kernels::{Bottleneck, FcVariant, OpCost, Stationarity};
 pub use pe_pipeline::{gemm_pipeline_config, simulate_pipeline, PipelineConfig, PipelineStats};

@@ -18,7 +18,7 @@
 //!   scheduling, FC kernel variants, the autotuning performance database.
 //! * [`autotune`] — the §4.1 pipeline: data placement, batch size,
 //!   coalescing, sharding.
-//! * [`serving`] — discrete-event serving: traffic, coalescer, remote/merge
+//! * [`serving`] — discrete-event serving: traffic, remote/merge
 //!   scheduling (Fig. 5), host limits, A/B testing (§5.6).
 //! * [`fleet`] — §5 production studies: ECC, overclocking, power budget,
 //!   firmware rollout, chip sizing.
