@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the simulator's hot paths: the cache
 //! simulator, the Che/Zipf analytic model, the rANS and LZSS codecs, the
-//! DES kernel, and one full chip-level model execution.
+//! DES kernel, one full chip-level model execution, and the regional
+//! arrival generator.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -10,8 +11,12 @@ use mtia_core::spec::chips;
 use mtia_core::SimTime;
 use mtia_model::compress::{ans, lzss};
 use mtia_model::models::dlrm::DlrmConfig;
+use mtia_serving::global::RegionalTrafficConfig;
+use mtia_serving::traffic::{ArrivalProcess, FlashCrowd, RegionalArrivals};
 use mtia_sim::chip::ChipSim;
 use mtia_sim::mem::cache::{zipf_hit_rate, SetAssocCache};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bench_cache(c: &mut Criterion) {
     c.bench_function("set_assoc_cache_1k_accesses", |b| {
@@ -82,9 +87,45 @@ fn bench_chip(c: &mut Criterion) {
     });
 }
 
+/// One region of the E24 production shape (600 req/s base, 600 s
+/// period and horizon, one flash crowd): divide ns/iter by the printed
+/// arrival count for ns per arrival.
+fn bench_arrivals(c: &mut Criterion) {
+    let horizon = SimTime::from_secs(600);
+    let shape = RegionalTrafficConfig::production(600.0, horizon);
+    let region = || {
+        let crowd = FlashCrowd {
+            start: SimTime::from_secs(200),
+            duration: shape.crowd_duration,
+            multiplier: shape.crowd_multiplier,
+        };
+        let mut process = RegionalArrivals::new(
+            shape.base_rate_per_s,
+            shape.amplitude,
+            shape.period,
+            SimTime::ZERO,
+            vec![crowd],
+            StdRng::seed_from_u64(24),
+        )
+        .expect("the production shape is valid");
+        let (mut now, mut arrivals) = (SimTime::ZERO, 0u64);
+        while let Some(t) = process.next_arrival(now).filter(|&t| t <= horizon) {
+            (now, arrivals) = (t, arrivals + 1);
+        }
+        arrivals
+    };
+    println!(
+        "regional_arrivals_production_region: {} arrivals/iter",
+        region()
+    );
+    c.bench_function("regional_arrivals_production_region", |b| {
+        b.iter(|| black_box(region()))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache, bench_codecs, bench_engine, bench_chip
+    targets = bench_cache, bench_codecs, bench_engine, bench_chip, bench_arrivals
 }
 criterion_main!(benches);

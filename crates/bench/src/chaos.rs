@@ -260,14 +260,17 @@ impl ChaosSchedule {
     pub fn arrivals(&self) -> Box<dyn ArrivalProcess> {
         let rng = StdRng::seed_from_u64(derive(self.seed, "chaos.arrivals"));
         match self.scenario {
-            ChaosScenario::PartitionDuringPeak { .. } => Box::new(RegionalArrivals::new(
-                self.rate_per_s,
-                0.6,
-                self.horizon,
-                SimTime::ZERO,
-                Vec::new(),
-                rng,
-            )),
+            ChaosScenario::PartitionDuringPeak { .. } => Box::new(
+                RegionalArrivals::new(
+                    self.rate_per_s,
+                    0.6,
+                    self.horizon,
+                    SimTime::ZERO,
+                    Vec::new(),
+                    rng,
+                )
+                .expect("a positive rate and a non-zero horizon"),
+            ),
             _ => Box::new(PoissonArrivals::new(self.rate_per_s, rng)),
         }
     }

@@ -24,7 +24,7 @@ use mtia_core::seed::{derive, derive_indexed, DEFAULT_SEED};
 use mtia_core::SimTime;
 use mtia_fleet::topology::GlobalTopologyConfig;
 use mtia_serving::global::{
-    build_regional_trace, simulate_planet, CellSpec, GlobalConfig, PlanetConfig, PlanetReport,
+    build_regional_traces, simulate_planet, CellSpec, GlobalConfig, PlanetConfig, PlanetReport,
     RegionalTrafficConfig, RoutingPolicy,
 };
 use mtia_sim::faults::FaultPlan;
@@ -58,16 +58,19 @@ impl E24Scenario {
         let spec = config.build().fleet_spec();
         let base = derive(DEFAULT_SEED, tag);
         let traffic = RegionalTrafficConfig::production(rate_per_region, horizon);
-        let cells = (0..cells)
-            .map(|i| {
-                let seed = derive_indexed(base, "cell", i);
-                CellSpec {
-                    spec: spec.clone(),
-                    config: GlobalConfig::production(seed),
-                    trace: build_regional_trace(&traffic, spec.regions, horizon, seed),
-                    plan: FaultPlan::empty(derive(seed, "plan")),
-                    policy: RoutingPolicy::HealthAware,
-                }
+        let seeds: Vec<u64> = (0..cells)
+            .map(|i| derive_indexed(base, "cell", i))
+            .collect();
+        let traces = build_regional_traces(&traffic, spec.regions, horizon, &seeds);
+        let cells = seeds
+            .into_iter()
+            .zip(traces)
+            .map(|(seed, trace)| CellSpec {
+                spec: spec.clone(),
+                config: GlobalConfig::production(seed),
+                trace,
+                plan: FaultPlan::empty(derive(seed, "plan")),
+                policy: RoutingPolicy::HealthAware,
             })
             .collect();
         E24Scenario {

@@ -7,6 +7,7 @@
 //! metrics registry can share one mergeable implementation.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::units::SimTime;
 
@@ -16,6 +17,44 @@ const BUCKETS_PER_DECADE: usize = 20;
 const FLOOR_PICOS: f64 = 1e6;
 /// Decades covered (1 µs … 1000 s).
 const DECADES: usize = 9;
+/// An underflow bucket, `BUCKETS_PER_DECADE` per decade, an overflow.
+const BUCKETS: usize = BUCKETS_PER_DECADE * DECADES + 2;
+
+/// The bucket rule: `⌊20·log10(ps / 1 µs)⌋ + 1`, clamped to the
+/// buckets, and 0 below 1 µs. [`lower_edges`] tabulates it once so
+/// recording a sample needs no `log10`.
+fn bucket_by_log10(ps: u64) -> usize {
+    let ps = ps as f64;
+    if ps < FLOOR_PICOS {
+        return 0;
+    }
+    let pos = (ps / FLOOR_PICOS).log10() * BUCKETS_PER_DECADE as f64;
+    (pos as usize + 1).min(BUCKETS - 1)
+}
+
+/// `edges[i]` is the smallest picosecond count [`bucket_by_log10`]
+/// puts in bucket `i + 1` or above, found by binary search: the rule is
+/// monotone in `ps`, so a value's bucket is the number of edges at or
+/// below it.
+fn lower_edges() -> &'static [u64; BUCKETS - 1] {
+    static EDGES: OnceLock<[u64; BUCKETS - 1]> = OnceLock::new();
+    EDGES.get_or_init(|| {
+        let mut edges = [0; BUCKETS - 1];
+        for (i, edge) in edges.iter_mut().enumerate() {
+            let (mut lo, mut hi) = (0, u64::MAX);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if bucket_by_log10(mid) > i {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            *edge = lo;
+        }
+        edges
+    })
+}
 
 /// A fixed-memory latency histogram with ~12 % relative bucket resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,20 +69,17 @@ impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; BUCKETS_PER_DECADE * DECADES + 2],
+            counts: vec![0; BUCKETS],
             total: 0,
             sum_picos: 0,
             max: SimTime::ZERO,
         }
     }
 
+    /// The bucket of `latency`: how many bucket lower edges it reaches.
     fn bucket_of(latency: SimTime) -> usize {
-        let ps = latency.as_picos() as f64;
-        if ps < FLOOR_PICOS {
-            return 0;
-        }
-        let pos = (ps / FLOOR_PICOS).log10() * BUCKETS_PER_DECADE as f64;
-        (pos as usize + 1).min(BUCKETS_PER_DECADE * DECADES + 1)
+        let ps = latency.as_picos();
+        lower_edges().partition_point(|&edge| edge <= ps)
     }
 
     fn bucket_upper(index: usize) -> SimTime {
@@ -177,6 +213,37 @@ impl fmt::Display for LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The edge table buckets any value as the `log10` rule does;
+        /// the shift spreads values over every scale.
+        #[test]
+        fn edge_table_matches_the_log10_rule(raw in any::<u64>(), shift in 0u32..64) {
+            let ps = raw >> shift;
+            prop_assert_eq!(
+                LatencyHistogram::bucket_of(SimTime::from_picos(ps)),
+                bucket_by_log10(ps)
+            );
+        }
+    }
+
+    #[test]
+    fn edge_table_matches_the_log10_rule_at_every_edge() {
+        for &edge in lower_edges() {
+            for ps in [edge.saturating_sub(1), edge, edge.saturating_add(1)] {
+                assert_eq!(
+                    LatencyHistogram::bucket_of(SimTime::from_picos(ps)),
+                    bucket_by_log10(ps),
+                    "{ps} ps"
+                );
+            }
+        }
+        assert_eq!(lower_edges()[0], FLOOR_PICOS as u64);
+        assert!(lower_edges().windows(2).all(|w| w[0] < w[1]));
+    }
 
     #[test]
     fn empty_histogram_is_zero() {

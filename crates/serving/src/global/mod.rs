@@ -52,6 +52,7 @@ pub use shard::{simulate_planet, CellSpec, PlanetConfig, PlanetReport};
 pub use sim::{compare_global, simulate_global, simulate_global_traced};
 
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 use mtia_core::error::ConfigError;
 use mtia_core::pool;
@@ -790,18 +791,46 @@ impl RegionalTrafficConfig {
 /// Builds the multi-region trace: per-region phase-offset diurnal
 /// envelopes with seeded flash crowds, arrivals recorded up to
 /// `horizon`. A pure function of `(config, regions, horizon, seed)` —
-/// the replayable artifact both comparison arms share.
+/// the replayable artifact both comparison arms share. The one-seed
+/// call of [`build_regional_traces`].
+///
+/// # Panics
+///
+/// Panics if `config` is not a traffic shape
+/// [`RegionalArrivals::new`] accepts: a base rate that is not finite
+/// and positive, an amplitude outside `[0, 1)`, a zero period, or a
+/// crowd multiplier below 1 or not finite.
 pub fn build_regional_trace(
     config: &RegionalTrafficConfig,
     regions: u32,
     horizon: SimTime,
     seed: u64,
 ) -> RegionalTrace {
-    build_trace_impl(
+    let mut traces = build_regional_traces(config, regions, horizon, &[seed]);
+    traces.pop().expect("one trace per seed")
+}
+
+/// [`build_regional_trace`] for every seed, in seed order, from one
+/// `pool::parallel_map` over seeds × regions: each region streams on
+/// its own task, and the task that finishes a trace's last region
+/// seals that trace (merge order, length, fingerprint) in the same
+/// pass. Many small tasks keep every worker busy where a per-seed
+/// loop over a few regions would leave workers idle.
+///
+/// # Panics
+///
+/// As [`build_regional_trace`].
+pub fn build_regional_traces(
+    config: &RegionalTrafficConfig,
+    regions: u32,
+    horizon: SimTime,
+    seeds: &[u64],
+) -> Vec<RegionalTrace> {
+    build_traces(
         config,
         regions,
         horizon,
-        seed,
+        seeds,
         false,
         pool::configured_threads(),
     )
@@ -821,79 +850,118 @@ pub fn diurnal_crest(period: SimTime, region: u32, regions: u32) -> SimTime {
 /// overload-storm shape: the worst demand spike lands exactly on the
 /// worst instant of the curve, in every region. Crowd RNG draws are
 /// still consumed so the Poisson arrival stream matches nothing else.
+///
+/// # Panics
+///
+/// As [`build_regional_trace`].
 pub fn build_regional_trace_crested(
     config: &RegionalTrafficConfig,
     regions: u32,
     horizon: SimTime,
     seed: u64,
 ) -> RegionalTrace {
-    build_trace_impl(
+    let mut traces = build_traces(
         config,
         regions,
         horizon,
-        seed,
+        &[seed],
         true,
         pool::configured_threads(),
-    )
+    );
+    traces.pop().expect("one trace per seed")
 }
 
-fn build_trace_impl(
+fn build_traces(
+    config: &RegionalTrafficConfig,
+    regions: u32,
+    horizon: SimTime,
+    seeds: &[u64],
+    crest_crowds: bool,
+    threads: usize,
+) -> Vec<RegionalTrace> {
+    if regions == 0 {
+        return seeds
+            .iter()
+            .map(|_| RegionalTrace::from_columns(Vec::new()))
+            .collect();
+    }
+    // Finished columns wait in their trace's slot until the last one
+    // arrives. Every region draws from its own derived streams, so the
+    // task schedule cannot change a column.
+    let slots: Vec<Mutex<Vec<RegionColumn>>> = seeds.iter().map(|_| Mutex::default()).collect();
+    let tasks: Vec<(usize, u32)> = (0..seeds.len())
+        .flat_map(|trace| (0..regions).map(move |region| (trace, region)))
+        .collect();
+    let sealed = pool::parallel_map_with(threads, tasks, |_, (trace, region)| {
+        let column = region_column(config, regions, horizon, seeds[trace], region, crest_crowds);
+        let mut slot = slots[trace].lock().expect("no task panics holding a slot");
+        slot.push(column);
+        if slot.len() < regions as usize {
+            return None;
+        }
+        let mut columns = std::mem::take(&mut *slot);
+        drop(slot);
+        columns.sort_unstable_by_key(|c| c.region);
+        Some(RegionalTrace::from_columns(columns))
+    });
+    // Tasks are trace-major and exactly one per trace seals it, so the
+    // sealed traces come out in seed order.
+    sealed.into_iter().flatten().collect()
+}
+
+/// One region's arrivals up to `horizon`, from three streams derived
+/// from `(seed, region)`: the arrival process (envelope + thinning),
+/// crowd placement, and priorities.
+fn region_column(
     config: &RegionalTrafficConfig,
     regions: u32,
     horizon: SimTime,
     seed: u64,
+    region: u32,
     crest_crowds: bool,
-    threads: usize,
-) -> RegionalTrace {
-    // Every region draws from its own derived streams — one for the
-    // arrival process (envelope + thinning), one for crowd placement,
-    // one for priorities — so regions build independently and in
-    // parallel.
-    let columns = pool::parallel_map_with(threads, (0..regions).collect(), |_, region| {
-        let mut crowd_rng =
-            StdRng::seed_from_u64(derive_indexed(seed, "global.crowds", region as u64));
-        let crowds: Vec<FlashCrowd> = (0..config.crowds_per_region)
-            .map(|_| {
-                let random = horizon.scale(crowd_rng.gen::<f64>());
-                FlashCrowd {
-                    start: if crest_crowds {
-                        diurnal_crest(config.period, region, regions)
-                    } else {
-                        random
-                    },
-                    duration: config.crowd_duration,
-                    multiplier: config.crowd_multiplier,
-                }
-            })
-            .collect();
-        let phase = config.period.scale(region as f64 / regions as f64);
-        let mut process = RegionalArrivals::new(
-            config.base_rate_per_s,
-            config.amplitude,
-            config.period,
-            phase,
-            crowds,
-            StdRng::seed_from_u64(derive_indexed(seed, "global.arrivals", region as u64)),
-        );
-        let mut priority_rng =
-            StdRng::seed_from_u64(derive_indexed(seed, "global.priority", region as u64));
-        let mut column = RegionColumn::new(region);
-        let mut now = SimTime::ZERO;
-        while let Some(t) = process.next_arrival(now) {
-            if t > horizon {
-                break;
+) -> RegionColumn {
+    let mut crowd_rng = StdRng::seed_from_u64(derive_indexed(seed, "global.crowds", region as u64));
+    let crowds: Vec<FlashCrowd> = (0..config.crowds_per_region)
+        .map(|_| {
+            let random = horizon.scale(crowd_rng.gen::<f64>());
+            FlashCrowd {
+                start: if crest_crowds {
+                    diurnal_crest(config.period, region, regions)
+                } else {
+                    random
+                },
+                duration: config.crowd_duration,
+                multiplier: config.crowd_multiplier,
             }
-            let priority = if priority_rng.gen::<f64>() < config.low_priority_share {
-                Priority::Low
-            } else {
-                Priority::High
-            };
-            column.push(t, priority);
-            now = t;
+        })
+        .collect();
+    let phase = config.period.scale(region as f64 / regions as f64);
+    let mut process = RegionalArrivals::new(
+        config.base_rate_per_s,
+        config.amplitude,
+        config.period,
+        phase,
+        crowds,
+        StdRng::seed_from_u64(derive_indexed(seed, "global.arrivals", region as u64)),
+    )
+    .expect("a valid regional traffic shape");
+    let mut priority_rng =
+        StdRng::seed_from_u64(derive_indexed(seed, "global.priority", region as u64));
+    let mut column = RegionColumn::new(region);
+    let mut now = SimTime::ZERO;
+    while let Some(t) = process.next_arrival(now) {
+        if t > horizon {
+            break;
         }
-        column
-    });
-    RegionalTrace::from_columns(columns)
+        let priority = if priority_rng.gen::<f64>() < config.low_priority_share {
+            Priority::Low
+        } else {
+            Priority::High
+        };
+        column.push(t, priority);
+        now = t;
+    }
+    column
 }
 
 #[cfg(test)]
@@ -1122,11 +1190,27 @@ mod tests {
         let horizon = SimTime::from_secs(300);
         let mut crested = RegionalTrafficConfig::production(80.0, horizon);
         crested.crowd_multiplier = 4.0;
+        let one_by_one: Vec<RegionalTrace> = [8, 7, 9]
+            .map(|seed| {
+                build_traces(&plain, 3, SimTime::from_secs(60), &[seed], false, 1).remove(0)
+            })
+            .into();
         for threads in [1, 2, 8] {
-            let a = build_trace_impl(&plain, 3, SimTime::from_secs(60), 7, false, threads);
+            let a = &build_traces(&plain, 3, SimTime::from_secs(60), &[7], false, threads)[0];
             assert_eq!((a.len(), a.fingerprint()), (36_981, 0x3b47_38cb_0b29_67e4));
-            let c = build_trace_impl(&crested, 3, horizon, 21, true, threads);
+            let c = &build_traces(&crested, 3, horizon, &[21], true, threads)[0];
             assert_eq!((c.len(), c.fingerprint()), (87_362, 0xcb49_5b03_10a7_185e));
+            // One pool pass over several seeds seals each trace as a
+            // one-seed build does, in seed order.
+            let many = build_traces(
+                &plain,
+                3,
+                SimTime::from_secs(60),
+                &[8, 7, 9],
+                false,
+                threads,
+            );
+            assert_eq!(many, one_by_one);
         }
     }
 

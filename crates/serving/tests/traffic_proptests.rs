@@ -1,11 +1,60 @@
 //! Property tests for the arrival-process contracts: stochastic
-//! processes never go backwards and never run dry.
+//! processes never go backwards and never run dry, and squeezed
+//! thinning yields exactly the arrivals of plain thinning.
 
 use mtia_core::SimTime;
-use mtia_serving::traffic::{ArrivalProcess, PoissonArrivals, RegionalArrivals};
+use mtia_serving::traffic::{ArrivalProcess, FlashCrowd, PoissonArrivals, RegionalArrivals};
+use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// Plain Lewis–Shedler thinning as `RegionalArrivals` did it before
+/// squeeze segments: every candidate evaluates the rate, `sin`
+/// included. The reference the squeezed process must match bit for
+/// bit.
+struct PlainThinning {
+    base_rate_per_s: f64,
+    amplitude: f64,
+    period: SimTime,
+    phase: SimTime,
+    crowds: Vec<FlashCrowd>,
+    rng: StdRng,
+}
+
+impl PlainThinning {
+    fn rate_at(&self, t: SimTime) -> f64 {
+        let shifted = (t + self.phase).as_secs_f64();
+        let angle = 2.0 * std::f64::consts::PI * shifted / self.period.as_secs_f64();
+        let mut rate = self.base_rate_per_s * (1.0 + self.amplitude * angle.sin());
+        for crowd in &self.crowds {
+            if t >= crowd.start && t < crowd.start + crowd.duration {
+                rate *= crowd.multiplier;
+            }
+        }
+        rate
+    }
+
+    fn peak_rate(&self) -> f64 {
+        self.crowds.iter().fold(
+            self.base_rate_per_s * (1.0 + self.amplitude),
+            |peak, crowd| peak * crowd.multiplier,
+        )
+    }
+
+    fn next_arrival(&mut self, now: SimTime) -> SimTime {
+        let peak = self.peak_rate();
+        let mut t = now;
+        loop {
+            let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+            t += SimTime::from_secs_f64(-u.ln() / peak);
+            let accept: f64 = self.rng.gen();
+            if accept < self.rate_at(t) / peak {
+                return t;
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -28,7 +77,7 @@ proptest! {
                 SimTime::ZERO,
                 Vec::new(),
                 rng,
-            ))
+            ).unwrap())
         } else {
             Box::new(PoissonArrivals::new(rate, rng))
         };
@@ -39,6 +88,71 @@ proptest! {
             let t = t.unwrap();
             prop_assert!(t >= now, "arrival {} went backwards", i);
             now = t;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The squeeze only skips `sin` where it cannot change a decision:
+    /// the first 2,000 arrivals equal plain thinning's on every shape —
+    /// periods from 1 ps to 1 h, phases up to three periods, and up to
+    /// three overlapping crowds placed over the arrivals' span.
+    #[test]
+    fn squeezed_thinning_matches_plain_thinning(
+        base_rate_per_s in 0.5f64..5_000.0,
+        // 0: exactly 0, 1: anywhere in (0, 0.9999], 2: exactly 0.9999.
+        amplitude_kind in 0u8..3,
+        amplitude in 1e-9f64..=0.9999,
+        period_log10 in 0.0f64..15.556,
+        phase_periods in 0.0f64..3.0,
+        crowd_count in 0usize..4,
+        crowd_starts in vec(0.0f64..1.2, 3),
+        crowd_durations in vec(0.0f64..0.5, 3),
+        // A zero draw pins the multiplier to exactly 1, a no-op crowd.
+        crowd_multipliers in vec(1.0f64..=8.0, 3),
+        crowd_no_ops in vec(0u8..4, 3),
+        seed in any::<u64>(),
+    ) {
+        let amplitude = match amplitude_kind {
+            0 => 0.0,
+            1 => amplitude,
+            _ => 0.9999,
+        };
+        let period = SimTime::from_picos((10f64.powf(period_log10) as u64).max(1));
+        let phase = period.scale(phase_periods);
+        // Crowds sit on the ~2,000 / base seconds the arrivals cover.
+        let span = SimTime::from_secs_f64(2_000.0 / base_rate_per_s);
+        let crowds: Vec<FlashCrowd> = (0..crowd_count)
+            .map(|i| FlashCrowd {
+                start: span.scale(crowd_starts[i]),
+                duration: span.scale(crowd_durations[i]),
+                multiplier: if crowd_no_ops[i] == 0 { 1.0 } else { crowd_multipliers[i] },
+            })
+            .collect();
+        let mut plain = PlainThinning {
+            base_rate_per_s,
+            amplitude,
+            period,
+            phase,
+            crowds: crowds.clone(),
+            rng: StdRng::seed_from_u64(seed),
+        };
+        let mut squeezed = RegionalArrivals::new(
+            base_rate_per_s,
+            amplitude,
+            period,
+            phase,
+            crowds,
+            StdRng::seed_from_u64(seed),
+        ).unwrap();
+        prop_assert_eq!(squeezed.peak_rate(), plain.peak_rate());
+        let (mut now_plain, mut now_squeezed) = (SimTime::ZERO, SimTime::ZERO);
+        for i in 0..2_000 {
+            now_plain = plain.next_arrival(now_plain);
+            now_squeezed = squeezed.next_arrival(now_squeezed).unwrap();
+            prop_assert_eq!(now_squeezed, now_plain, "arrival {} differs", i);
         }
     }
 }
