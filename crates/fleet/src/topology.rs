@@ -410,7 +410,8 @@ impl GlobalTopology {
             self.config.pods_per_region,
             self.devices_per_pod(),
             self.config.inter_region_latency,
-        );
+        )
+        .expect("build rejects empty levels");
         spec.validate();
         spec
     }

@@ -55,7 +55,7 @@ impl DiurnalForecast {
         assert!(period_s > 0.0, "diurnal period must be positive");
         let omega = 2.0 * std::f64::consts::PI / period_s;
         let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); regions as usize];
-        for column in &trace.columns {
+        for column in trace.columns.iter() {
             let s = &mut sums[column.region as usize];
             for at in &column.at {
                 let t = at.as_secs_f64();

@@ -52,7 +52,7 @@ pub use shard::{simulate_planet, CellSpec, PlanetConfig, PlanetReport};
 pub use sim::{compare_global, simulate_global, simulate_global_traced};
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use mtia_core::error::ConfigError;
 use mtia_core::pool;
@@ -93,19 +93,21 @@ impl GlobalFleetSpec {
     /// A symmetric fleet: `regions × pods_per_region` pods with a
     /// uniform one-way inter-region latency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any dimension is zero.
+    /// [`ConfigError::OutOfRange`] if any dimension is zero.
     pub fn symmetric(
         regions: u32,
         pods_per_region: u32,
         devices_per_pod: u32,
         inter_region: SimTime,
-    ) -> Self {
-        assert!(
-            regions > 0 && pods_per_region > 0 && devices_per_pod > 0,
-            "every fleet dimension must be non-empty"
-        );
+    ) -> Result<Self, ConfigError> {
+        if regions == 0 || pods_per_region == 0 || devices_per_pod == 0 {
+            return Err(ConfigError::OutOfRange {
+                what: "fleet dimensions",
+                valid: "regions, pods per region and devices per pod all > 0",
+            });
+        }
         let pod_regions = (0..regions)
             .flat_map(|r| std::iter::repeat_n(r, pods_per_region as usize))
             .collect();
@@ -116,12 +118,12 @@ impl GlobalFleetSpec {
                     .collect()
             })
             .collect();
-        GlobalFleetSpec {
+        Ok(GlobalFleetSpec {
             pod_regions,
             regions,
             devices_per_pod,
             wan,
-        }
+        })
     }
 
     /// Total pods.
@@ -589,11 +591,12 @@ impl RegionColumn {
 /// A replayable multi-region arrival trace — the byte-identical
 /// artifact both comparison arms consume. Stored as one column per
 /// region in generation order; [`RegionalTrace::arrivals`] merges them
-/// back into `(time, region)` order.
+/// back into `(time, region)` order. The sealed columns are shared, so
+/// a clone costs O(1) and every arm replays the same arrivals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionalTrace {
     /// The regions that have arrivals, ascending by region index.
-    columns: Vec<RegionColumn>,
+    columns: Arc<[RegionColumn]>,
     len: usize,
     fingerprint: u64,
 }
@@ -640,7 +643,7 @@ impl RegionalTrace {
             c.low.shrink_to_fit();
         }
         let mut trace = RegionalTrace {
-            columns,
+            columns: columns.into(),
             len: 0,
             fingerprint: 0,
         };
@@ -970,7 +973,8 @@ mod tests {
 
     #[test]
     fn symmetric_spec_is_consistent() {
-        let spec = GlobalFleetSpec::symmetric(3, 2, 16, SimTime::from_millis(60));
+        let spec = GlobalFleetSpec::symmetric(3, 2, 16, SimTime::from_millis(60))
+            .expect("every dimension is non-empty");
         spec.validate();
         assert_eq!(spec.pods(), 6);
         assert_eq!(spec.devices(), 96);
@@ -980,6 +984,32 @@ mod tests {
         assert_eq!(spec.pod_of_device(17), 1);
         assert_eq!(spec.wan_latency(0, 0), SimTime::ZERO);
         assert_eq!(spec.wan_latency(0, 2), SimTime::from_millis(60));
+    }
+
+    #[test]
+    fn symmetric_spec_rejects_a_zero_dimension() {
+        let wan = SimTime::from_millis(60);
+        for (regions, pods, devices) in [(0, 2, 16), (3, 0, 16), (3, 2, 0), (0, 0, 0)] {
+            assert!(
+                matches!(
+                    GlobalFleetSpec::symmetric(regions, pods, devices, wan),
+                    Err(ConfigError::OutOfRange { .. })
+                ),
+                "{regions} × {pods} × {devices}"
+            );
+        }
+    }
+
+    #[test]
+    fn trace_clone_shares_its_columns() {
+        let config = RegionalTrafficConfig::production(50.0, SimTime::from_secs(20));
+        let trace = build_regional_trace(&config, 3, SimTime::from_secs(20), 4);
+        let clone = trace.clone();
+        assert!(Arc::ptr_eq(&trace.columns, &clone.columns));
+        assert_eq!(clone, trace);
+        assert_eq!(clone.len(), trace.len());
+        assert_eq!(clone.fingerprint(), trace.fingerprint());
+        assert!(clone.arrivals().eq(trace.arrivals()));
     }
 
     #[test]

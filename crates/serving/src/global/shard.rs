@@ -370,7 +370,8 @@ mod tests {
     use mtia_sim::faults::{FaultEvent, FaultKind};
 
     fn toy_cell(index: u64, policy: RoutingPolicy) -> CellSpec {
-        let spec = GlobalFleetSpec::symmetric(2, 2, 8, SimTime::from_millis(60));
+        let spec = GlobalFleetSpec::symmetric(2, 2, 8, SimTime::from_millis(60))
+            .expect("every dimension is non-empty");
         let seed = derive_indexed(42, "planet.cell", index);
         let traffic = RegionalTrafficConfig::production(20.0, SimTime::from_secs(20));
         let trace = build_regional_trace(&traffic, spec.regions, SimTime::from_secs(20), seed);
@@ -416,7 +417,8 @@ mod tests {
     /// A `global_small`-shaped cell (2 regions × 2 pods × 16 devices,
     /// 40 ms WAN) driven past the ladder's thresholds.
     fn hot_cell(index: u64, policy: RoutingPolicy, rate: f64) -> CellSpec {
-        let spec = GlobalFleetSpec::symmetric(2, 2, 16, SimTime::from_millis(40));
+        let spec = GlobalFleetSpec::symmetric(2, 2, 16, SimTime::from_millis(40))
+            .expect("every dimension is non-empty");
         let seed = derive_indexed(7, "planet.hot", index);
         let horizon = SimTime::from_secs(120);
         let traffic = RegionalTrafficConfig::production(rate, horizon);

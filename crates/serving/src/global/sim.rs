@@ -32,7 +32,13 @@
 //! * per-request state lives in a generational slab ([`Arena`]); the
 //!   registry keeps each request's *logical* (monotonic) id as the
 //!   re-issue-timer tie-break so slot reuse can never reorder
-//!   same-instant timers;
+//!   same-instant timers. A request's arrival, ingress, tier and
+//!   degraded flag are kept there once (40 B per live request), and
+//!   every copy of it is a handle: 12 B per queued copy, 24 B per
+//!   in-flight copy. The WAN round trip charged at completion comes
+//!   from a per-`(ingress, region)` table built once. A latched
+//!   naive-retry arm holds over a million queued copies at a time, so
+//!   per-copy bytes are most of its memory;
 //! * per-device state is struct-of-arrays ([`Devices`]): the routing
 //!   and probe sweeps scan dense `Vec<bool>`/`Vec<u32>` columns instead
 //!   of striding over fat structs, with a derived `eligible` column
@@ -41,7 +47,10 @@
 //!   cell-sharded parallel driver in [`super::shard`] advances many
 //!   independent `Sim`s in speculative epoch windows, restores clones
 //!   when a window mispredicts the fleet floor, and merges their
-//!   reports deterministically.
+//!   reports deterministically;
+//! * the arrivals are borrowed from the [`RegionalTrace`], whose clones
+//!   share one copy of its columns, so arms replaying the same trace
+//!   hold its arrivals once between them.
 //!
 //! The run counts every outcome, and every processed event, straight
 //! into the [`GlobalReport`] it returns. Closing the run derives `lost`
@@ -193,15 +202,12 @@ fn partition_toggles(spec: &GlobalFleetSpec, plan: &FaultPlan) -> Vec<(SimTime, 
 }
 
 /// One copy of a request (primary or hedge) sitting in a device queue
-/// or in flight.
+/// or in flight: a handle to the request's [`ReqState`], which holds
+/// its arrival, ingress, tier and degraded flag once for every copy
+/// and stays live while any copy does.
 #[derive(Debug, Clone, Copy)]
 struct QueuedCopy {
     req: ArenaRef,
-    arrived: SimTime,
-    ingress: u32,
-    wan_rtt: SimTime,
-    degraded: bool,
-    tier: u8,
     hedge: bool,
 }
 
@@ -351,10 +357,14 @@ pub(super) struct Sim<'a> {
     /// Per-(ingress, pod) edge breakers, indexed `ingress × pods + pod`
     /// (armed breaker only).
     breakers: Vec<CircuitBreaker>,
-    /// Fitted diurnal forecast; present exactly when autoscaling runs.
+    /// Fitted diurnal forecast; present exactly when autoscaling runs
+    /// and at least one planning tick falls within the trace.
     forecast: Option<DiurnalForecast>,
     /// Devices per pod that are *not* reserve (the scale-down floor).
     nominal_per_pod: u32,
+    /// `wan(a, b) + wan(b, a)` per `(ingress a, region b)`, indexed
+    /// `a × regions + b`: the round trip charged to a served copy.
+    wan_rtt: Vec<SimTime>,
     reqs: Arena<ReqState>,
     next_req: u64,
     seq: u64,
@@ -435,12 +445,19 @@ impl<'a> Sim<'a> {
             })
             .collect();
         let local_pods = (0..spec.regions).map(|r| spec.pods_in_region(r)).collect();
+        let wan_rtt = (0..spec.regions)
+            .flat_map(|a| (0..spec.regions).map(move |b| (a, b)))
+            .map(|(a, b)| spec.wan_latency(a, b) + spec.wan_latency(b, a))
+            .collect();
         let last_arrival = trace.last_at().unwrap_or(SimTime::ZERO);
         // Autoscaling fits the per-region diurnal harmonic from the
-        // trace once, up front — the "forecast" the planner trusts.
+        // trace once, up front — the "forecast" the planner trusts. Only
+        // a planning tick reads it, and ticks fire at `interval`,
+        // `2 × interval`, … up to the last arrival, so a trace too short
+        // for one tick (a zero horizon included) fits nothing.
         let forecast = arm
             .autoscale
-            .filter(|_| !trace.is_empty())
+            .filter(|a| SimTime::ZERO < last_arrival && a.interval <= last_arrival)
             .map(|autoscale| DiurnalForecast::fit(trace, spec.regions, last_arrival, &autoscale));
         let scale_at = arm.autoscale.map_or(SimTime::ZERO, |a| a.interval);
         Sim {
@@ -461,6 +478,7 @@ impl<'a> Sim<'a> {
             breakers,
             forecast,
             nominal_per_pod,
+            wan_rtt,
             reqs: Arena::new(),
             next_req: 0,
             seq: 0,
@@ -562,9 +580,9 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Fault-free service time of `copy` at its tier.
-    fn base_service(&self, copy: &QueuedCopy) -> SimTime {
-        if copy.degraded {
+    /// Fault-free service time of a copy at its tier.
+    fn base_service(&self, degraded: bool) -> SimTime {
+        if degraded {
             self.config.degraded_service_time
         } else {
             self.config.service_time
@@ -579,23 +597,10 @@ impl<'a> Sim<'a> {
         self.config.service_time.scale(depth + 1.0)
     }
 
-    /// Queues a copy of request `id` on `device` — charged the WAN
-    /// round trip between its ingress and the device's region — and
-    /// tries to start it.
-    fn enqueue(&mut self, at: SimTime, device: u32, id: ArenaRef, req: &ReqState, hedge: bool) {
+    /// Queues a copy of request `id` on `device` and tries to start it.
+    fn enqueue(&mut self, at: SimTime, device: u32, id: ArenaRef, hedge: bool) {
         let di = device as usize;
-        let dest_region = self.dev.region[di];
-        let wan_rtt = self.spec.wan_latency(req.ingress, dest_region)
-            + self.spec.wan_latency(dest_region, req.ingress);
-        self.dev.queue[di].push_back(QueuedCopy {
-            req: id,
-            arrived: req.arrived,
-            ingress: req.ingress,
-            wan_rtt,
-            degraded: req.degraded,
-            tier: req.tier,
-            hedge,
-        });
+        self.dev.queue[di].push_back(QueuedCopy { req: id, hedge });
         self.pods[self.dev.pod[di] as usize].queued += 1;
         self.total_queued += 1;
         self.dispatch(device, at);
@@ -674,26 +679,29 @@ impl<'a> Sim<'a> {
             let pod = self.dev.pod[di] as usize;
             self.pods[pod].queued -= 1;
             self.total_queued -= 1;
-            let answered = self.reqs.get(copy.req).is_none_or(|r| r.answered);
+            let req = *self
+                .reqs
+                .get(copy.req)
+                .expect("a queued copy keeps its request live");
             // The naive-retry arm is deadline- and duplicate-*oblivious*
             // at the server: it cannot tell that a copy's request was
             // already answered (no cancellation propagation) or that its
             // client has long given up, so it burns a full service slot
             // either way — the wasted work that sustains the metastable
             // latch. Every other arm cancels both for free here.
-            if answered && self.arm.server_cancel {
+            if req.answered && self.arm.server_cancel {
                 self.drop_copy(copy.req, CopyEnd::Cancelled);
                 continue;
             }
-            if self.arm.server_cancel && now > copy.arrived + self.config.deadline {
-                if let Some(b) = self.breaker_mut(copy.ingress, self.dev.pod[di]) {
+            if self.arm.server_cancel && now > req.arrived + self.config.deadline {
+                if let Some(b) = self.breaker_mut(req.ingress, self.dev.pod[di]) {
                     b.record_failure(now);
                 }
                 self.drop_copy(copy.req, CopyEnd::Expired);
                 continue;
             }
             let service = self
-                .base_service(&copy)
+                .base_service(req.degraded)
                 .scale(self.dev.faults[di].service_time_factor(now));
             self.seq += 1;
             let id = self.completions.push(
@@ -771,7 +779,12 @@ impl<'a> Sim<'a> {
                     .expect("busy implies a pending completion");
                 self.pods[pod].busy -= 1;
                 self.total_busy -= 1;
-                if let Some(b) = self.breaker_mut(inflight.copy.ingress, pod as u32) {
+                let ingress = self
+                    .reqs
+                    .get(inflight.copy.req)
+                    .expect("in-flight copy has registry entry")
+                    .ingress;
+                if let Some(b) = self.breaker_mut(ingress, pod as u32) {
                     b.record_failure(at);
                 }
                 self.drop_copy(inflight.copy.req, CopyEnd::Killed);
@@ -994,7 +1007,7 @@ impl<'a> Sim<'a> {
             answered: false,
         };
         let req = self.reqs.insert(state);
-        self.enqueue(at, device, req, &state, false);
+        self.enqueue(at, device, req, false);
         let fire = match self.arm.reissue {
             Some(Reissue::Hedge(_)) => self.pods[pod as usize].hedge_deadline,
             Some(Reissue::Retry) => self.config.overload.attempt_timeout,
@@ -1047,7 +1060,7 @@ impl<'a> Sim<'a> {
         entry.live += 1;
         let more = entry.hedges < policy.max_hedges;
         self.report.hedges_issued += 1;
-        self.enqueue(at, target, id, &req, true);
+        self.enqueue(at, target, id, true);
         if more {
             let pod = self.dev.pod[target as usize] as usize;
             self.reissues
@@ -1104,7 +1117,7 @@ impl<'a> Sim<'a> {
         entry.live += 1;
         let copies = entry.hedges;
         self.report.retries_issued += 1;
-        self.enqueue(at, device, id, &req, false);
+        self.enqueue(at, device, id, false);
         let next = at + self.config.overload.attempt_timeout;
         if copies + 1 < self.config.overload.max_attempts && next < expiry {
             self.reissues.push(next, req.logical, id);
@@ -1201,64 +1214,64 @@ impl<'a> Sim<'a> {
         let pod = self.dev.pod[di] as usize;
         self.pods[pod].busy -= 1;
         self.total_busy -= 1;
+        let state = self
+            .reqs
+            .get_mut(copy.req)
+            .expect("in-flight copy has registry entry");
+        state.live -= 1;
+        // `req.answered` is whether an earlier copy already answered.
+        let req = *state;
+        state.answered = true;
+        if req.live == 0 {
+            self.reqs.remove(copy.req);
+        }
         if self.arm.outliers {
             // Observe the dimensionless service factor (actual over
             // base for this copy's tier) so degraded-tier responses
             // don't skew the pod median.
             let factor = finish.saturating_sub(inflight.started).as_secs_f64()
                 / self
-                    .base_service(&copy)
+                    .base_service(req.degraded)
                     .as_secs_f64()
                     .max(f64::MIN_POSITIVE);
             let local = di - pod * self.spec.devices_per_pod as usize;
             self.pods[pod].detector.observe(local, factor);
         }
-        let state = self
-            .reqs
-            .get_mut(copy.req)
-            .expect("in-flight copy has registry entry");
-        state.live -= 1;
-        let closed = state.live == 0;
-        if state.answered {
-            if closed {
-                self.reqs.remove(copy.req);
-            }
+        if req.answered {
             self.report.duplicates_suppressed += 1;
             self.dispatch(inflight.device, finish);
             return;
         }
-        state.answered = true;
-        if closed {
-            self.reqs.remove(copy.req);
-        }
-        if self.arm.client_deadline && finish > copy.arrived + self.config.deadline {
+        if self.arm.client_deadline && finish > req.arrived + self.config.deadline {
             // The first copy to finish did so past the end-to-end
             // deadline: the client has long abandoned the request, but
             // the server still burned the slot — that wasted service is
             // exactly the amplification that latches metastable
             // collapse in the naive arm.
             self.report.lost_deadline += 1;
-            if let Some(b) = self.breaker_mut(copy.ingress, pod as u32) {
+            if let Some(b) = self.breaker_mut(req.ingress, pod as u32) {
                 b.record_failure(finish);
             }
             self.dispatch(inflight.device, finish);
             return;
         }
-        self.bucket_mut(copy.arrived).served += 1;
-        if let Some(b) = self.breaker_mut(copy.ingress, pod as u32) {
-            b.record_success(inflight.started.saturating_sub(copy.arrived));
+        self.bucket_mut(req.arrived).served += 1;
+        if let Some(b) = self.breaker_mut(req.ingress, pod as u32) {
+            b.record_success(inflight.started.saturating_sub(req.arrived));
         }
         if copy.hedge {
             self.report.hedge_wins += 1;
         }
-        if copy.degraded {
+        if req.degraded {
             self.report.served_degraded += 1;
         } else {
             self.report.served_full += 1;
         }
-        let latency = finish.saturating_sub(copy.arrived) + copy.wan_rtt;
+        let region = self.dev.region[di];
+        let wan_rtt = self.wan_rtt[(req.ingress * self.spec.regions + region) as usize];
+        let latency = finish.saturating_sub(req.arrived) + wan_rtt;
         self.report.request_latency.record(latency);
-        let spilled = self.dev.region[di] != copy.ingress;
+        let spilled = region != req.ingress;
         if spilled {
             self.report.spillover_latency.record(latency);
         }
@@ -1266,16 +1279,16 @@ impl<'a> Sim<'a> {
             // The request's whole lifecycle chain, emitted atomically at
             // completion so the span stack stays balanced.
             tel.begin_span(
-                format!("ingress.region{}", copy.ingress),
+                format!("ingress.region{}", req.ingress),
                 "global",
-                copy.arrived,
+                req.arrived,
             );
-            tel.begin_span("route", "global", copy.arrived);
+            tel.begin_span("route", "global", req.arrived);
             tel.span_attr("pod", Json::UInt(self.dev.pod[di] as u64));
-            tel.span_attr("tier", Json::UInt(copy.tier as u64));
+            tel.span_attr("tier", Json::UInt(req.tier as u64));
             tel.span_attr("spillover", Json::Bool(spilled));
             tel.span_attr("hedge", Json::Bool(copy.hedge));
-            tel.end_span(copy.arrived);
+            tel.end_span(req.arrived);
             tel.begin_span(
                 format!("pod{}.serve", self.dev.pod[di]),
                 "global",
@@ -1283,10 +1296,10 @@ impl<'a> Sim<'a> {
             );
             tel.begin_span("cell", "global", inflight.started);
             tel.span_attr("device", Json::UInt(inflight.device as u64));
-            tel.span_attr("degraded", Json::Bool(copy.degraded));
+            tel.span_attr("degraded", Json::Bool(req.degraded));
             tel.end_span(finish);
             tel.end_span(finish);
-            tel.end_span(finish + copy.wan_rtt);
+            tel.end_span(finish + wan_rtt);
             tel.hist_record("global.request_latency", latency);
         }
         self.dispatch(inflight.device, finish);
@@ -1513,11 +1526,14 @@ pub fn compare_global(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global::{build_regional_trace, RegionalTrafficConfig};
+    use crate::global::{
+        build_regional_trace, AutoscaleConfig, GlobalArrival, RegionalTrafficConfig,
+    };
     use mtia_sim::faults::FaultEvent;
 
     fn small_spec() -> GlobalFleetSpec {
         GlobalFleetSpec::symmetric(2, 2, 8, SimTime::from_millis(60))
+            .expect("every dimension is non-empty")
     }
 
     fn small_trace(spec: &GlobalFleetSpec, seed: u64) -> RegionalTrace {
@@ -1798,6 +1814,40 @@ mod tests {
         assert_eq!(a.outlier_demotions, b.outlier_demotions);
         assert_eq!(a.routed, b.routed);
         assert!(!tel.to_canonical_json().is_empty());
+    }
+
+    #[test]
+    fn per_copy_state_stays_a_handle() {
+        // A latched naive-retry arm holds over a million copies at once:
+        // each queued copy is a request handle plus its hedge flag, and
+        // the request's fields live once in its registry entry.
+        assert!(std::mem::size_of::<QueuedCopy>() <= 16);
+        assert!(std::mem::size_of::<InFlight>() <= 24);
+        assert!(std::mem::size_of::<ReqState>() <= 40);
+    }
+
+    #[test]
+    fn autoscaling_a_trace_too_short_for_a_planning_tick_serves_it() {
+        let spec = small_spec();
+        let mut config = GlobalConfig::production(31);
+        config.autoscale = Some(AutoscaleConfig::production(SimTime::from_secs(60)));
+        let arrival = GlobalArrival {
+            at: SimTime::ZERO,
+            region: 0,
+            priority: Priority::High,
+        };
+        let trace = RegionalTrace::new(vec![arrival]).expect("one arrival is sorted");
+        let plan = FaultPlan::empty(31);
+        let report = simulate_global(
+            &spec,
+            &config,
+            &trace,
+            &plan,
+            RoutingPolicy::OverloadResilient,
+        );
+        assert_eq!(report.offered, 1);
+        assert_eq!(report.served_full, 1);
+        assert_eq!(report.scale_events, 0);
     }
 
     #[test]

@@ -22,6 +22,7 @@ fn decode_spec(raw: u64) -> GlobalFleetSpec {
     let devices = 2 + ((raw >> 3) % 5) as u32; // 2..=6
     let wan_ms = 20 + ((raw >> 6) % 100); // 20..=119
     GlobalFleetSpec::symmetric(regions, pods, devices, SimTime::from_millis(wan_ms))
+        .expect("decoded dimensions are non-zero")
 }
 
 /// A random fault storm: each packed word decodes to one
