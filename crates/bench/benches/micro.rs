@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the simulator's hot paths: the cache
 //! simulator, the Che/Zipf analytic model, the rANS and LZSS codecs, the
-//! DES kernel, one full chip-level model execution, and the regional
-//! arrival generator.
+//! DES kernel, one full chip-level model execution, the regional
+//! arrival generator, and the regional trace's replay.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -11,7 +11,7 @@ use mtia_core::spec::chips;
 use mtia_core::SimTime;
 use mtia_model::compress::{ans, lzss};
 use mtia_model::models::dlrm::DlrmConfig;
-use mtia_serving::global::RegionalTrafficConfig;
+use mtia_serving::global::{build_regional_trace, RegionalTrafficConfig};
 use mtia_serving::traffic::{ArrivalProcess, FlashCrowd, RegionalArrivals};
 use mtia_sim::chip::ChipSim;
 use mtia_sim::mem::cache::{zipf_hit_rate, SetAssocCache};
@@ -123,9 +123,28 @@ fn bench_arrivals(c: &mut Criterion) {
     });
 }
 
+/// Replays one E24 cell trace (the planetary fleet's three regions of
+/// the production shape above): the per-arrival cost of decoding the
+/// gap-encoded columns and merging them into `(time, region)` order.
+/// Divide ns/iter by the printed arrival count for ns per arrival.
+fn bench_trace_replay(c: &mut Criterion) {
+    let horizon = SimTime::from_secs(600);
+    let shape = RegionalTrafficConfig::production(600.0, horizon);
+    let trace = build_regional_trace(&shape, 3, horizon, 24);
+    println!("regional_trace_replay: {} arrivals/iter", trace.len());
+    c.bench_function("regional_trace_replay", |b| {
+        b.iter(|| {
+            for arrival in trace.arrivals() {
+                black_box(arrival);
+            }
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache, bench_codecs, bench_engine, bench_chip, bench_arrivals
+    targets = bench_cache, bench_codecs, bench_engine, bench_chip, bench_arrivals,
+        bench_trace_replay
 }
 criterion_main!(benches);

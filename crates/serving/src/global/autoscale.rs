@@ -57,7 +57,7 @@ impl DiurnalForecast {
         let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); regions as usize];
         for column in trace.columns.iter() {
             let s = &mut sums[column.region as usize];
-            for at in &column.at {
+            for at in column.times() {
                 let t = at.as_secs_f64();
                 s.0 += 1.0;
                 s.1 += (omega * t).cos();

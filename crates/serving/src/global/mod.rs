@@ -523,6 +523,38 @@ impl GlobalConfig {
             seed,
         }
     }
+
+    /// Checks the timer settings a run depends on: every periodic event
+    /// must move time forward, or the simulation would spin at one
+    /// instant.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] on a zero `probe_interval`, or on a
+    /// zero autoscale `interval` or `period`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.probe_interval == SimTime::ZERO {
+            return Err(ConfigError::OutOfRange {
+                what: "global probe interval",
+                valid: "a positive duration",
+            });
+        }
+        if let Some(autoscale) = &self.autoscale {
+            if autoscale.interval == SimTime::ZERO {
+                return Err(ConfigError::OutOfRange {
+                    what: "autoscale planning interval",
+                    valid: "a positive duration",
+                });
+            }
+            if autoscale.period == SimTime::ZERO {
+                return Err(ConfigError::OutOfRange {
+                    what: "autoscale diurnal period",
+                    valid: "a positive duration",
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Request priority class, assigned at ingress. Tier 1 of the ladder
@@ -546,53 +578,136 @@ pub struct GlobalArrival {
     pub priority: Priority,
 }
 
-/// One region's arrivals: times in generation order (non-decreasing)
-/// plus a bitset marking the [`Priority::Low`] ones — 8⅛ bytes per
-/// arrival.
+/// Gap code marking an escaped gap: its full width is the next entry of
+/// [`RegionColumn::wide`].
+const ESCAPED: u8 = 0x7F;
+
+/// The [`RegionColumn::hi`] bit marking a [`Priority::Low`] arrival.
+const LOW: u8 = 0x80;
+
+/// One region's arrivals in generation order (non-decreasing times),
+/// stored as gaps from the previous arrival, the first gap from zero:
+/// 5 bytes per arrival. Gaps of `127 × 2³²` ps (≈ 0.55 s) or more
+/// escape to `wide`, 8 bytes more each; a region drawing at 360/s or
+/// faster never produces one. The encoding is canonical, so equal
+/// arrivals mean equal columns.
 #[derive(Debug, Clone, PartialEq)]
 struct RegionColumn {
     region: u32,
-    at: Vec<SimTime>,
-    /// Bit `i % 64` of word `i / 64` is set when arrival `i` is low
-    /// priority.
-    low: Vec<u64>,
+    /// Low 32 bits of each gap.
+    lo: Vec<u32>,
+    /// Bits 32–38 of each gap in bits 0–6 ([`ESCAPED`] for an escaped
+    /// gap) and the [`LOW`] priority flag in bit 7.
+    hi: Vec<u8>,
+    /// The full gaps of escaped arrivals, in arrival order.
+    wide: Vec<u64>,
+    /// Time of the last arrival ([`SimTime::ZERO`] when empty).
+    end: SimTime,
 }
 
 impl RegionColumn {
     fn new(region: u32) -> Self {
         RegionColumn {
             region,
-            at: Vec::new(),
-            low: Vec::new(),
+            lo: Vec::new(),
+            hi: Vec::new(),
+            wide: Vec::new(),
+            end: SimTime::ZERO,
         }
+    }
+
+    fn len(&self) -> usize {
+        self.lo.len()
     }
 
     fn push(&mut self, at: SimTime, priority: Priority) {
-        let i = self.at.len();
-        if i.is_multiple_of(64) {
-            self.low.push(0);
-        }
-        if priority == Priority::Low {
-            self.low[i / 64] |= 1 << (i % 64);
-        }
-        self.at.push(at);
+        debug_assert!(self.end <= at, "a column's arrivals never go back in time");
+        let gap = at.as_picos() - self.end.as_picos();
+        let code = if gap >> 32 < ESCAPED as u64 {
+            (gap >> 32) as u8
+        } else {
+            self.wide.push(gap);
+            ESCAPED
+        };
+        let flag = if priority == Priority::Low { LOW } else { 0 };
+        self.lo.push(gap as u32);
+        self.hi.push(code | flag);
+        self.end = at;
     }
 
-    fn get(&self, i: usize) -> GlobalArrival {
-        let low = self.low[i / 64] >> (i % 64) & 1 == 1;
-        GlobalArrival {
-            at: self.at[i],
-            region: self.region,
-            priority: if low { Priority::Low } else { Priority::High },
-        }
+    /// Arrival times in order.
+    fn times(&self) -> impl Iterator<Item = SimTime> + '_ {
+        let mut cursor = ColumnCursor::start(self);
+        std::iter::from_fn(move || cursor.advance(self).map(|a| a.at))
+    }
+}
+
+/// A read position in one [`RegionColumn`]: the next arrival's index,
+/// the next unread `wide` entry, and the next arrival's decoded time,
+/// so peeking at a column never decodes twice.
+#[derive(Debug, Clone, Copy)]
+struct ColumnCursor {
+    next: usize,
+    wide: usize,
+    at: SimTime,
+}
+
+impl ColumnCursor {
+    /// A cursor on `column`'s first arrival.
+    fn start(column: &RegionColumn) -> Self {
+        let mut cursor = ColumnCursor {
+            next: 0,
+            wide: 0,
+            at: SimTime::ZERO,
+        };
+        cursor.decode(column);
+        cursor
+    }
+
+    /// Adds the next arrival's gap to `at`, if there is a next arrival.
+    fn decode(&mut self, column: &RegionColumn) {
+        let Some(&code) = column.hi.get(self.next) else {
+            return;
+        };
+        let gap = match code & !LOW {
+            ESCAPED => {
+                self.wide += 1;
+                column.wide[self.wide - 1]
+            }
+            hi => (hi as u64) << 32 | column.lo[self.next] as u64,
+        };
+        self.at = SimTime::from_picos(self.at.as_picos() + gap);
+    }
+
+    /// Time of the next arrival, without consuming it.
+    fn peek(&self, column: &RegionColumn) -> Option<SimTime> {
+        (self.next < column.len()).then_some(self.at)
+    }
+
+    /// Consumes the next arrival.
+    fn advance(&mut self, column: &RegionColumn) -> Option<GlobalArrival> {
+        let at = self.peek(column)?;
+        let priority = if column.hi[self.next] & LOW == 0 {
+            Priority::High
+        } else {
+            Priority::Low
+        };
+        self.next += 1;
+        self.decode(column);
+        Some(GlobalArrival {
+            at,
+            region: column.region,
+            priority,
+        })
     }
 }
 
 /// A replayable multi-region arrival trace — the byte-identical
-/// artifact both comparison arms consume. Stored as one column per
-/// region in generation order; [`RegionalTrace::arrivals`] merges them
-/// back into `(time, region)` order. The sealed columns are shared, so
-/// a clone costs O(1) and every arm replays the same arrivals.
+/// artifact both comparison arms consume. Stored as one gap-encoded
+/// column per region in generation order, 5 bytes per arrival;
+/// [`RegionalTrace::arrivals`] decodes and merges them back into
+/// `(time, region)` order. The sealed columns are shared, so a clone
+/// costs O(1) and every arm replays the same arrivals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionalTrace {
     /// The regions that have arrivals, ascending by region index.
@@ -633,21 +748,19 @@ impl RegionalTrace {
     /// order: drops empty regions and computes `len` and the
     /// fingerprint once.
     fn from_columns(mut columns: Vec<RegionColumn>) -> Self {
-        columns.retain(|c| !c.at.is_empty());
+        columns.retain(|c| c.len() > 0);
         debug_assert!(columns.windows(2).all(|w| w[0].region < w[1].region));
-        debug_assert!(columns
-            .iter()
-            .all(|c| c.at.windows(2).all(|w| w[0] <= w[1])));
         for c in &mut columns {
-            c.at.shrink_to_fit();
-            c.low.shrink_to_fit();
+            c.lo.shrink_to_fit();
+            c.hi.shrink_to_fit();
+            c.wide.shrink_to_fit();
         }
         let mut trace = RegionalTrace {
             columns: columns.into(),
             len: 0,
             fingerprint: 0,
         };
-        trace.len = trace.columns.iter().map(|c| c.at.len()).sum();
+        trace.len = trace.columns.iter().map(RegionColumn::len).sum();
         trace.fingerprint = fnv_fingerprint(trace.arrivals());
         trace
     }
@@ -656,7 +769,7 @@ impl RegionalTrace {
     pub fn arrivals(&self) -> Arrivals<'_> {
         let mut arrivals = Arrivals {
             columns: &self.columns,
-            cursor: vec![0; self.columns.len()],
+            cursors: self.columns.iter().map(ColumnCursor::start).collect(),
             head: None,
         };
         arrivals.head = arrivals.find_head();
@@ -665,10 +778,7 @@ impl RegionalTrace {
 
     /// Time of the last arrival, if any.
     fn last_at(&self) -> Option<SimTime> {
-        self.columns
-            .iter()
-            .filter_map(|c| c.at.last().copied())
-            .max()
+        self.columns.iter().map(|c| c.end).max()
     }
 
     /// Number of requests in the trace.
@@ -715,8 +825,8 @@ fn fnv_fingerprint(arrivals: impl Iterator<Item = GlobalArrival>) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Arrivals<'a> {
     columns: &'a [RegionColumn],
-    /// Next unread index per column.
-    cursor: Vec<usize>,
+    /// Read position per column.
+    cursors: Vec<ColumnCursor>,
     /// `(column, at)` of the next arrival.
     head: Option<(usize, SimTime)>,
 }
@@ -726,8 +836,8 @@ impl Arrivals<'_> {
     /// since columns ascend by region.
     fn find_head(&self) -> Option<(usize, SimTime)> {
         let mut head: Option<(usize, SimTime)> = None;
-        for (c, column) in self.columns.iter().enumerate() {
-            if let Some(&at) = column.at.get(self.cursor[c]) {
+        for (c, (column, cursor)) in self.columns.iter().zip(&self.cursors).enumerate() {
+            if let Some(at) = cursor.peek(column) {
                 if head.is_none_or(|(_, t)| at < t) {
                     head = Some((c, at));
                 }
@@ -747,10 +857,9 @@ impl Iterator for Arrivals<'_> {
 
     fn next(&mut self) -> Option<GlobalArrival> {
         let (c, _) = self.head?;
-        let arrival = self.columns[c].get(self.cursor[c]);
-        self.cursor[c] += 1;
+        let arrival = self.cursors[c].advance(&self.columns[c]);
         self.head = self.find_head();
-        Some(arrival)
+        arrival
     }
 }
 
@@ -1001,6 +1110,33 @@ mod tests {
     }
 
     #[test]
+    fn config_validation_rejects_zero_timers() {
+        let production = GlobalConfig::production(1);
+        let with_autoscale = |edit: fn(&mut AutoscaleConfig)| {
+            let mut autoscale = AutoscaleConfig::production(SimTime::from_secs(60));
+            edit(&mut autoscale);
+            GlobalConfig {
+                autoscale: Some(autoscale),
+                ..production.clone()
+            }
+        };
+        assert_eq!(production.validate(), Ok(()));
+        assert_eq!(with_autoscale(|_| {}).validate(), Ok(()));
+        let zero_probe = GlobalConfig {
+            probe_interval: SimTime::ZERO,
+            ..production.clone()
+        };
+        let zero_interval = with_autoscale(|a| a.interval = SimTime::ZERO);
+        let zero_period = with_autoscale(|a| a.period = SimTime::ZERO);
+        for config in [zero_probe, zero_interval, zero_period] {
+            assert!(matches!(
+                config.validate(),
+                Err(ConfigError::OutOfRange { .. })
+            ));
+        }
+    }
+
+    #[test]
     fn trace_clone_shares_its_columns() {
         let config = RegionalTrafficConfig::production(50.0, SimTime::from_secs(20));
         let trace = build_regional_trace(&config, 3, SimTime::from_secs(20), 4);
@@ -1010,6 +1146,29 @@ mod tests {
         assert_eq!(clone.len(), trace.len());
         assert_eq!(clone.fingerprint(), trace.fingerprint());
         assert!(clone.arrivals().eq(trace.arrivals()));
+    }
+
+    #[test]
+    fn production_cell_trace_takes_five_bytes_per_arrival() {
+        // One E24 cell: the planetary fleet's three regions at 600/s
+        // for 600 s, about 1.1M arrivals.
+        let horizon = SimTime::from_secs(600);
+        let config = RegionalTrafficConfig::production(600.0, horizon);
+        let trace = build_regional_trace(&config, 3, horizon, 24);
+        let bytes: usize = trace
+            .columns
+            .iter()
+            .map(|c| {
+                assert!(c.wide.is_empty(), "region {} escaped a gap", c.region);
+                c.lo.len() * size_of::<u32>() + c.hi.len() + c.wide.len() * size_of::<u64>()
+            })
+            .sum();
+        assert!(trace.len() > 1_000_000);
+        assert!(
+            bytes <= 5 * trace.len(),
+            "{bytes} B for {} arrivals",
+            trace.len()
+        );
     }
 
     #[test]

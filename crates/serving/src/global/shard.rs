@@ -277,6 +277,11 @@ fn run_window<'a>(
 /// order, every cross-cell reduction folds in cell index order, and
 /// speculated work past a mispredicted barrier is discarded with its
 /// event counts.
+///
+/// # Panics
+///
+/// Panics on an empty `cells`, on cells whose timeline bucket widths
+/// differ, and on a cell config that fails [`GlobalConfig::validate`].
 pub fn simulate_planet(cells: &[CellSpec], planet: PlanetConfig) -> PlanetReport {
     assert!(!cells.is_empty(), "a planet needs at least one cell");
     assert!(

@@ -401,6 +401,7 @@ impl<'a> Sim<'a> {
         policy: RoutingPolicy,
     ) -> Self {
         spec.validate();
+        config.validate().expect("a valid global config");
         let arm = policy.defenses(config);
         // Before any sweep runs, hedge at multiplier × the base service
         // time (floored by the policy delay like every later value).
@@ -1444,6 +1445,12 @@ impl<'a> Sim<'a> {
 /// request lifecycle into `tel` when tracing is enabled. Telemetry is a
 /// pure observer: the returned report is byte-identical whether `tel`
 /// is enabled or not.
+///
+/// # Panics
+///
+/// Panics if `config` fails [`GlobalConfig::validate`]: a zero probe
+/// interval or autoscale interval would re-fire its timer at one
+/// instant forever.
 pub fn simulate_global_traced(
     spec: &GlobalFleetSpec,
     config: &GlobalConfig,
@@ -1848,6 +1855,48 @@ mod tests {
         assert_eq!(report.offered, 1);
         assert_eq!(report.served_full, 1);
         assert_eq!(report.scale_events, 0);
+    }
+
+    /// Two arrivals a second apart: enough for a probe sweep or a
+    /// planning tick to fire between them.
+    fn two_arrival_trace() -> RegionalTrace {
+        let arrival = |s| GlobalArrival {
+            at: SimTime::from_secs(s),
+            region: 0,
+            priority: Priority::High,
+        };
+        RegionalTrace::new(vec![arrival(1), arrival(2)]).expect("sorted")
+    }
+
+    #[test]
+    #[should_panic(expected = "global probe interval")]
+    fn a_zero_probe_interval_is_rejected_instead_of_spinning() {
+        let spec = small_spec();
+        let mut config = GlobalConfig::production(37);
+        config.probe_interval = SimTime::ZERO;
+        let plan = FaultPlan::empty(37);
+        let trace = two_arrival_trace();
+        simulate_global(&spec, &config, &trace, &plan, RoutingPolicy::HealthAware);
+    }
+
+    #[test]
+    #[should_panic(expected = "autoscale planning interval")]
+    fn a_zero_autoscale_interval_is_rejected_instead_of_spinning() {
+        let spec = small_spec();
+        let mut config = GlobalConfig::production(37);
+        config.autoscale = Some(AutoscaleConfig {
+            interval: SimTime::ZERO,
+            ..AutoscaleConfig::production(SimTime::from_secs(60))
+        });
+        let plan = FaultPlan::empty(37);
+        let trace = two_arrival_trace();
+        simulate_global(
+            &spec,
+            &config,
+            &trace,
+            &plan,
+            RoutingPolicy::OverloadResilient,
+        );
     }
 
     #[test]

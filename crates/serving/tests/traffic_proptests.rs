@@ -1,8 +1,10 @@
 //! Property tests for the arrival-process contracts: stochastic
-//! processes never go backwards and never run dry, and squeezed
-//! thinning yields exactly the arrivals of plain thinning.
+//! processes never go backwards and never run dry, squeezed thinning
+//! yields exactly the arrivals of plain thinning, and a
+//! `RegionalTrace` replays exactly the arrivals it was built from.
 
 use mtia_core::SimTime;
+use mtia_serving::global::{GlobalArrival, Priority, RegionalTrace};
 use mtia_serving::traffic::{ArrivalProcess, FlashCrowd, PoissonArrivals, RegionalArrivals};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -154,5 +156,90 @@ proptest! {
             now_squeezed = squeezed.next_arrival(now_squeezed).unwrap();
             prop_assert_eq!(now_squeezed, now_plain, "arrival {} differs", i);
         }
+    }
+}
+
+/// Smallest gap a region column stores in full beside its 5-byte
+/// entry: `127 × 2³²` ps.
+const ESCAPED_GAP: u64 = 127 << 32;
+
+/// FNV-1a over `(at, region, priority)` words, as
+/// `RegionalTrace::fingerprint` defines it.
+fn reference_fingerprint(arrivals: &[GlobalArrival]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        for byte in word.to_le_bytes() {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    for a in arrivals {
+        mix(a.at.as_picos());
+        mix(a.region as u64);
+        mix(match a.priority {
+            Priority::High => 0,
+            Priority::Low => 1,
+        });
+    }
+    hash
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A trace replays its arrivals exactly, and its length and
+    /// fingerprint are those of the input, whatever the gaps: zero
+    /// gaps, an arrival at t = 0, gaps one picosecond either side of
+    /// the escape threshold, gaps above 2⁴⁰ ps, and regions with no
+    /// arrival or a single one.
+    #[test]
+    fn regional_trace_replays_its_arrivals_exactly(
+        // Per region: 0 empty, 1 a single arrival, else `counts[r]`.
+        count_kinds in vec(0u8..4, 4),
+        counts in vec(0usize..48, 4),
+        // Per arrival: 0 zero, 1 below 2³², 2 below the threshold,
+        // 3/4/5 the threshold − 1 / exactly / + 1, 6 above 2⁴⁰.
+        gap_kinds in vec(0u8..7, 192),
+        gap_lows in vec(any::<u32>(), 192),
+        gap_highs in vec(any::<u64>(), 192),
+        lows in vec(any::<bool>(), 192),
+    ) {
+        let mut arrivals = Vec::new();
+        let mut draw = 0;
+        for region in 0..4u32 {
+            let r = region as usize;
+            let n = match count_kinds[r] {
+                0 => 0,
+                1 => 1,
+                _ => counts[r],
+            };
+            let mut at = 0u64;
+            for _ in 0..n {
+                let (low, high) = (gap_lows[draw] as u64, gap_highs[draw]);
+                at += match gap_kinds[draw] {
+                    0 => 0,
+                    1 => low,
+                    2 => (high % 127) << 32 | low,
+                    3 => ESCAPED_GAP - 1,
+                    4 => ESCAPED_GAP,
+                    5 => ESCAPED_GAP + 1,
+                    _ => (1 << 40) + high % (1 << 50),
+                };
+                arrivals.push(GlobalArrival {
+                    at: SimTime::from_picos(at),
+                    region,
+                    priority: if lows[draw] { Priority::Low } else { Priority::High },
+                });
+                draw += 1;
+            }
+        }
+        // Stable, so each region keeps its own order among equal times.
+        arrivals.sort_by_key(|a| (a.at, a.region));
+        let trace = RegionalTrace::new(arrivals.clone()).unwrap();
+        prop_assert_eq!(trace.len(), arrivals.len());
+        prop_assert_eq!(trace.is_empty(), arrivals.is_empty());
+        prop_assert_eq!(trace.fingerprint(), reference_fingerprint(&arrivals));
+        let replayed: Vec<GlobalArrival> = trace.arrivals().collect();
+        prop_assert_eq!(replayed, arrivals);
     }
 }
