@@ -45,7 +45,9 @@
 //!
 //! [`Arena`] is the companion structure for per-request state: a
 //! generational slab whose stable [`ArenaRef`]s replace `BTreeMap<u64, T>`
-//! lookups with a bounds-checked vector index.
+//! lookups with a bounds-checked vector index. Its values and
+//! generations live in parallel vectors, and bare-slot accessors serve
+//! callers that prove an entry's liveness themselves.
 //!
 //! Both structures are `Clone`, and a clone is a full checkpoint: it
 //! pops the same sequence as the original, and every handle issued
@@ -425,15 +427,21 @@ impl ArenaRef {
     }
 }
 
-#[derive(Clone)]
-struct ArenaSlot<T> {
-    gen: u32,
-    value: Option<T>,
-}
-
 /// A dense generational slab: `BTreeMap<u64, T>` lookups become
 /// bounds-checked vector indexing, and freed slots are reused without
 /// handing stale handles a new occupant's state.
+///
+/// Values and generations sit in two parallel vectors, so a slot costs
+/// [`Arena::SLOT_BYTES`]: `Option<T>` (no bigger than `T` when `T` has
+/// a niche, as a struct with a `bool` does) plus a 4-byte generation,
+/// instead of one struct padded to the value's alignment.
+///
+/// The `*_slot` accessors take a bare slot index and check only that
+/// the slot is occupied, not by whom. They are for a caller that holds
+/// some other proof that the occupant is still the entry it means — a
+/// reference count it keeps inside the entry, say — and wants to store
+/// 4 bytes per reference instead of an 8-byte [`ArenaRef`]. Anything
+/// that can outlive its entry keeps the full handle.
 ///
 /// ```
 /// use mtia_core::eventq::Arena;
@@ -446,10 +454,12 @@ struct ArenaSlot<T> {
 /// assert_eq!(a.slot(), b.slot());
 /// assert_eq!(arena.get(a), None); // ...but the old handle stays dead
 /// assert_eq!(arena.get(b), Some(&"beta"));
+/// assert_eq!(arena.get_slot(a.slot()), Some(&"beta")); // a bare slot reaches the new occupant
 /// ```
 #[derive(Clone)]
 pub struct Arena<T> {
-    slots: Vec<ArenaSlot<T>>,
+    values: Vec<Option<T>>,
+    gens: Vec<u32>,
     free: Vec<u32>,
     len: usize,
 }
@@ -461,20 +471,20 @@ impl<T> Default for Arena<T> {
 }
 
 impl<T> Arena<T> {
+    /// Bytes one slot takes: its value and its generation.
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Option<T>>() + std::mem::size_of::<u32>();
+
     /// An empty arena.
     pub fn new() -> Self {
-        Arena {
-            slots: Vec::new(),
-            free: Vec::new(),
-            len: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty arena with room for `cap` live entries before the first
     /// reallocation.
     pub fn with_capacity(cap: usize) -> Self {
         Arena {
-            slots: Vec::with_capacity(cap),
+            values: Vec::with_capacity(cap),
+            gens: Vec::with_capacity(cap),
             free: Vec::new(),
             len: 0,
         }
@@ -495,50 +505,79 @@ impl<T> Arena<T> {
         self.len += 1;
         match self.free.pop() {
             Some(slot) => {
-                let sl = &mut self.slots[slot as usize];
-                sl.value = Some(value);
-                ArenaRef { slot, gen: sl.gen }
+                self.values[slot as usize] = Some(value);
+                ArenaRef {
+                    slot,
+                    gen: self.gens[slot as usize],
+                }
             }
             None => {
-                let slot = u32::try_from(self.slots.len()).expect("arena over u32::MAX slots");
-                self.slots.push(ArenaSlot {
-                    gen: 0,
-                    value: Some(value),
-                });
+                let slot = u32::try_from(self.values.len()).expect("arena over u32::MAX slots");
+                self.values.push(Some(value));
+                self.gens.push(0);
                 ArenaRef { slot, gen: 0 }
             }
         }
     }
 
+    /// Whether `r` is the live handle of its slot.
+    fn is_current(&self, r: ArenaRef) -> bool {
+        self.gens.get(r.slot as usize) == Some(&r.gen)
+    }
+
     /// The entry behind `r`, or `None` if it was removed (even if the
     /// slot has since been reused).
     pub fn get(&self, r: ArenaRef) -> Option<&T> {
-        let sl = self.slots.get(r.slot as usize)?;
-        if sl.gen != r.gen {
+        if !self.is_current(r) {
             return None;
         }
-        sl.value.as_ref()
+        self.get_slot(r.slot())
     }
 
     /// Mutable access to the entry behind `r`.
     pub fn get_mut(&mut self, r: ArenaRef) -> Option<&mut T> {
-        let sl = self.slots.get_mut(r.slot as usize)?;
-        if sl.gen != r.gen {
+        if !self.is_current(r) {
             return None;
         }
-        sl.value.as_mut()
+        self.get_slot_mut(r.slot())
     }
 
     /// Removes and returns the entry behind `r`, retiring the slot for
     /// reuse. Stale handles return `None`.
     pub fn remove(&mut self, r: ArenaRef) -> Option<T> {
-        let sl = self.slots.get_mut(r.slot as usize)?;
-        if sl.gen != r.gen {
+        if !self.is_current(r) {
             return None;
         }
-        let value = sl.value.take()?;
-        sl.gen = sl.gen.wrapping_add(1);
-        self.free.push(r.slot);
+        self.remove_slot(r.slot())
+    }
+
+    /// The handle of whatever occupies `slot` now, or `None` if the slot
+    /// is free or out of range.
+    pub fn handle(&self, slot: usize) -> Option<ArenaRef> {
+        self.get_slot(slot)?;
+        Some(ArenaRef {
+            slot: slot as u32,
+            gen: self.gens[slot],
+        })
+    }
+
+    /// The entry occupying `slot`, whichever entry that is; `None` if
+    /// the slot is free or out of range.
+    pub fn get_slot(&self, slot: usize) -> Option<&T> {
+        self.values.get(slot)?.as_ref()
+    }
+
+    /// Mutable access to the entry occupying `slot`.
+    pub fn get_slot_mut(&mut self, slot: usize) -> Option<&mut T> {
+        self.values.get_mut(slot)?.as_mut()
+    }
+
+    /// Removes and returns the entry occupying `slot`, retiring the slot
+    /// for reuse; `None` if the slot is free or out of range.
+    pub fn remove_slot(&mut self, slot: usize) -> Option<T> {
+        let value = self.values.get_mut(slot)?.take()?;
+        self.gens[slot] = self.gens[slot].wrapping_add(1);
+        self.free.push(slot as u32);
         self.len -= 1;
         Some(value)
     }
@@ -755,6 +794,51 @@ mod tests {
             assert_eq!(arena.get(r2), None);
         }
         assert_eq!(a.insert("five"), copy.insert("five"));
+    }
+
+    #[test]
+    fn arena_slot_accessors_see_nothing_in_a_free_slot() {
+        let mut a = Arena::new();
+        let r = a.insert(7u32);
+        assert_eq!(a.handle(r.slot()), Some(r));
+        assert_eq!(a.remove_slot(r.slot()), Some(7));
+        // Freed, and past the end: both read as empty.
+        for slot in [r.slot(), r.slot() + 1] {
+            assert_eq!(a.get_slot(slot), None);
+            assert_eq!(a.get_slot_mut(slot), None);
+            assert_eq!(a.handle(slot), None);
+            assert_eq!(a.remove_slot(slot), None);
+        }
+        assert!(a.is_empty());
+        // Removing by slot retires the generation like `remove` does.
+        assert_eq!(a.get(r), None);
+    }
+
+    #[test]
+    fn arena_slot_reused_under_a_stale_timer_handle() {
+        // A timer keeps the full handle of an entry whose slot is freed
+        // and reused before it fires: the handle stays dead, while the
+        // bare slot reaches the new occupant.
+        let mut a = Arena::new();
+        let timer = a.insert("first");
+        assert_eq!(a.remove(timer), Some("first"));
+        let next = a.insert("second");
+        assert_eq!(next.slot(), timer.slot());
+        assert_eq!(a.get(timer), None);
+        assert_eq!(a.get_mut(timer), None);
+        assert_eq!(a.remove(timer), None);
+        assert_eq!(a.handle(timer.slot()), Some(next));
+        assert_ne!(a.handle(timer.slot()), Some(timer));
+        assert_eq!(a.get_slot(timer.slot()), Some(&"second"));
+        *a.get_slot_mut(next.slot()).unwrap() = "third";
+        assert_eq!(a.get(next), Some(&"third"));
+        assert_eq!(a.len(), 1);
+    }
+
+    #[test]
+    fn arena_slot_costs_its_value_and_a_generation() {
+        // `Option<(u64, bool)>` borrows the bool's niche.
+        assert_eq!(Arena::<(u64, bool)>::SLOT_BYTES, 16 + 4);
     }
 
     #[test]

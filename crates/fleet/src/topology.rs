@@ -412,7 +412,7 @@ impl GlobalTopology {
             self.config.inter_region_latency,
         )
         .expect("build rejects empty levels");
-        spec.validate();
+        spec.validate().expect("a symmetric spec is consistent");
         spec
     }
 }

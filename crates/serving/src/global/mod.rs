@@ -158,19 +158,40 @@ impl GlobalFleetSpec {
         self.wan[a as usize][b as usize]
     }
 
-    /// Validates internal consistency (region indices in range, square
-    /// latency matrix with a zero diagonal).
-    pub fn validate(&self) {
-        assert!(!self.pod_regions.is_empty(), "fleet needs at least one pod");
-        assert!(
-            self.pod_regions.iter().all(|&r| r < self.regions),
-            "pod region out of range"
-        );
-        assert_eq!(self.wan.len() as u32, self.regions, "wan matrix height");
-        for (a, row) in self.wan.iter().enumerate() {
-            assert_eq!(row.len() as u32, self.regions, "wan matrix width");
-            assert_eq!(row[a], SimTime::ZERO, "wan diagonal must be zero");
+    /// Checks internal consistency: at least one pod, every pod's
+    /// region in range, and a `regions × regions` latency matrix with a
+    /// zero diagonal.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] naming the first inconsistency.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.pod_regions.is_empty() {
+            return Err(ConfigError::OutOfRange {
+                what: "fleet pods",
+                valid: "at least one pod",
+            });
         }
+        if self.pod_regions.iter().any(|&r| r >= self.regions) {
+            return Err(ConfigError::OutOfRange {
+                what: "pod region",
+                valid: "a region index below `regions`",
+            });
+        }
+        let regions = self.regions as usize;
+        if self.wan.len() != regions || self.wan.iter().any(|row| row.len() != regions) {
+            return Err(ConfigError::OutOfRange {
+                what: "wan latency matrix",
+                valid: "`regions` rows of `regions` latencies",
+            });
+        }
+        if (0..regions).any(|a| self.wan[a][a] != SimTime::ZERO) {
+            return Err(ConfigError::OutOfRange {
+                what: "wan latency diagonal",
+                valid: "zero latency within a region",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -524,14 +545,15 @@ impl GlobalConfig {
         }
     }
 
-    /// Checks the timer settings a run depends on: every periodic event
-    /// must move time forward, or the simulation would spin at one
-    /// instant.
+    /// Checks the settings a run depends on: every periodic event must
+    /// move time forward, or the simulation would spin at one instant,
+    /// and a request's copies must fit the simulator's 16-bit counters.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::OutOfRange`] on a zero `probe_interval`, or on a
-    /// zero autoscale `interval` or `period`.
+    /// [`ConfigError::OutOfRange`] on a zero `probe_interval`, on a zero
+    /// autoscale `interval` or `period`, on over 65,535
+    /// `overload.max_attempts`, or on over 65,534 hedges per request.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.probe_interval == SimTime::ZERO {
             return Err(ConfigError::OutOfRange {
@@ -552,6 +574,24 @@ impl GlobalConfig {
                     valid: "a positive duration",
                 });
             }
+        }
+        // A request's live copies are at most its attempts, or its
+        // hedges plus the primary.
+        if self.overload.max_attempts > u16::MAX as u32 {
+            return Err(ConfigError::OutOfRange {
+                what: "overload max_attempts",
+                valid: "at most 65,535 copies per request",
+            });
+        }
+        if self
+            .gray
+            .hedge
+            .is_some_and(|h| h.max_hedges >= u16::MAX as u32)
+        {
+            return Err(ConfigError::OutOfRange {
+                what: "hedge max_hedges",
+                valid: "at most 65,534 hedges per request",
+            });
         }
         Ok(())
     }
@@ -1084,7 +1124,7 @@ mod tests {
     fn symmetric_spec_is_consistent() {
         let spec = GlobalFleetSpec::symmetric(3, 2, 16, SimTime::from_millis(60))
             .expect("every dimension is non-empty");
-        spec.validate();
+        assert_eq!(spec.validate(), Ok(()));
         assert_eq!(spec.pods(), 6);
         assert_eq!(spec.devices(), 96);
         assert_eq!(spec.region_of_pod(0), 0);
@@ -1107,6 +1147,81 @@ mod tests {
                 "{regions} × {pods} × {devices}"
             );
         }
+    }
+
+    /// The `what` of a rejected spec or config.
+    fn rejected(result: Result<(), ConfigError>) -> &'static str {
+        match result {
+            Err(ConfigError::OutOfRange { what, .. }) => what,
+            other => panic!("expected an out-of-range error, got {other:?}"),
+        }
+    }
+
+    fn spec_3x2() -> GlobalFleetSpec {
+        GlobalFleetSpec::symmetric(3, 2, 16, SimTime::from_millis(60)).expect("non-empty")
+    }
+
+    #[test]
+    fn spec_validation_rejects_a_fleet_without_pods() {
+        let spec = GlobalFleetSpec {
+            pod_regions: Vec::new(),
+            ..spec_3x2()
+        };
+        assert_eq!(rejected(spec.validate()), "fleet pods");
+    }
+
+    #[test]
+    fn spec_validation_rejects_a_pod_region_out_of_range() {
+        let mut spec = spec_3x2();
+        spec.pod_regions[4] = 3;
+        assert_eq!(rejected(spec.validate()), "pod region");
+    }
+
+    #[test]
+    fn spec_validation_rejects_a_wan_matrix_that_is_not_square() {
+        let mut short = spec_3x2();
+        short.wan.pop();
+        let mut ragged = spec_3x2();
+        ragged.wan[1].push(SimTime::from_millis(60));
+        for spec in [short, ragged] {
+            assert_eq!(rejected(spec.validate()), "wan latency matrix");
+        }
+    }
+
+    #[test]
+    fn spec_validation_rejects_a_nonzero_wan_diagonal() {
+        let mut spec = spec_3x2();
+        spec.wan[2][2] = SimTime::from_millis(1);
+        assert_eq!(rejected(spec.validate()), "wan latency diagonal");
+    }
+
+    #[test]
+    fn config_validation_bounds_max_attempts_to_sixteen_bits() {
+        let mut config = GlobalConfig::production(1);
+        config.overload.max_attempts = u16::MAX as u32;
+        assert_eq!(config.validate(), Ok(()));
+        config.overload.max_attempts += 1;
+        assert_eq!(rejected(config.validate()), "overload max_attempts");
+    }
+
+    #[test]
+    fn config_validation_bounds_max_hedges_to_sixteen_bits() {
+        let with_hedges = |max_hedges| GlobalConfig {
+            gray: GrayResilienceConfig {
+                hedge: Some(HedgePolicy {
+                    max_hedges,
+                    ..HedgePolicy::production()
+                }),
+                ..GrayResilienceConfig::production()
+            },
+            ..GlobalConfig::production(1)
+        };
+        assert_eq!(with_hedges(u16::MAX as u32 - 1).validate(), Ok(()));
+        let mut config = with_hedges(u16::MAX as u32);
+        assert_eq!(rejected(config.validate()), "hedge max_hedges");
+        // Without hedging the bound does not apply.
+        config.gray.hedge = None;
+        assert_eq!(config.validate(), Ok(()));
     }
 
     #[test]

@@ -33,12 +33,21 @@
 //!   registry keeps each request's *logical* (monotonic) id as the
 //!   re-issue-timer tie-break so slot reuse can never reorder
 //!   same-instant timers. A request's arrival, ingress, tier and
-//!   degraded flag are kept there once (40 B per live request), and
-//!   every copy of it is a handle: 12 B per queued copy, 24 B per
-//!   in-flight copy. The WAN round trip charged at completion comes
-//!   from a per-`(ingress, region)` table built once. A latched
-//!   naive-retry arm holds over a million queued copies at a time, so
-//!   per-copy bytes are most of its memory;
+//!   degraded flag are kept there once: a 32 B `ReqState` plus a 4 B
+//!   generation, 36 B per live request. Every copy of it is the
+//!   request's bare arena slot with the hedge flag in the top bit:
+//!   4 B per queued copy, 16 B per in-flight copy. The slot is enough
+//!   because each copy holds one of the request's `live` counts and
+//!   the request leaves the arena only when that count reaches zero,
+//!   so a copy's slot is never freed or reused under it. Release
+//!   builds check at each access that the slot is occupied; debug
+//!   builds also carry the copy's full handle and assert that its
+//!   generation still matches. Re-issue timers can fire after their
+//!   request closed, so they keep the full generational handle. The
+//!   WAN round trip charged at completion comes from a
+//!   per-`(ingress, region)` table built once. A latched naive-retry
+//!   arm holds over a million queued copies at a time, so per-copy
+//!   bytes are most of its memory;
 //! * per-device state is struct-of-arrays ([`Devices`]): the routing
 //!   and probe sweeps scan dense `Vec<bool>`/`Vec<u32>` columns instead
 //!   of striding over fat structs, with a derived `eligible` column
@@ -201,14 +210,46 @@ fn partition_toggles(spec: &GlobalFleetSpec, plan: &FaultPlan) -> Vec<(SimTime, 
     )
 }
 
-/// One copy of a request (primary or hedge) sitting in a device queue
-/// or in flight: a handle to the request's [`ReqState`], which holds
-/// its arrival, ingress, tier and degraded flag once for every copy
-/// and stays live while any copy does.
+/// One copy of a request (primary, hedge or retry) sitting in a device
+/// queue or in flight: its request's arena slot, with [`Self::HEDGE`]
+/// in the top bit. The request's [`ReqState`] holds its arrival,
+/// ingress, tier and degraded flag once for every copy.
+///
+/// A bare slot is enough because each copy holds one of its request's
+/// `live` counts: the request leaves the arena only when the last copy
+/// drops, so no copy ever sees its slot freed or reused. Release
+/// builds check at every access that the slot is occupied; debug
+/// builds also keep the full generational handle and assert that it
+/// still names the occupant.
 #[derive(Debug, Clone, Copy)]
 struct QueuedCopy {
+    bits: u32,
+    #[cfg(debug_assertions)]
     req: ArenaRef,
-    hedge: bool,
+}
+
+impl QueuedCopy {
+    /// Set on a hedge copy; every lower bit is the slot.
+    const HEDGE: u32 = 1 << 31;
+
+    fn new(req: ArenaRef, hedge: bool) -> Self {
+        // Arena slots are `u32`s; the top bit must stay free.
+        let slot = req.slot() as u32;
+        assert!(slot < Self::HEDGE, "over 2^31 live requests");
+        QueuedCopy {
+            bits: slot | if hedge { Self::HEDGE } else { 0 },
+            #[cfg(debug_assertions)]
+            req,
+        }
+    }
+
+    fn slot(self) -> usize {
+        (self.bits & !Self::HEDGE) as usize
+    }
+
+    fn hedge(self) -> bool {
+        self.bits & Self::HEDGE != 0
+    }
 }
 
 /// What the completion event needs to close out a copy.
@@ -223,18 +264,20 @@ struct InFlight {
 /// first completion answers it, and the loss class (if any) is decided
 /// by the last copy's fate. `logical` is the request's monotonic issue
 /// number — the deterministic tie-break for same-instant hedge timers,
-/// stable across arena-slot reuse.
+/// stable across arena-slot reuse. `device` is the primary's first
+/// device, whose pod is the request's home pod. `live` counts the
+/// copies queued or in flight; `live` and `hedges` fit `u16` because
+/// [`GlobalConfig::validate`] bounds the copies per request.
 #[derive(Debug, Clone, Copy)]
 struct ReqState {
     logical: u64,
     arrived: SimTime,
     ingress: u32,
-    degraded: bool,
-    tier: u8,
-    pod: u32,
     device: u32,
-    live: u32,
-    hedges: u32,
+    live: u16,
+    hedges: u16,
+    tier: u8,
+    degraded: bool,
     answered: bool,
 }
 
@@ -351,6 +394,7 @@ pub(super) struct Sim<'a> {
     completions: EventQueue<InFlight>,
     wakes: EventQueue<u32>,
     /// Hedge or retry timers (one kind per arm), keyed `(fire, logical)`.
+    /// A timer can outlive its request, so it keeps the full handle.
     reissues: EventQueue<ArenaRef>,
     /// Per-pod retry token buckets (armed budget only).
     budgets: Vec<RetryBudget>,
@@ -400,7 +444,7 @@ impl<'a> Sim<'a> {
         plan: &'a FaultPlan,
         policy: RoutingPolicy,
     ) -> Self {
-        spec.validate();
+        spec.validate().expect("a valid fleet spec");
         config.validate().expect("a valid global config");
         let arm = policy.defenses(config);
         // Before any sweep runs, hedge at multiplier × the base service
@@ -556,11 +600,8 @@ impl<'a> Sim<'a> {
     /// Resolves one copy that ended without answering its request,
     /// counting a request-level loss only when the *last* live copy
     /// dies unanswered.
-    fn drop_copy(&mut self, req: ArenaRef, end: CopyEnd) {
-        let Some(state) = self.reqs.get_mut(req) else {
-            debug_assert!(false, "copy without registry entry");
-            return;
-        };
+    fn drop_copy(&mut self, copy: QueuedCopy, end: CopyEnd) {
+        let state = self.req_mut(copy);
         state.live -= 1;
         let (answered, live) = (state.answered, state.live);
         if answered {
@@ -577,8 +618,36 @@ impl<'a> Sim<'a> {
             }
         }
         if live == 0 {
-            self.reqs.remove(req);
+            self.reqs.remove_slot(copy.slot());
         }
+    }
+
+    /// The arena slot of `copy`'s request. The copy holds one of the
+    /// request's `live` counts, so the slot is still that request's;
+    /// debug builds check the generation too.
+    fn slot_of(&self, copy: QueuedCopy) -> usize {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.reqs.handle(copy.slot()),
+            Some(copy.req),
+            "a copy outlived its request"
+        );
+        copy.slot()
+    }
+
+    /// The request `copy` belongs to.
+    fn req(&self, copy: QueuedCopy) -> &ReqState {
+        self.reqs
+            .get_slot(self.slot_of(copy))
+            .expect("a live copy keeps its request's slot occupied")
+    }
+
+    /// Mutable [`Sim::req`].
+    fn req_mut(&mut self, copy: QueuedCopy) -> &mut ReqState {
+        let slot = self.slot_of(copy);
+        self.reqs
+            .get_slot_mut(slot)
+            .expect("a live copy keeps its request's slot occupied")
     }
 
     /// Fault-free service time of a copy at its tier.
@@ -601,7 +670,7 @@ impl<'a> Sim<'a> {
     /// Queues a copy of request `id` on `device` and tries to start it.
     fn enqueue(&mut self, at: SimTime, device: u32, id: ArenaRef, hedge: bool) {
         let di = device as usize;
-        self.dev.queue[di].push_back(QueuedCopy { req: id, hedge });
+        self.dev.queue[di].push_back(QueuedCopy::new(id, hedge));
         self.pods[self.dev.pod[di] as usize].queued += 1;
         self.total_queued += 1;
         self.dispatch(device, at);
@@ -680,10 +749,7 @@ impl<'a> Sim<'a> {
             let pod = self.dev.pod[di] as usize;
             self.pods[pod].queued -= 1;
             self.total_queued -= 1;
-            let req = *self
-                .reqs
-                .get(copy.req)
-                .expect("a queued copy keeps its request live");
+            let req = *self.req(copy);
             // The naive-retry arm is deadline- and duplicate-*oblivious*
             // at the server: it cannot tell that a copy's request was
             // already answered (no cancellation propagation) or that its
@@ -691,14 +757,14 @@ impl<'a> Sim<'a> {
             // either way — the wasted work that sustains the metastable
             // latch. Every other arm cancels both for free here.
             if req.answered && self.arm.server_cancel {
-                self.drop_copy(copy.req, CopyEnd::Cancelled);
+                self.drop_copy(copy, CopyEnd::Cancelled);
                 continue;
             }
             if self.arm.server_cancel && now > req.arrived + self.config.deadline {
                 if let Some(b) = self.breaker_mut(req.ingress, self.dev.pod[di]) {
                     b.record_failure(now);
                 }
-                self.drop_copy(copy.req, CopyEnd::Expired);
+                self.drop_copy(copy, CopyEnd::Expired);
                 continue;
             }
             let service = self
@@ -780,15 +846,11 @@ impl<'a> Sim<'a> {
                     .expect("busy implies a pending completion");
                 self.pods[pod].busy -= 1;
                 self.total_busy -= 1;
-                let ingress = self
-                    .reqs
-                    .get(inflight.copy.req)
-                    .expect("in-flight copy has registry entry")
-                    .ingress;
+                let ingress = self.req(inflight.copy).ingress;
                 if let Some(b) = self.breaker_mut(ingress, pod as u32) {
                     b.record_failure(at);
                 }
-                self.drop_copy(inflight.copy.req, CopyEnd::Killed);
+                self.drop_copy(inflight.copy, CopyEnd::Killed);
             }
             self.redeal_queue(at, di);
         } else {
@@ -1001,7 +1063,6 @@ impl<'a> Sim<'a> {
             ingress: region,
             degraded,
             tier,
-            pod,
             device,
             live: 1,
             hedges: 0,
@@ -1048,18 +1109,19 @@ impl<'a> Sim<'a> {
         let Some(req) = self.reqs.get(id).copied() else {
             return; // request fully closed
         };
-        if req.answered || req.hedges >= policy.max_hedges {
+        if req.answered || u32::from(req.hedges) >= policy.max_hedges {
             return;
         }
-        let target = self.clean_device_in(req.pod, Some(req.device)).or_else(|| {
-            self.route(req.ingress, Some(req.pod))
+        let home = self.dev.pod[req.device as usize];
+        let target = self.clean_device_in(home, Some(req.device)).or_else(|| {
+            self.route(req.ingress, Some(home))
                 .and_then(|p| self.clean_device_in(p, None))
         });
         let Some(target) = target else { return };
         let entry = self.reqs.get_mut(id).expect("checked above");
         entry.hedges += 1;
         entry.live += 1;
-        let more = entry.hedges < policy.max_hedges;
+        let more = u32::from(entry.hedges) < policy.max_hedges;
         self.report.hedges_issued += 1;
         self.enqueue(at, target, id, true);
         if more {
@@ -1083,7 +1145,7 @@ impl<'a> Sim<'a> {
         let Some(req) = self.reqs.get(id).copied() else {
             return; // request fully closed
         };
-        if req.answered || req.hedges + 1 >= self.config.overload.max_attempts {
+        if req.answered || u32::from(req.hedges) + 1 >= self.config.overload.max_attempts {
             return;
         }
         let expiry = req.arrived + self.config.deadline;
@@ -1116,7 +1178,7 @@ impl<'a> Sim<'a> {
         let entry = self.reqs.get_mut(id).expect("checked above");
         entry.hedges += 1;
         entry.live += 1;
-        let copies = entry.hedges;
+        let copies = u32::from(entry.hedges);
         self.report.retries_issued += 1;
         self.enqueue(at, device, id, false);
         let next = at + self.config.overload.attempt_timeout;
@@ -1215,16 +1277,13 @@ impl<'a> Sim<'a> {
         let pod = self.dev.pod[di] as usize;
         self.pods[pod].busy -= 1;
         self.total_busy -= 1;
-        let state = self
-            .reqs
-            .get_mut(copy.req)
-            .expect("in-flight copy has registry entry");
+        let state = self.req_mut(copy);
         state.live -= 1;
         // `req.answered` is whether an earlier copy already answered.
         let req = *state;
         state.answered = true;
         if req.live == 0 {
-            self.reqs.remove(copy.req);
+            self.reqs.remove_slot(copy.slot());
         }
         if self.arm.outliers {
             // Observe the dimensionless service factor (actual over
@@ -1260,7 +1319,7 @@ impl<'a> Sim<'a> {
         if let Some(b) = self.breaker_mut(req.ingress, pod as u32) {
             b.record_success(inflight.started.saturating_sub(req.arrived));
         }
-        if copy.hedge {
+        if copy.hedge() {
             self.report.hedge_wins += 1;
         }
         if req.degraded {
@@ -1288,7 +1347,7 @@ impl<'a> Sim<'a> {
             tel.span_attr("pod", Json::UInt(self.dev.pod[di] as u64));
             tel.span_attr("tier", Json::UInt(req.tier as u64));
             tel.span_attr("spillover", Json::Bool(spilled));
-            tel.span_attr("hedge", Json::Bool(copy.hedge));
+            tel.span_attr("hedge", Json::Bool(copy.hedge()));
             tel.end_span(req.arrived);
             tel.begin_span(
                 format!("pod{}.serve", self.dev.pod[di]),
@@ -1824,13 +1883,128 @@ mod tests {
     }
 
     #[test]
-    fn per_copy_state_stays_a_handle() {
-        // A latched naive-retry arm holds over a million copies at once:
-        // each queued copy is a request handle plus its hedge flag, and
-        // the request's fields live once in its registry entry.
-        assert!(std::mem::size_of::<QueuedCopy>() <= 16);
-        assert!(std::mem::size_of::<InFlight>() <= 24);
-        assert!(std::mem::size_of::<ReqState>() <= 40);
+    fn a_live_request_takes_at_most_36_bytes_of_arena() {
+        // A latched naive-retry arm holds about 0.4 M live requests at
+        // once; each takes its state and a generation in the arena.
+        assert!(std::mem::size_of::<ReqState>() <= 32);
+        const { assert!(Arena::<ReqState>::SLOT_BYTES <= 36) };
+    }
+
+    /// Release layout only: debug builds keep each copy's full handle
+    /// beside its slot for the generation check.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn a_copy_is_its_request_slot() {
+        // The same arm holds over a million queued copies at once.
+        assert_eq!(std::mem::size_of::<QueuedCopy>(), 4);
+        assert!(std::mem::size_of::<InFlight>() <= 16);
+    }
+
+    /// A fresh, unanswered request with `copies` live copies, homed on
+    /// `device`.
+    fn request(logical: u64, device: u32, copies: u16) -> ReqState {
+        ReqState {
+            logical,
+            arrived: SimTime::ZERO,
+            ingress: 0,
+            device,
+            live: copies,
+            hedges: copies - 1,
+            tier: 0,
+            degraded: false,
+            answered: false,
+        }
+    }
+
+    /// Registers a request and queues one copy of it on `device` per
+    /// entry of `hedges` (`true` marks a hedge copy), as `arrive`,
+    /// `fire_hedge` and `fire_retry` would: the first non-hedge entry
+    /// is the primary, and every other entry counts as a hedge or retry
+    /// issued. The request is counted as offered, so the run still
+    /// closes with its accounting checked.
+    fn admit(sim: &mut Sim, device: u32, hedges: &[bool]) -> ArenaRef {
+        sim.next_req += 1;
+        sim.report.offered += 1;
+        let req = sim
+            .reqs
+            .insert(request(sim.next_req, device, hedges.len() as u16));
+        let mut primary = true;
+        for &hedge in hedges {
+            if hedge {
+                sim.report.hedges_issued += 1;
+            } else if !std::mem::take(&mut primary) {
+                sim.report.retries_issued += 1;
+            }
+            sim.enqueue(SimTime::ZERO, device, req, hedge);
+        }
+        req
+    }
+
+    #[test]
+    fn a_redealt_queue_keeps_every_copy_on_its_own_request() {
+        // Device 0 serves request A and queues primary, hedge and retry
+        // copies of B and C. Taking it down kills A's only copy, which
+        // frees A's slot, and re-deals the queue to its pod peers; a new
+        // request D then takes A's slot. Every copy must still reach
+        // its own request with its own hedge flag.
+        let spec = small_spec();
+        let config = GlobalConfig::production(41);
+        let trace = RegionalTrace::new(Vec::new()).expect("empty is sorted");
+        let plan = FaultPlan::empty(41);
+        let mut sim = Sim::new(&spec, &config, &trace, &plan, RoutingPolicy::NaiveRetry);
+        let a = admit(&mut sim, 0, &[false]);
+        admit(&mut sim, 0, &[false, true, false]);
+        admit(&mut sim, 0, &[true, false]);
+        let owners = |sim: &Sim, copies: &mut dyn Iterator<Item = QueuedCopy>| {
+            copies
+                .map(|c| (sim.req(c).logical, c.hedge()))
+                .collect::<Vec<_>>()
+        };
+        let queued = owners(&sim, &mut sim.dev.queue[0].iter().copied());
+        assert_eq!(
+            queued,
+            [(2, false), (2, true), (2, false), (3, true), (3, false)]
+        );
+
+        sim.apply_device_delta(SimTime::ZERO, 0, true);
+        assert_eq!(sim.report.lost_killed, 1);
+        assert!(sim.reqs.get(a).is_none(), "A's last copy died");
+        let d = admit(&mut sim, 1, &[false]);
+        assert_eq!(d.slot(), a.slot(), "D reuses A's slot");
+        // The re-dealt copies start on devices 1..=5 in queue order, so
+        // they complete in that order, ahead of D queued behind one.
+        let mut completions = sim.completions.clone();
+        let inflight = owners(
+            &sim,
+            &mut std::iter::from_fn(|| completions.pop().map(|(_, _, f)| f.copy)),
+        );
+        assert_eq!(inflight, queued);
+        let d_copy = *sim.dev.queue[1].front().expect("D waits on device 1");
+        assert_eq!(owners(&sim, &mut std::iter::once(d_copy)), [(4, false)]);
+
+        sim.apply_device_delta(SimTime::ZERO, 0, false);
+        sim.run_until(SimTime::MAX, &mut Telemetry::disabled());
+        let report = sim.into_report();
+        assert_eq!(report.served_full, 3, "B, C and D");
+        // C's hedge copy ran ahead of its primary and answered it.
+        assert_eq!(report.hedge_wins, 1);
+        assert_eq!(report.duplicates_suppressed, 3);
+        assert_eq!(report.lost, 1);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a copy outlived its request")]
+    fn a_copy_on_a_reused_slot_fails_the_generation_check() {
+        let spec = small_spec();
+        let config = GlobalConfig::production(43);
+        let trace = RegionalTrace::new(Vec::new()).expect("empty is sorted");
+        let plan = FaultPlan::empty(43);
+        let mut sim = Sim::new(&spec, &config, &trace, &plan, RoutingPolicy::NaiveRetry);
+        let gone = sim.reqs.insert(request(1, 0, 1));
+        sim.reqs.remove(gone);
+        sim.reqs.insert(request(2, 0, 1));
+        sim.req(QueuedCopy::new(gone, false));
     }
 
     #[test]

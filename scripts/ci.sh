@@ -84,6 +84,14 @@ target/release/reproduce --explore-smoke
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> global DES unit tests in release"
+# The workspace tests build the debug layout, where a queued request
+# copy also carries its request's full generational handle for a debug
+# check. In release a copy is a bare 4-byte arena slot: this runs the
+# layout guards that pin that size, and the DES tests against the
+# release-only slot check.
+cargo test -q --release -p mtia-serving --lib global
+
 echo "==> perfbench self-tests"
 # The benchmark package (perfbench/, its own workspace) builds against
 # the crates' public API; a crate API change that breaks it fails here.
