@@ -500,6 +500,17 @@ impl<T> Arena<T> {
         self.len == 0
     }
 
+    /// Slots allocated so far, live or free: the arena's entries take
+    /// `slots() * SLOT_BYTES` bytes.
+    pub fn slots(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The live entries, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.values.iter().flatten()
+    }
+
     /// Inserts `value`, returning its handle.
     pub fn insert(&mut self, value: T) -> ArenaRef {
         self.len += 1;

@@ -25,9 +25,10 @@
 //!   health + injected fault state + busy/epoch tracking + the trailing
 //!   PE-utilization estimate that arms §5.5 faults.
 //! * [`controller`] — SLO-aware load shedding keyed off a rolling P99.
-//! * [`sim`] — the fault-injected remote/merge simulation comparing a
-//!   naive FIFO baseline against the resilient policy under
-//!   byte-identical [`FaultPlan`](mtia_sim::faults::FaultPlan) traces.
+//! * [`sim`] — the remote/merge serving engine comparing a naive FIFO
+//!   baseline against the resilient policy under byte-identical
+//!   [`FaultPlan`](mtia_sim::faults::FaultPlan) traces; its naive arm on
+//!   an empty plan is the Fig. 5 scheduler ([`crate::scheduler`]).
 //! * [`report`] — availability / success / latency reports embedding the
 //!   fault-trace fingerprint.
 

@@ -5,7 +5,7 @@ use std::fmt;
 use mtia_core::telemetry::LatencyHistogram;
 
 /// Outcome of one policy run under one fault trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResilienceReport {
     /// Which dispatch policy produced this report.
     pub policy: &'static str,
@@ -35,6 +35,14 @@ pub struct ResilienceReport {
     pub job_failures: u64,
     /// End-to-end latency of completed requests (post-warmup).
     pub request_latency: LatencyHistogram,
+    /// Merge-ticket queueing delay, enqueue → dispatch (post-warmup).
+    pub merge_wait: LatencyHistogram,
+    /// Remote-phase latency, arrival → last remote completion (post-warmup).
+    pub remote_latency: LatencyHistogram,
+    /// Post-warmup completions per second of the measured window.
+    pub throughput_per_s: f64,
+    /// Σ dispatched job occupancy / (devices × end), capped at 1.
+    pub utilization: f64,
     /// Mean fraction of the pool that was dispatchable.
     pub availability: f64,
 }

@@ -9,13 +9,19 @@
 //! fix: consolidating weighted and unweighted TBE instances halves the
 //! number of remote jobs per request (total remote service time unchanged),
 //! raising merge-job occupancy and cutting P99 by 13 ms.
+//!
+//! This module holds the workload and its measurements; the simulation
+//! is the [`crate::resilience::sim`] engine's naive arm on a fault-free
+//! plan, so Fig. 5 and the §5.5 fault study run one event loop.
 
-use std::collections::{HashMap, VecDeque};
-
-use mtia_core::des::Kernel;
-use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
+use mtia_core::error::ConfigError;
+use mtia_core::telemetry::{LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
+use mtia_sim::faults::FaultPlan;
 
+use crate::resilience::sim::{
+    simulate_resilient_remote_merge_traced, DispatchPolicy, ResilienceConfig,
+};
 use crate::traffic::ArrivalProcess;
 
 /// Configuration of one remote/merge deployment.
@@ -41,6 +47,28 @@ pub struct RemoteMergeConfig {
 }
 
 impl RemoteMergeConfig {
+    /// Checks the shape every simulation of this deployment needs.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] on zero `devices` or zero
+    /// `remote_jobs_per_request`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.devices == 0 {
+            return Err(ConfigError::OutOfRange {
+                what: "remote/merge devices",
+                valid: "at least one device",
+            });
+        }
+        if self.remote_jobs_per_request == 0 {
+            return Err(ConfigError::OutOfRange {
+                what: "remote jobs per request",
+                valid: "at least one remote job",
+            });
+        }
+        Ok(())
+    }
+
     /// Duration of remote job `index` (0-based) of one request.
     ///
     /// The integer division's picosecond remainder is spread over the
@@ -58,11 +86,11 @@ impl RemoteMergeConfig {
 }
 
 /// Results of a remote/merge serving simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RemoteMergeStats {
     /// End-to-end request latency (arrival → merge completion).
     pub request_latency: LatencyHistogram,
-    /// Merge-job queueing delay (ready → execution start).
+    /// Merge-job queueing delay (ready → dispatch).
     pub merge_wait: LatencyHistogram,
     /// Remote-phase latency (arrival → last remote completion).
     pub remote_latency: LatencyHistogram,
@@ -70,35 +98,16 @@ pub struct RemoteMergeStats {
     pub completed: u64,
     /// Sustained completions per second over the measured window.
     pub throughput_per_s: f64,
-    /// Mean device utilization.
+    /// Mean device utilization: dispatched job time (overhead included)
+    /// over devices × the run's length, capped at 1.
     pub utilization: f64,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    Remote,
-    Merge,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Job {
-    request: u64,
-    kind: JobKind,
-    duration: SimTime,
-    ready_at: SimTime,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Arrival,
-    JobDone { request: u64, kind_is_merge: bool },
 }
 
 /// Simulates the deployment for `horizon`, measuring after `warmup`.
 ///
 /// # Panics
 ///
-/// Panics if the configuration has zero devices or zero remote jobs.
+/// Panics if [`RemoteMergeConfig::validate`] rejects `config`.
 pub fn simulate_remote_merge(
     config: RemoteMergeConfig,
     arrivals: &mut dyn ArrivalProcess,
@@ -115,15 +124,15 @@ pub fn simulate_remote_merge(
 }
 
 /// [`simulate_remote_merge`] with observability: when `tel` is enabled,
-/// records one `serving.remote_merge` root span holding a flat child
-/// span per completed request (arrival → merge completion, overlapping
-/// freely as real lifecycles do), post-warmup latency/merge-wait
-/// histograms, and completion/dispatch counters. The returned stats are
-/// byte-identical to the untraced run.
+/// records the engine's `serving.resilient` root span (policy `naive`)
+/// holding a flat child span per completed request (arrival → merge
+/// completion, overlapping freely as real lifecycles do), post-warmup
+/// latency/merge-wait histograms, and completion/dispatch counters. The
+/// returned stats are byte-identical to the untraced run.
 ///
 /// # Panics
 ///
-/// Panics if the configuration has zero devices or zero remote jobs.
+/// Panics if [`RemoteMergeConfig::validate`] rejects `config`.
 pub fn simulate_remote_merge_traced(
     config: RemoteMergeConfig,
     arrivals: &mut dyn ArrivalProcess,
@@ -131,132 +140,30 @@ pub fn simulate_remote_merge_traced(
     warmup: SimTime,
     tel: &mut Telemetry,
 ) -> RemoteMergeStats {
-    assert!(config.devices > 0, "need at least one device");
-    assert!(
-        config.remote_jobs_per_request > 0,
-        "need at least one remote job"
-    );
-
-    let mut des = Kernel::new();
-    if let Some(first) = arrivals.next_arrival(SimTime::ZERO) {
-        des.schedule(first, Event::Arrival);
-    }
-
-    let mut queue: VecDeque<Job> = VecDeque::new();
-    let mut free_devices = config.devices;
-    let mut busy_time = SimTime::ZERO;
-    let mut next_request = 0u64;
-    let mut arrival_of: HashMap<u64, SimTime> = HashMap::new();
-    let mut remotes_left: HashMap<u64, u32> = HashMap::new();
-
-    let mut stats = RemoteMergeStats {
-        request_latency: LatencyHistogram::new(),
-        merge_wait: LatencyHistogram::new(),
-        remote_latency: LatencyHistogram::new(),
-        completed: 0,
-        throughput_per_s: 0.0,
-        utilization: 0.0,
+    // No faults, no maintenance: the naive arm's health, retry and
+    // shedding settings are never consulted.
+    let naive = ResilienceConfig {
+        hedge: None,
+        degradation: None,
+        ..ResilienceConfig::production(config, 0)
     };
-
-    tel.begin_span("serving.remote_merge", "serving", SimTime::ZERO);
-    tel.span_attr("devices", Json::UInt(config.devices as u64));
-    tel.span_attr(
-        "remote_jobs_per_request",
-        Json::UInt(config.remote_jobs_per_request as u64),
+    let report = simulate_resilient_remote_merge_traced(
+        &naive,
+        DispatchPolicy::Naive,
+        arrivals,
+        &FaultPlan::empty(0),
+        horizon,
+        warmup,
+        tel,
     );
-
-    while let Some(event) = des.next_until(horizon) {
-        let now = des.now();
-        match event {
-            Event::Arrival => {
-                let request = next_request;
-                next_request += 1;
-                arrival_of.insert(request, now);
-                remotes_left.insert(request, config.remote_jobs_per_request);
-                for i in 0..config.remote_jobs_per_request {
-                    queue.push_back(Job {
-                        request,
-                        kind: JobKind::Remote,
-                        duration: config.remote_job_time_for(i),
-                        ready_at: now,
-                    });
-                }
-                if let Some(next) = arrivals.next_arrival(now) {
-                    des.schedule(next, Event::Arrival);
-                }
-            }
-            Event::JobDone {
-                request,
-                kind_is_merge,
-            } => {
-                free_devices += 1;
-                if kind_is_merge {
-                    let arrived = arrival_of.remove(&request).expect("known request");
-                    stats.completed += 1;
-                    if tel.is_enabled() {
-                        tel.complete_span(
-                            format!("req{request}"),
-                            "serving",
-                            arrived,
-                            now,
-                            vec![("latency_ps".into(), Json::UInt((now - arrived).as_picos()))],
-                        );
-                        tel.counter_add("serving.completed", 1);
-                    }
-                    if now >= warmup {
-                        stats.request_latency.record(now - arrived);
-                        tel.hist_record("serving.request_latency", now - arrived);
-                    }
-                } else {
-                    let left = remotes_left.get_mut(&request).expect("known request");
-                    *left -= 1;
-                    if *left == 0 {
-                        remotes_left.remove(&request);
-                        if now >= warmup {
-                            stats.remote_latency.record(now - arrival_of[&request]);
-                        }
-                        queue.push_back(Job {
-                            request,
-                            kind: JobKind::Merge,
-                            duration: config.merge_time,
-                            ready_at: now,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Dispatch while devices are free.
-        while free_devices > 0 {
-            let Some(job) = queue.pop_front() else { break };
-            free_devices -= 1;
-            let occupancy = job.duration + config.dispatch_overhead;
-            busy_time += occupancy;
-            tel.counter_add("serving.jobs_dispatched", 1);
-            if job.kind == JobKind::Merge && now >= warmup {
-                stats.merge_wait.record(now - job.ready_at);
-                tel.hist_record("serving.merge_wait", now - job.ready_at);
-            }
-            des.schedule(
-                now + occupancy,
-                Event::JobDone {
-                    request: job.request,
-                    kind_is_merge: job.kind == JobKind::Merge,
-                },
-            );
-        }
+    RemoteMergeStats {
+        request_latency: report.request_latency,
+        merge_wait: report.merge_wait,
+        remote_latency: report.remote_latency,
+        completed: report.completed,
+        throughput_per_s: report.throughput_per_s,
+        utilization: report.utilization,
     }
-
-    let now = des.now();
-    tel.end_span(now);
-    let measured = now.saturating_sub(warmup);
-    if measured > SimTime::ZERO {
-        stats.throughput_per_s = stats.request_latency.count() as f64 / measured.as_secs_f64();
-    }
-    let span = now.max(SimTime::from_picos(1));
-    stats.utilization =
-        (busy_time.as_secs_f64() / (config.devices as f64 * span.as_secs_f64())).min(1.0);
-    stats
 }
 
 /// Runs `replicas` independent Monte-Carlo replications of the
@@ -290,14 +197,7 @@ pub fn simulate_remote_merge_replicas(
         let mut arrivals = crate::traffic::PoissonArrivals::new(rate, StdRng::seed_from_u64(seed));
         simulate_remote_merge(config, &mut arrivals, horizon, warmup)
     });
-    let mut merged = RemoteMergeStats {
-        request_latency: LatencyHistogram::new(),
-        merge_wait: LatencyHistogram::new(),
-        remote_latency: LatencyHistogram::new(),
-        completed: 0,
-        throughput_per_s: 0.0,
-        utilization: 0.0,
-    };
+    let mut merged = RemoteMergeStats::default();
     for run in &runs {
         merged.request_latency.merge(&run.request_latency);
         merged.merge_wait.merge(&run.merge_wait);
@@ -313,6 +213,10 @@ pub fn simulate_remote_merge_replicas(
 
 /// Bisects the maximum Poisson arrival rate whose simulated P99 stays
 /// within `slo`. Returns (rate, stats at that rate).
+///
+/// # Panics
+///
+/// Panics if [`RemoteMergeConfig::validate`] rejects `config`.
 pub fn max_rate_under_slo(
     config: RemoteMergeConfig,
     slo: SimTime,
@@ -321,6 +225,8 @@ pub fn max_rate_under_slo(
 ) -> (f64, RemoteMergeStats) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    config.validate().expect("a valid remote/merge workload");
 
     let per_request_work = config.remote_total_time
         + config.merge_time
@@ -398,6 +304,112 @@ mod tests {
         tiny.remote_total_time = SimTime::from_picos(3);
         let sum: u64 = (0..7).map(|i| tiny.remote_job_time_for(i).as_picos()).sum();
         assert_eq!(sum, 3);
+    }
+
+    #[test]
+    fn validate_rejects_zero_devices() {
+        let mut config = base_config(2);
+        assert_eq!(config.validate(), Ok(()));
+        config.devices = 0;
+        assert!(matches!(
+            config.validate(),
+            Err(ConfigError::OutOfRange {
+                what: "remote/merge devices",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn validate_rejects_zero_remote_jobs() {
+        let config = base_config(0);
+        assert!(matches!(
+            config.validate(),
+            Err(ConfigError::OutOfRange {
+                what: "remote jobs per request",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "a valid remote/merge workload")]
+    fn slo_search_rejects_an_empty_deployment() {
+        let mut config = base_config(2);
+        config.devices = 0;
+        max_rate_under_slo(config, SimTime::from_millis(100), SimTime::from_secs(1), 1);
+    }
+
+    #[test]
+    fn clean_runs_keep_the_pinned_stats() {
+        // Pinned from the standalone event loop Fig. 5 ran before it
+        // became the resilience engine's naive arm. 10 000 000 001 ps does
+        // not divide by 3: every remote job carries its own share of the
+        // remainder, which moves the mean and the utilization bits.
+        type Pin = (u64, u32, u64, u64, u64, u64, u64, u64, u64, u64);
+        let pins: [Pin; 3] = [
+            (
+                8_000_000_000,
+                2,
+                1205,
+                25_118_864_315,
+                89_125_093_813,
+                29_166_030_779,
+                35_481_338_923,
+                11_220_184_543,
+                0x3fe4_4a20_dcd6_c4cd,
+                0x404d_ac50_ce33_fb26,
+            ),
+            (
+                8_000_000_000,
+                4,
+                1204,
+                31_622_776_601,
+                112_201_845_430,
+                36_364_627_906,
+                50_118_723_362,
+                12_589_254_117,
+                0x3fe6_30a8_1c15_7a7b,
+                0x404d_a3bb_76e8_cd75,
+            ),
+            (
+                10_000_000_001,
+                3,
+                1202,
+                35_481_338_923,
+                125_892_541_179,
+                42_116_853_663,
+                63_095_734_448,
+                15_848_931_924,
+                0x3fe7_1f6b_aced_d608,
+                0x404d_95a6_6576_bb73,
+            ),
+        ];
+        for pin in pins {
+            let (total_ps, jobs) = (pin.0, pin.1);
+            let mut config = base_config(jobs);
+            config.remote_total_time = SimTime::from_picos(total_ps);
+            let mut arrivals = PoissonArrivals::new(60.0, StdRng::seed_from_u64(21));
+            let s = simulate_remote_merge(
+                config,
+                &mut arrivals,
+                SimTime::from_secs(20),
+                SimTime::from_secs(2),
+            );
+            let got: Pin = (
+                total_ps,
+                jobs,
+                s.completed,
+                s.request_latency.p50().as_picos(),
+                s.request_latency.p99().as_picos(),
+                s.request_latency.mean().as_picos(),
+                s.merge_wait.p99().as_picos(),
+                s.remote_latency.p50().as_picos(),
+                s.utilization.to_bits(),
+                s.throughput_per_s.to_bits(),
+            );
+            assert_eq!(got, pin, "{total_ps} ps / {jobs} jobs");
+        }
     }
 
     #[test]

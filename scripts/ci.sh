@@ -43,7 +43,7 @@ echo "==> reproduce smoke: determinism + perf (--filter quick)"
 # --perf-baseline regression-gates the DES core's single-thread
 # events/sec against the checked-in BENCH_BASELINE.json: any gated
 # experiment (≥100k simulated events; in the quick subset that is fig5,
-# the Fig. 5 remote/merge scheduler's 1.2M kernel pops, and e24_rung,
+# the remote/merge engine's 1.2M kernel pops, and e24_rung,
 # the cell-sharded planetary replay) more than 25% slower than
 # baseline fails the build. On a host with known slower/noisier
 # clocks than the baseline machine, export MTIA_PERF_ALLOW_REGRESSION=1
