@@ -396,11 +396,14 @@ fn parse_baseline(body: &str) -> Vec<(String, u64, f64)> {
     rows
 }
 
-/// Gates the measured single-thread events/sec against a checked-in
-/// baseline: any entry simulating ≥[`PERF_GATE_MIN_EVENTS`] events in
-/// both runs must stay within [`PERF_GATE_MAX_REGRESSION`] of its
-/// baseline rate. `MTIA_PERF_ALLOW_REGRESSION=1` downgrades a failure
-/// to a warning.
+/// Gates the measured run against a checked-in baseline. Every entry
+/// whose baseline simulates ≥[`PERF_GATE_MIN_EVENTS`] events must
+/// simulate exactly as many events again, and stay within
+/// [`PERF_GATE_MAX_REGRESSION`] of its baseline single-thread
+/// events/sec. Event counts are deterministic, so a changed count
+/// always fails: an inflated count would otherwise pass as a faster
+/// rate. `MTIA_PERF_ALLOW_REGRESSION=1` downgrades a rate failure to a
+/// warning.
 fn perf_baseline_gate(measured: &[PerfRow], path: &str) -> bool {
     let body = match std::fs::read_to_string(path) {
         Ok(b) => b,
@@ -416,29 +419,32 @@ fn perf_baseline_gate(measured: &[PerfRow], path: &str) -> bool {
     }
     let mut gated = 0;
     let mut regressed = Vec::new();
+    let mut recounted = Vec::new();
     for row in measured {
         let Some((_, base_events, base_eps)) =
             baseline.iter().find(|(name, _, _)| name == row.name)
         else {
             continue;
         };
-        if row.events < PERF_GATE_MIN_EVENTS
-            || *base_events < PERF_GATE_MIN_EVENTS
-            || *base_eps <= 0.0
-        {
+        if *base_events < PERF_GATE_MIN_EVENTS || *base_eps <= 0.0 {
             continue;
         }
         gated += 1;
         let ratio = row.events_per_sec_1t / base_eps;
-        let verdict = if ratio < 1.0 - PERF_GATE_MAX_REGRESSION {
+        let verdict = if row.events != *base_events {
+            recounted.push(row.name);
+            "EVENTS CHANGED"
+        } else if ratio < 1.0 - PERF_GATE_MAX_REGRESSION {
             regressed.push(row.name);
             "REGRESSED"
         } else {
             "ok"
         };
         eprintln!(
-            "  perf gate {:<24} {:>9.0}/s vs baseline {:>9.0}/s ({:+.1}%)  {}",
+            "  perf gate {:<24} {:>9} events vs {:>9}, {:>9.0}/s vs {:>9.0}/s ({:+.1}%)  {}",
             row.name,
+            row.events,
+            base_events,
             row.events_per_sec_1t,
             base_eps,
             (ratio - 1.0) * 100.0,
@@ -447,10 +453,19 @@ fn perf_baseline_gate(measured: &[PerfRow], path: &str) -> bool {
     }
     if gated == 0 {
         eprintln!(
-            "perf gate: no experiment cleared the {PERF_GATE_MIN_EVENTS}-event \
-             floor in both runs — nothing gated"
+            "perf gate: no baseline experiment cleared the \
+             {PERF_GATE_MIN_EVENTS}-event floor — nothing gated"
         );
         return true;
+    }
+    if !recounted.is_empty() {
+        eprintln!(
+            "perf gate FAILED: simulated event counts differ from {path} for: {}; \
+             counts are deterministic, so refresh BENCH_BASELINE.json (copy a \
+             representative BENCH_PERF.json) if the change is intended",
+            recounted.join(", "),
+        );
+        return false;
     }
     if regressed.is_empty() {
         eprintln!("perf gate passed: {gated} experiment(s) within 25% of baseline events/sec");

@@ -1,9 +1,11 @@
 //! Process-wide simulated-event accounting.
 //!
-//! An event is one popped discrete-event-simulation event. The
-//! [`crate::des`] kernel flushes its pop count here when it is dropped,
-//! and the global serving DES flushes its own when its report is built,
-//! which is what `reproduce --bench-perf`'s events/sec column reads. The
+//! An event is one popped discrete-event-simulation event. Every
+//! serving simulator pops its events through the [`crate::des`] kernel
+//! and adds the kernel's pop count here once, when it builds its
+//! report, which is what `reproduce --bench-perf`'s events/sec column
+//! reads. A kernel that is dropped unreported (a discarded rollback
+//! checkpoint) adds nothing. The
 //! one documented exception is `ChipSim`, which adds one per executed
 //! graph node: that analytic model has no event queue, and the
 //! benchmark's `chip.nodes` metric reads its count.

@@ -709,6 +709,7 @@ impl<'a> Engine<'a> {
             }
         }
 
+        mtia_core::perfcount::add_events(self.des.popped());
         let end = self.des.now();
         // Close open outage windows at the horizon.
         for s in 0..self.config.shards {

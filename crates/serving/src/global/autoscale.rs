@@ -23,6 +23,7 @@
 //! Little's law (`erlangs = rate × service_time`), padded by the
 //! configured headroom.
 
+use mtia_core::error::ConfigError;
 use mtia_core::SimTime;
 
 use super::{AutoscaleConfig, RegionalTrace};
@@ -40,19 +41,31 @@ impl DiurnalForecast {
     /// (a sum of Dirac arrivals over `[0, horizon]`) onto `{1, cos,
     /// sin}` at the configured period.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `horizon` or the period is zero.
+    /// [`ConfigError::OutOfRange`] if `horizon` or the period is zero:
+    /// the rate is a count over the horizon, and the harmonic's
+    /// frequency is one over the period.
     pub fn fit(
         trace: &RegionalTrace,
         regions: u32,
         horizon: SimTime,
         config: &AutoscaleConfig,
-    ) -> Self {
+    ) -> Result<Self, ConfigError> {
+        if horizon == SimTime::ZERO {
+            return Err(ConfigError::OutOfRange {
+                what: "forecast horizon",
+                valid: "> 0",
+            });
+        }
+        if config.period == SimTime::ZERO {
+            return Err(ConfigError::OutOfRange {
+                what: "diurnal period",
+                valid: "> 0",
+            });
+        }
         let h = horizon.as_secs_f64();
         let period_s = config.period.as_secs_f64();
-        assert!(h > 0.0, "forecast horizon must be positive");
-        assert!(period_s > 0.0, "diurnal period must be positive");
         let omega = 2.0 * std::f64::consts::PI / period_s;
         let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); regions as usize];
         for column in trace.columns.iter() {
@@ -68,7 +81,7 @@ impl DiurnalForecast {
             .into_iter()
             .map(|(n, c, s)| (n / h, 2.0 * c / h, 2.0 * s / h))
             .collect();
-        DiurnalForecast { period_s, coeffs }
+        Ok(DiurnalForecast { period_s, coeffs })
     }
 
     /// Forecast arrival rate (requests/s) for `region` at `t`, clamped
@@ -103,7 +116,7 @@ mod tests {
         let mut traffic = RegionalTrafficConfig::production(200.0, horizon);
         traffic.crowds_per_region = 0; // pure sinusoid
         let trace = build_regional_trace(&traffic, 3, horizon, 5);
-        let forecast = DiurnalForecast::fit(&trace, 3, horizon, &fit_config(horizon));
+        let forecast = DiurnalForecast::fit(&trace, 3, horizon, &fit_config(horizon)).unwrap();
         for region in 0..3 {
             let crest = crate::global::diurnal_crest(horizon, region, 3);
             let trough =
@@ -127,14 +140,40 @@ mod tests {
         let horizon = SimTime::from_secs(120);
         let traffic = RegionalTrafficConfig::production(50.0, horizon);
         let trace = build_regional_trace(&traffic, 2, horizon, 9);
-        let a = DiurnalForecast::fit(&trace, 2, horizon, &fit_config(horizon));
-        let b = DiurnalForecast::fit(&trace, 2, horizon, &fit_config(horizon));
+        let a = DiurnalForecast::fit(&trace, 2, horizon, &fit_config(horizon)).unwrap();
+        let b = DiurnalForecast::fit(&trace, 2, horizon, &fit_config(horizon)).unwrap();
         for r in 0..2 {
             for s in [0u64, 30, 60, 90] {
                 let t = SimTime::from_secs(s);
                 assert_eq!(a.rate_at(r, t).to_bits(), b.rate_at(r, t).to_bits());
             }
         }
+    }
+
+    /// The parameter a rejected fit names.
+    fn rejected(horizon: SimTime, period: SimTime) -> &'static str {
+        let trace = build_regional_trace(
+            &RegionalTrafficConfig::production(5.0, SimTime::from_secs(10)),
+            1,
+            SimTime::from_secs(10),
+            3,
+        );
+        match DiurnalForecast::fit(&trace, 1, horizon, &fit_config(period)) {
+            Err(ConfigError::OutOfRange { what, .. }) => what,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_zero_horizon_is_rejected() {
+        let period = SimTime::from_secs(60);
+        assert_eq!(rejected(SimTime::ZERO, period), "forecast horizon");
+    }
+
+    #[test]
+    fn a_zero_period_is_rejected() {
+        let horizon = SimTime::from_secs(10);
+        assert_eq!(rejected(horizon, SimTime::ZERO), "diurnal period");
     }
 
     #[test]

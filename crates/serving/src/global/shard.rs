@@ -61,6 +61,7 @@
 //!
 //! [`simulate_global`]: super::simulate_global
 
+use mtia_core::error::ConfigError;
 use mtia_core::telemetry::Telemetry;
 use mtia_core::SimTime;
 use mtia_sim::faults::FaultPlan;
@@ -114,6 +115,39 @@ impl PlanetConfig {
             epoch,
             couple_ladder: false,
         }
+    }
+
+    /// Checks that this config can drive `cells`.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] on an empty `cells`, on cells whose
+    /// timeline bucket widths differ (the merge sums timelines bucket by
+    /// bucket), and on a zero epoch, which would never advance
+    /// simulated time.
+    pub fn validate(&self, cells: &[CellSpec]) -> Result<(), ConfigError> {
+        let Some(first) = cells.first() else {
+            return Err(ConfigError::OutOfRange {
+                what: "planet cells",
+                valid: "at least one cell",
+            });
+        };
+        if cells
+            .iter()
+            .any(|c| c.config.timeline_bucket != first.config.timeline_bucket)
+        {
+            return Err(ConfigError::OutOfRange {
+                what: "cell timeline bucket",
+                valid: "one timeline bucket width for every cell",
+            });
+        }
+        if self.epoch == SimTime::ZERO {
+            return Err(ConfigError::OutOfRange {
+                what: "planet epoch",
+                valid: "> 0",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -280,20 +314,10 @@ fn run_window<'a>(
 ///
 /// # Panics
 ///
-/// Panics on an empty `cells`, on cells whose timeline bucket widths
-/// differ, and on a cell config that fails [`GlobalConfig::validate`].
+/// Panics if `planet` fails [`PlanetConfig::validate`] for `cells`, or
+/// a cell config fails [`GlobalConfig::validate`].
 pub fn simulate_planet(cells: &[CellSpec], planet: PlanetConfig) -> PlanetReport {
-    assert!(!cells.is_empty(), "a planet needs at least one cell");
-    assert!(
-        cells
-            .iter()
-            .all(|c| c.config.timeline_bucket == cells[0].config.timeline_bucket),
-        "every cell must share one timeline bucket width"
-    );
-    assert!(
-        planet.epoch > SimTime::ZERO,
-        "epoch must advance simulated time"
-    );
+    planet.validate(cells).expect("a valid planet config");
     let mut sims: Vec<Sim<'_>> = cells
         .iter()
         .map(|c| Sim::new(&c.spec, &c.config, &c.trace, &c.plan, c.policy))
@@ -561,6 +585,38 @@ mod tests {
             &[toy_cell(0, RoutingPolicy::HealthAware), other],
             PlanetConfig::uncoupled(SimTime::from_secs(1)),
         );
+    }
+
+    /// The parameter a rejected planet config names.
+    fn rejected(planet: PlanetConfig, cells: &[CellSpec]) -> &'static str {
+        match planet.validate(cells) {
+            Err(ConfigError::OutOfRange { what, .. }) => what,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_planet_without_cells_is_rejected() {
+        assert_eq!(rejected(PlanetConfig::production(), &[]), "planet cells");
+    }
+
+    #[test]
+    fn a_planet_mixing_timeline_buckets_is_rejected() {
+        let mut other = toy_cell(1, RoutingPolicy::HealthAware);
+        other.config.timeline_bucket = SimTime::from_millis(500);
+        let cells = [toy_cell(0, RoutingPolicy::HealthAware), other];
+        assert_eq!(
+            rejected(PlanetConfig::production(), &cells),
+            "cell timeline bucket"
+        );
+    }
+
+    #[test]
+    fn a_zero_epoch_is_rejected() {
+        let cells = [toy_cell(0, RoutingPolicy::HealthAware)];
+        assert_eq!(PlanetConfig::production().validate(&cells), Ok(()));
+        let planet = PlanetConfig::uncoupled(SimTime::ZERO);
+        assert_eq!(rejected(planet, &cells), "planet epoch");
     }
 
     #[test]

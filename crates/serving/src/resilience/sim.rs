@@ -636,9 +636,11 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Closes the run at the last event before `horizon` and derives the
-    /// report's end-of-run figures.
+    /// Closes the run at the last event before `horizon`, adds the
+    /// kernel's pops to the perf counter, and derives the report's
+    /// end-of-run figures.
     fn finish(mut self, horizon: SimTime) -> ResilienceReport {
+        mtia_core::perfcount::add_events(self.des.popped());
         let end = self.des.now();
         self.set.tick(end);
         // Requests still in flight at the end: the ones that had their full
