@@ -202,39 +202,56 @@ impl<T> EventQueue<T> {
     /// among live events. O(1) when `(time, seq)` is greater than the
     /// run's tail — always the case for pushes in ascending key order —
     /// and O(log n) otherwise.
+    ///
+    /// Always inlined, with slab growth and the heap sift out of line:
+    /// a payload passed to or returned from a call goes through a stack
+    /// copy written field by field and read back whole, which stalls
+    /// store-to-load forwarding on every event. [`pop`](Self::pop) is
+    /// inlined for the same reason.
+    #[inline(always)]
     pub fn push(&mut self, time: SimTime, seq: u64, payload: T) -> EventId {
         let slot = match self.free.pop() {
-            Some(s) => {
-                let sl = &mut self.slots[s as usize];
-                sl.key = (time, seq);
-                sl.payload = Some(payload);
-                s
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("event slab over u32::MAX slots");
-                self.slots.push(Slot {
-                    gen: 0,
-                    key: (time, seq),
-                    payload: Some(payload),
-                });
-                s
-            }
+            Some(s) => s,
+            None => self.new_slot(),
         };
-        let gen = self.slots[slot as usize].gen;
+        let sl = &mut self.slots[slot as usize];
+        sl.key = (time, seq);
+        sl.payload = Some(payload);
         let entry = HeapEntry {
             key: (time, seq),
             slot,
-            gen,
+            gen: sl.gen,
         };
         if self.run.back().is_none_or(|tail| entry.key > tail.key) {
             self.run.push_back(entry);
         } else {
-            let pos = self.heap.len();
-            self.heap.push(entry);
-            self.sift_up(pos);
+            self.push_heap(entry);
         }
         self.live += 1;
-        EventId { slot, gen }
+        EventId {
+            slot,
+            gen: entry.gen,
+        }
+    }
+
+    /// Appends an empty slot to the slab (warm-up only) and returns its
+    /// index.
+    #[cold]
+    fn new_slot(&mut self) -> u32 {
+        let s = u32::try_from(self.slots.len()).expect("event slab over u32::MAX slots");
+        self.slots.push(Slot {
+            gen: 0,
+            key: (SimTime::ZERO, 0),
+            payload: None,
+        });
+        s
+    }
+
+    /// Sifts an entry that does not extend the run into the heap.
+    fn push_heap(&mut self, entry: HeapEntry) {
+        let pos = self.heap.len();
+        self.heap.push(entry);
+        self.sift_up(pos);
     }
 
     /// The earliest pending `(time, seq)` key, if any.
@@ -246,6 +263,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes and returns the earliest event as `(time, seq, payload)`.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         // Both fronts are live by invariant (dead entries are purged as
         // soon as they surface) and both sources are sorted, so the
