@@ -69,6 +69,7 @@ use std::time::Instant;
 use mtia_bench::experiments::{self, ExperimentEntry};
 use mtia_bench::render_reports;
 use mtia_core::pool;
+use mtia_core::telemetry::json::{self, Json};
 
 struct Options {
     threads: usize,
@@ -360,40 +361,31 @@ fn bench_perf(
     all_identical
 }
 
-/// Pulls `(name, events, events_per_sec_1t)` triples out of a
-/// `--bench-perf` JSON file. A purpose-built scanner, not a JSON parser:
-/// it reads the format `bench_perf` writes (and tolerates whitespace
-/// differences), which is all the baseline gate needs without a serde
-/// dependency.
-fn parse_baseline(body: &str) -> Vec<(String, u64, f64)> {
-    let mut rows = Vec::new();
-    let mut rest = body;
-    while let Some(pos) = rest.find("\"name\": \"") {
-        rest = &rest[pos + "\"name\": \"".len()..];
-        let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_string();
-        let field = |rest: &str, key: &str| -> Option<f64> {
-            let pos = rest.find(key)?;
-            let tail = &rest[pos + key.len()..];
-            let num: String = tail
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+'))
-                .collect();
-            num.parse().ok()
-        };
-        // Search within this row only (up to the next "name" key or EOF)
-        // so a malformed row cannot borrow fields from its neighbor.
-        let row_end = rest.find("\"name\": \"").unwrap_or(rest.len());
-        let row = &rest[..row_end];
-        if let (Some(events), Some(eps)) = (
-            field(row, "\"events\": "),
-            field(row, "\"events_per_sec_1t\": "),
-        ) {
-            rows.push((name, events as u64, eps));
-        }
-        rest = &rest[end..];
-    }
-    rows
+/// Reads the `(name, events, events_per_sec_1t)` triples of a
+/// `--bench-perf` JSON file. A row missing any of the three is an
+/// error, so no experiment silently drops out of the gate.
+fn parse_baseline(body: &str) -> Result<Vec<(String, u64, f64)>, String> {
+    let doc = json::parse(body)?;
+    let Some(Json::Arr(rows)) = doc.get("experiments") else {
+        return Err("no \"experiments\" array".to_string());
+    };
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let Some(Json::Str(name)) = row.get("name") else {
+                return Err(format!("experiment {i} has no string \"name\""));
+            };
+            let Some(&Json::UInt(events)) = row.get("events") else {
+                return Err(format!("{name} has no integer \"events\""));
+            };
+            let eps = match row.get("events_per_sec_1t") {
+                Some(&Json::Num(eps)) => eps,
+                Some(&Json::UInt(eps)) => eps as f64,
+                _ => return Err(format!("{name} has no numeric \"events_per_sec_1t\"")),
+            };
+            Ok((name.clone(), events, eps))
+        })
+        .collect()
 }
 
 /// Gates the measured run against a checked-in baseline. Every entry
@@ -412,11 +404,17 @@ fn perf_baseline_gate(measured: &[PerfRow], path: &str) -> bool {
             return false;
         }
     };
-    let baseline = parse_baseline(&body);
-    if baseline.is_empty() {
-        eprintln!("perf baseline {path} contains no parsable experiment rows");
-        return false;
-    }
+    let baseline = match parse_baseline(&body) {
+        Ok(rows) if !rows.is_empty() => rows,
+        Ok(_) => {
+            eprintln!("perf baseline {path} contains no experiment rows");
+            return false;
+        }
+        Err(e) => {
+            eprintln!("perf baseline {path} is malformed: {e}");
+            return false;
+        }
+    };
     let mut gated = 0;
     let mut regressed = Vec::new();
     let mut recounted = Vec::new();

@@ -26,9 +26,8 @@
 //! with `degraded_service_time == service_time`: the latch question
 //! is about retry amplification, and the ladder's cheaper tier-2
 //! fallback would otherwise triple capacity under pressure and mask
-//! it. Each arm runs through [`simulate_planet`] as a single
-//! uncoupled cell, so the experiment also exercises the sharded
-//! driver and its timeline merge.
+//! it. The three arms are the cells of one uncoupled
+//! [`simulate_planet`] call, so they run as parallel tasks on the pool.
 //!
 //! [`simulate_planet`]: mtia_serving::global::simulate_planet
 
@@ -36,12 +35,13 @@ use mtia_core::seed::{derive, DEFAULT_SEED};
 use mtia_core::SimTime;
 use mtia_fleet::topology::GlobalTopologyConfig;
 use mtia_serving::global::{
-    build_regional_trace_crested, diurnal_crest, simulate_planet, AutoscaleConfig, CellSpec,
-    GlobalConfig, GlobalFleetSpec, GlobalReport, OverloadConfig, PlanetConfig, RegionalTrace,
+    build_regional_trace_crested, diurnal_crest, fold_fingerprints, AutoscaleConfig, CellSpec,
+    GlobalConfig, GlobalFleetSpec, GlobalReport, OverloadConfig, RegionalTrace,
     RegionalTrafficConfig, RoutingPolicy,
 };
 use mtia_sim::faults::{FaultEvent, FaultKind, FaultPlan};
 
+use crate::chaos::run_arms;
 use crate::{fx, ExperimentReport, Table};
 
 /// The E26 inputs: one trace + one fault plan shared by all three
@@ -74,6 +74,9 @@ pub struct E26Scenario {
     /// Autoscaled arm's whole-run goodput floor.
     autoscale_floor: f64,
 }
+
+/// The arms' table labels, in cell order.
+const ARM_LABELS: [&str; 3] = ["naive-retry", "budget+breaker", "budget+breaker+autoscale"];
 
 /// One arm's label, report, and derived goodput levels.
 struct ArmResult {
@@ -215,10 +218,10 @@ impl E26Scenario {
         self.trace.len() as u64
     }
 
-    /// The three arms over the shared trace/plan: naive retries, the
-    /// reactive defenses, and the defenses plus the proactive
-    /// autoscaler.
-    fn arms(&self) -> Vec<(&'static str, CellSpec)> {
+    /// The three arms over the shared trace/plan, in [`ARM_LABELS`]
+    /// order: naive retries, the reactive defenses, and the defenses
+    /// plus the proactive autoscaler.
+    fn arms(&self) -> [CellSpec; 3] {
         let cell = |config: GlobalConfig, policy: RoutingPolicy| CellSpec {
             spec: self.spec.clone(),
             config,
@@ -243,46 +246,40 @@ impl E26Scenario {
             }),
             ..self.base.clone()
         };
-        vec![
-            ("naive-retry", cell(naive, RoutingPolicy::NaiveRetry)),
-            (
-                "budget+breaker",
-                cell(self.base.clone(), RoutingPolicy::OverloadResilient),
-            ),
-            (
-                "budget+breaker+autoscale",
-                cell(autoscaled, RoutingPolicy::OverloadResilient),
-            ),
+        [
+            cell(naive, RoutingPolicy::NaiveRetry),
+            cell(self.base.clone(), RoutingPolicy::OverloadResilient),
+            cell(autoscaled, RoutingPolicy::OverloadResilient),
         ]
     }
 
-    /// Runs every arm to drain through the sharded planetary driver
-    /// (one uncoupled cell each) and derives its goodput levels. The
-    /// arms are independent, so they run as parallel tasks; results
-    /// come back in arm order.
+    /// Runs every arm to drain, all as cells of one uncoupled planet,
+    /// and derives its goodput levels; results come back in arm order.
     fn run(&self) -> Vec<ArmResult> {
-        mtia_core::pool::parallel_map(self.arms(), |_, (label, cell)| {
-            let report = simulate_planet(
-                std::slice::from_ref(&cell),
-                PlanetConfig::uncoupled(SimTime::from_secs(1)),
-            )
-            .merged;
-            let baseline = report.windowed_goodput(self.warmup, self.trigger);
-            let post_heal = report.windowed_goodput(self.heal, self.horizon);
-            let recovered = report.recovered_at(self.heal, self.window, baseline, 5.0);
-            ArmResult {
-                label,
-                report,
-                baseline,
-                post_heal,
-                recovered,
-            }
-        })
+        ARM_LABELS
+            .into_iter()
+            .zip(run_arms(&self.arms()))
+            .map(|(label, report)| {
+                let baseline = report.windowed_goodput(self.warmup, self.trigger);
+                let post_heal = report.windowed_goodput(self.heal, self.horizon);
+                let recovered = report.recovered_at(self.heal, self.window, baseline, 5.0);
+                ArmResult {
+                    label,
+                    report,
+                    baseline,
+                    post_heal,
+                    recovered,
+                }
+            })
+            .collect()
     }
 }
 
 fn arm_row(a: &ArmResult) -> Vec<String> {
     let r = &a.report;
+    // An arm's identity is printed as a one-cell planet's: its
+    // fingerprints folded as `PlanetReport::merged` folds them.
+    let fold = |fingerprint| fold_fingerprints(std::iter::once(fingerprint));
     vec![
         a.label.to_string(),
         r.offered.to_string(),
@@ -298,7 +295,11 @@ fn arm_row(a: &ArmResult) -> Vec<String> {
         r.cancelled_at_admission.to_string(),
         r.scale_events.to_string(),
         format!("{}/{}", r.shed, r.lost),
-        format!("{:016x}/{:016x}", r.trace_fingerprint, r.fault_fingerprint),
+        format!(
+            "{:016x}/{:016x}",
+            fold(r.trace_fingerprint),
+            fold(r.fault_fingerprint)
+        ),
     ]
 }
 

@@ -97,3 +97,37 @@ fn chaos_smoke_passes_and_reports_every_scenario() {
         assert!(stderr.contains(scenario), "missing {scenario}: {stderr}");
     }
 }
+
+#[test]
+fn malformed_perf_baseline_fails_the_gate() {
+    let dir = std::env::temp_dir().join(format!("mtia-baseline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let baseline = dir.join("baseline.json");
+    // The fig5 row lacks its rate; the other row parses but names an
+    // experiment the filter does not run, so only the parse can fail.
+    std::fs::write(
+        &baseline,
+        r#"{"experiments": [
+            {"name": "fig5", "events": 1206259},
+            {"name": "e21_rung", "events": 8600, "events_per_sec_1t": 1.0}
+        ]}"#,
+    )
+    .expect("write baseline");
+    let out = reproduce()
+        .args(["--filter", "fig5", "--bench-perf"])
+        .arg(dir.join("perf.json"))
+        .arg("--perf-baseline")
+        .arg(&baseline)
+        .output()
+        .expect("spawn reproduce");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "a malformed baseline must fail: {stderr}"
+    );
+    assert!(
+        stderr.contains("malformed") && stderr.contains("fig5 has no numeric"),
+        "stderr must name the cause: {stderr}"
+    );
+}

@@ -107,10 +107,7 @@ impl<E, const LANES: usize> Kernel<E, LANES> {
         );
         assert!(at < SimTime::MAX, "cannot schedule at the end of time");
         let id = self.lanes[lane].push(at, key, ev);
-        // Compared directly: `SimTime::min` is not inlined across crates.
-        if at < self.heads[lane] {
-            self.heads[lane] = at;
-        }
+        self.heads[lane] = self.heads[lane].min(at);
         EventId {
             lane: lane as u32,
             id,

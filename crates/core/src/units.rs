@@ -305,6 +305,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `secs` is negative or non-finite.
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -319,42 +320,50 @@ impl SimTime {
     }
 
     /// Time in nanoseconds (fractional).
+    #[inline]
     pub fn as_nanos_f64(self) -> f64 {
         self.0 as f64 / 1e3
     }
 
     /// Time in microseconds (fractional).
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Time in milliseconds (fractional).
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
     /// Time in seconds (fractional).
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e12
     }
 
     /// Saturating subtraction: never underflows.
+    #[inline]
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
     /// Returns `self` scaled by a dimensionless factor.
+    #[inline]
     pub fn scale(self, factor: f64) -> SimTime {
         debug_assert!(factor >= 0.0, "time scale factor must be non-negative");
         SimTime((self.0 as f64 * factor).round() as u64)
     }
 
     /// The smaller of two times.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
 
     /// The larger of two times.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
@@ -364,6 +373,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `other` is zero.
+    #[inline]
     pub fn ratio(self, other: SimTime) -> f64 {
         assert!(other.0 > 0, "division by zero duration");
         self.0 as f64 / other.0 as f64
@@ -372,12 +382,14 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         self.0 += rhs.0;
     }
@@ -385,6 +397,7 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0 - rhs.0)
     }
@@ -392,6 +405,7 @@ impl Sub for SimTime {
 
 impl Mul<u64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn mul(self, rhs: u64) -> SimTime {
         SimTime(self.0 * rhs)
     }
@@ -399,6 +413,7 @@ impl Mul<u64> for SimTime {
 
 impl Div<u64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn div(self, rhs: u64) -> SimTime {
         SimTime(self.0 / rhs)
     }

@@ -33,6 +33,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use mtia_core::des::Kernel;
+use mtia_core::error::ConfigError;
 use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceId, FaultPlan};
@@ -115,6 +116,28 @@ impl FailoverConfig {
     pub fn without_failover(mut self) -> Self {
         self.failover = false;
         self
+    }
+
+    /// Checks the cell shape every failover run needs.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] on zero `shards` or zero
+    /// `replicas_per_shard`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.shards == 0 {
+            return Err(ConfigError::OutOfRange {
+                what: "failover shards",
+                valid: "at least one shard",
+            });
+        }
+        if self.replicas_per_shard == 0 {
+            return Err(ConfigError::OutOfRange {
+                what: "replicas per shard",
+                valid: "at least one replica",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -793,8 +816,7 @@ pub fn simulate_cell_failover_traced(
     warmup: SimTime,
     tel: &mut Telemetry,
 ) -> FailoverReport {
-    assert!(config.shards > 0, "need at least one shard");
-    assert!(config.replicas_per_shard > 0, "need at least one replica");
+    config.validate().expect("a valid failover config");
     let assignment = place_replicas(placement, domains, config.shards, config.replicas_per_shard);
     let mut device_replica: Vec<Option<(u32, u32)>> = vec![None; domains.devices() as usize];
     let shards: Vec<Shard> = assignment
@@ -924,6 +946,31 @@ mod tests {
 
     fn config(seed: u64) -> FailoverConfig {
         FailoverConfig::production(4, 2, seed)
+    }
+
+    /// The parameter a rejected failover config names.
+    fn rejected(config: &FailoverConfig) -> &'static str {
+        match config.validate() {
+            Err(ConfigError::OutOfRange { what, .. }) => what,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cell_without_shards_is_rejected() {
+        assert_eq!(config(1).validate(), Ok(()));
+        assert_eq!(
+            rejected(&FailoverConfig::production(0, 2, 1)),
+            "failover shards"
+        );
+    }
+
+    #[test]
+    fn a_shard_without_replicas_is_rejected() {
+        assert_eq!(
+            rejected(&FailoverConfig::production(4, 0, 1)),
+            "replicas per shard"
+        );
     }
 
     /// Host 0 (devices 0–3) crashes at t=10s for 20s.

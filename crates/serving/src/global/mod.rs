@@ -33,7 +33,8 @@
 //! The comparison methodology is the same as `compare_failover`: one
 //! byte-identical regional arrival trace ([`RegionalTrace`], with
 //! per-region timezone phase offsets and flash crowds) and one fault
-//! plan are replayed through a static-local arm and the router arm;
+//! plan are replayed through a static-local arm and the router arm,
+//! each arm one cell of an uncoupled [`simulate_planet`] call;
 //! [`GlobalComparison::same_trace`] witnesses the identity via both
 //! fingerprints.
 //!
@@ -48,8 +49,8 @@ pub mod shard;
 mod sim;
 
 pub use report::{GlobalComparison, GlobalReport, TimelineBucket};
-pub use shard::{simulate_planet, CellSpec, PlanetConfig, PlanetReport};
-pub use sim::{compare_global, simulate_global, simulate_global_traced};
+pub use shard::{fold_fingerprints, simulate_planet, CellSpec, PlanetConfig, PlanetReport};
+pub use sim::{simulate_global, simulate_global_traced};
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};

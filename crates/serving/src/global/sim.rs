@@ -136,7 +136,7 @@ use crate::resilience::retry::HedgePolicy;
 use crate::resilience::{CircuitBreaker, HealthMachine, HealthState, RetryBudget};
 
 use super::autoscale::{target_devices_per_pod, DiurnalForecast};
-use super::report::{GlobalComparison, GlobalReport, TimelineBucket};
+use super::report::{GlobalReport, TimelineBucket};
 use super::{
     utilization, Arrivals, Defenses, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace,
     Reissue, RoutingPolicy,
@@ -1355,11 +1355,13 @@ impl<'a> Sim<'a> {
         self.pods[pod].busy -= 1;
         self.total_busy -= 1;
         let state = self.req_mut(copy);
-        state.live -= 1;
-        // `req.answered` is whether an earlier copy already answered.
+        // Copied before the stores below, so the copy never waits on a
+        // store it would read straight back. `req.answered` is whether
+        // an earlier copy already answered.
         let req = *state;
+        state.live = req.live - 1;
         state.answered = true;
-        if req.live == 0 {
+        if req.live == 1 {
             self.reqs.remove_slot(copy.slot());
         }
         if self.arm.outliers {
@@ -1587,26 +1589,12 @@ pub fn simulate_global(
     )
 }
 
-/// Replays one byte-identical `(trace, plan)` pair through the
-/// static-local arm and the global-router arm — the `compare_failover`
-/// methodology one level up.
-pub fn compare_global(
-    spec: &GlobalFleetSpec,
-    config: &GlobalConfig,
-    trace: &RegionalTrace,
-    plan: &FaultPlan,
-) -> GlobalComparison {
-    GlobalComparison {
-        naive: simulate_global(spec, config, trace, plan, RoutingPolicy::StaticLocal),
-        router: simulate_global(spec, config, trace, plan, RoutingPolicy::HealthAware),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::global::{
-        build_regional_trace, AutoscaleConfig, GlobalArrival, RegionalTrafficConfig,
+        build_regional_trace, AutoscaleConfig, GlobalArrival, GlobalComparison,
+        RegionalTrafficConfig,
     };
     use mtia_sim::faults::FaultEvent;
 
@@ -1681,7 +1669,12 @@ mod tests {
         let spec = small_spec();
         let trace = small_trace(&spec, 5);
         let plan = region0_outage(&spec);
-        let cmp = compare_global(&spec, &GlobalConfig::production(5), &trace, &plan);
+        let config = GlobalConfig::production(5);
+        let arm = |policy| simulate_global(&spec, &config, &trace, &plan, policy);
+        let cmp = GlobalComparison {
+            naive: arm(RoutingPolicy::StaticLocal),
+            router: arm(RoutingPolicy::HealthAware),
+        };
         assert!(cmp.same_trace());
         assert_eq!(cmp.naive.unaccounted(), 0);
         assert_eq!(cmp.router.unaccounted(), 0);

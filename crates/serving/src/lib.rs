@@ -44,9 +44,9 @@ pub use failover::{
     PlacementPolicy,
 };
 pub use global::{
-    build_regional_trace, compare_global, simulate_global, simulate_global_traced, GlobalArrival,
-    GlobalComparison, GlobalConfig, GlobalFleetSpec, GlobalReport, GrayResilienceConfig,
-    LadderConfig, Priority, RegionalTrace, RegionalTrafficConfig, RoutingPolicy,
+    build_regional_trace, simulate_global, simulate_global_traced, GlobalArrival, GlobalComparison,
+    GlobalConfig, GlobalFleetSpec, GlobalReport, GrayResilienceConfig, LadderConfig, Priority,
+    RegionalTrace, RegionalTrafficConfig, RoutingPolicy,
 };
 pub use mtia_core::telemetry::LatencyHistogram;
 pub use resilience::{

@@ -26,6 +26,7 @@ use std::collections::HashMap;
 use std::iter::Peekable;
 use std::slice;
 
+use mtia_core::error::ConfigError;
 use mtia_core::{DetectionMethod, SdcIncident, SimTime};
 use mtia_model::integrity::{output_fingerprint, IntegrityViolation, OutputGuard};
 use mtia_model::tensor::DenseTensor;
@@ -62,6 +63,21 @@ impl SdcSimConfig {
             image: ImageSpec::small(seed),
             policy,
         }
+    }
+
+    /// Checks the fleet shape every SDC run needs.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::OutOfRange`] on zero `devices`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.devices == 0 {
+            return Err(ConfigError::OutOfRange {
+                what: "SDC fleet devices",
+                valid: "at least one device",
+            });
+        }
+        Ok(())
     }
 }
 
@@ -205,7 +221,7 @@ pub fn run_sdc_sim(
     plan: &FaultPlan,
     handler: &mut dyn QuarantineHandler,
 ) -> SdcReport {
-    assert!(cfg.devices >= 1, "need at least one device");
+    cfg.validate().expect("a valid SDC config");
     let golden = cfg.image.build();
     // Calibrate the output guard from golden outputs of a request sample
     // (plus the canary), at the policy's margin.
@@ -854,6 +870,20 @@ mod tests {
         let plan = plan(cfg.devices, cfg.requests, DEFAULT_SEED);
         let mut handler = InlineRepair::new(SimTime::from_millis(20), 64);
         run_sdc_sim(&cfg, &plan, &mut handler)
+    }
+
+    #[test]
+    fn a_fleet_without_devices_is_rejected() {
+        let mut cfg = SdcSimConfig::default_for(DetectionPolicy::naive(), DEFAULT_SEED);
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.devices = 0;
+        assert!(matches!(
+            cfg.validate(),
+            Err(ConfigError::OutOfRange {
+                what: "SDC fleet devices",
+                ..
+            })
+        ));
     }
 
     #[test]
