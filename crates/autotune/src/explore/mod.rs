@@ -8,9 +8,9 @@
 //! candidates through a calibrated cost/power model anchored on the
 //! shipped module bill, and drives a deterministic seeded
 //! successive-halving search with Pareto pruning over any
-//! caller-supplied objective. E25 (`reproduce --explore`) supplies the
-//! multi-model Perf/TCO + Perf/Watt objective and checks that the
-//! search rediscovers the paper's point from a cold start.
+//! caller-supplied objective. E25 (`reproduce --filter e25_explore`)
+//! supplies the multi-model Perf/TCO + Perf/Watt objective and checks
+//! that the search rediscovers the paper's point from a cold start.
 //!
 //! Everything here is byte-identical at any thread count: candidate
 //! identity is a seed-free mixed-radix index, sampling is a pure

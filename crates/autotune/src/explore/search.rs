@@ -16,10 +16,11 @@
 //!   iteration), and every ranking tie-breaks by ascending index.
 //!
 //! The objective itself must be a pure function of the design point;
-//! the process-wide `sim::costcache` underneath it memoizes pure values
-//! only, so hit/miss scheduling cannot change any result. The engine
-//! keeps its own evaluation memo across generations, whose hit counts
-//! — unlike the cost cache's — are deterministic and safe to render.
+//! the process-wide Zipf memo (`sim::costcache`) underneath it
+//! memoizes pure values only, so hit/miss scheduling cannot change any
+//! result. The engine keeps its own evaluation memo across generations,
+//! whose hit counts — unlike the Zipf memo's — are deterministic and
+//! safe to render.
 
 use std::collections::BTreeMap;
 
@@ -120,7 +121,7 @@ pub struct ExploreOutcome {
 
 impl ExploreOutcome {
     /// Engine-memo hit rate across the whole search: deterministic
-    /// (unlike the process-wide cost cache's counters) because it
+    /// (unlike the process-wide Zipf memo's counters) because it
     /// counts *requests* resolved by the per-search memo, a pure
     /// function of the generation schedule.
     pub fn cache_hit_rate(&self) -> f64 {

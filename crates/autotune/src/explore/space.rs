@@ -135,7 +135,7 @@ impl DesignPoint {
     /// efficiency the Local Memory can sustain, all anchored at the
     /// shipped 384 KiB; [`ChipSpec::at_frequency`] then scales the
     /// frequency-proportional rates. The spec keeps the base chip's
-    /// name so equivalent specs share cost-cache entries.
+    /// name: only its capacities and rates change.
     pub fn chip_spec(&self) -> ChipSpec {
         let base = chips::mtia2i_128gb();
         let burst = Self::burst_efficiency(self.local_mem_kib);

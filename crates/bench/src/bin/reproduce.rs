@@ -17,8 +17,8 @@
 //!   --bench-perf PATH    time each selected experiment at 1 thread and
 //!                        at N threads and write a JSON report (wall
 //!                        clock, speedup, simulated DES events and
-//!                        events/sec, peak RSS, kernel-cost-cache hit
-//!                        rate plus per-shard hit/miss counts)
+//!                        events/sec, peak RSS, and the hit/miss
+//!                        counts of the Zipf hit-rate memo)
 //!   --perf-baseline PATH compare the --bench-perf results against a
 //!                        checked-in baseline JSON and fail when any
 //!                        gated experiment's single-thread events/sec
@@ -42,12 +42,6 @@
 //!                        WAN partition) against the global router —
 //!                        and fail if accounting leaks a request or
 //!                        goodput dips below 90 %
-//!   --explore            run the E25 design-space search over the full
-//!                        §3.6 axes (seeded successive halving, Pareto
-//!                        pruning) and print the discovered frontier,
-//!                        best-vs-paper verdict, and per-generation
-//!                        telemetry; fails if the search falls short of
-//!                        the paper's hand-picked point
 //!   --explore-smoke      exhaustively search the tiny pinned space and
 //!                        fail unless the optimum is the paper's design
 //!                        point (the CI rung behind the golden fixture);
@@ -81,7 +75,6 @@ struct Options {
     trace_out: Option<String>,
     telemetry_smoke: bool,
     chaos_smoke: bool,
-    explore: bool,
     explore_smoke: bool,
 }
 
@@ -90,8 +83,7 @@ fn usage() -> ! {
         "usage: reproduce [--threads N] [--filter STR] [--list] \
          [--determinism-check] [--bench-perf PATH] \
          [--perf-baseline PATH] [--trace-out DIR] \
-         [--telemetry-smoke] [--chaos-smoke] [--explore] \
-         [--explore-smoke]"
+         [--telemetry-smoke] [--chaos-smoke] [--explore-smoke]"
     );
     std::process::exit(2)
 }
@@ -107,7 +99,6 @@ fn parse_args() -> Options {
         trace_out: None,
         telemetry_smoke: false,
         chaos_smoke: false,
-        explore: false,
         explore_smoke: false,
     };
     let mut args = std::env::args().skip(1);
@@ -125,7 +116,6 @@ fn parse_args() -> Options {
             "--trace-out" => opts.trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--telemetry-smoke" => opts.telemetry_smoke = true,
             "--chaos-smoke" => opts.chaos_smoke = true,
-            "--explore" => opts.explore = true,
             "--explore-smoke" => opts.explore_smoke = true,
             "--help" | "-h" => usage(),
             _ => usage(),
@@ -160,8 +150,9 @@ fn selection(opts: &Options) -> Vec<ExperimentEntry> {
 }
 
 /// One timed pass over a selection: rendered output, wall clock, the
-/// kernel-cost-cache delta, and the simulated-DES-event delta (both
-/// process-global, so both are snapshotted around the run).
+/// Zipf-memo counters, and the simulated-DES-event delta (both
+/// process-global: the memo is reset before the run and the event
+/// count is snapshotted around it).
 struct TimedRun {
     out: String,
     wall: f64,
@@ -169,8 +160,8 @@ struct TimedRun {
     events: u64,
 }
 
-/// Runs `entries` and reports wall-clock plus the kernel-cost-cache and
-/// DES-event deltas for the run (the cache is process-global, so it is
+/// Runs `entries` and reports wall-clock plus the Zipf-memo and
+/// DES-event deltas for the run (the memo is process-global, so it is
 /// reset first for honest cold-start numbers).
 fn timed_run(entries: &[ExperimentEntry], threads: usize) -> TimedRun {
     mtia_sim::costcache::reset();
@@ -232,7 +223,7 @@ const PERF_GATE_MAX_REGRESSION: f64 = 0.25;
 /// thread and at `threads`, speedup, byte-identity, simulated DES
 /// events with single-thread events/sec, peak RSS (the high-water mark
 /// is reset before each experiment; `null` when it cannot be), and
-/// cost-cache hit rates. Hand-rolled JSON — the workspace takes no serde dependency.
+/// Zipf-memo hit rates. Hand-rolled JSON — the workspace takes no serde dependency.
 fn bench_perf(
     entries: &[ExperimentEntry],
     threads: usize,
@@ -252,22 +243,6 @@ fn bench_perf(
         let peak_reset = reset_peak_rss();
         let run_1t = timed_run(one, 1);
         let run_nt = timed_run(one, threads);
-        // Per-shard counters from the N-thread run (the cache was reset
-        // at its start), so shard-load skew under the pool is visible.
-        // Only shards that saw traffic are emitted — the all-zero
-        // entries carry no signal and used to dominate the file.
-        let shards = mtia_sim::costcache::shard_stats();
-        let shard_rows: Vec<String> = shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.hits + s.misses > 0)
-            .map(|(i, s)| {
-                format!(
-                    "{{\"shard\": {}, \"hits\": {}, \"misses\": {}}}",
-                    i, s.hits, s.misses
-                )
-            })
-            .collect();
         let identical = run_1t.out == run_nt.out && run_1t.events == run_nt.events;
         all_identical &= identical;
         total_1t += run_1t.wall;
@@ -309,8 +284,7 @@ fn bench_perf(
              \"speedup\": {}, \"identical\": {}, \
              \"events\": {}, \"events_per_sec_1t\": {}, \
              \"events_per_sec_nt\": {}, \"peak_rss_bytes\": {}, \
-             \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {}, \
-             \"shards\": [{}]}}}}",
+             \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {}}}}}",
             if i == 0 { "" } else { ",\n" },
             entry.name,
             json_f64(run_1t.wall),
@@ -324,7 +298,6 @@ fn bench_perf(
             run_nt.cache.hits,
             run_nt.cache.misses,
             json_f64(run_nt.cache.hit_rate()),
-            shard_rows.join(", "),
         )
         .expect("string write");
     }
@@ -347,9 +320,9 @@ fn bench_perf(
     );
     if total_hits == 0 {
         eprintln!(
-            "warning: kernel-cost-cache hit rate is 0% across the selected \
+            "warning: Zipf-memo hit rate is 0% across the selected \
              experiments ({total_misses} misses) — the selection never \
-             re-evaluates a (env, op) tuple, so the memo layer is dead \
+             repeats an embedding-cache budget, so the memo is dead \
              weight for it"
         );
     }
@@ -516,8 +489,8 @@ fn trace_out(entries: &[ExperimentEntry], dir: &str) -> bool {
             &tel.to_chrome_json(),
         );
     }
-    // Per-experiment metrics: wall clock + the kernel-cost-cache delta
-    // each experiment produced on a cold cache.
+    // Per-experiment metrics: wall clock + the Zipf-memo counters each
+    // experiment produced on a cold memo.
     let mut rows = String::new();
     for (i, entry) in entries.iter().enumerate() {
         let run = timed_run(std::slice::from_ref(entry), 1);
@@ -613,41 +586,6 @@ fn chaos_smoke() -> bool {
     }
     let passed = report.passed(0.90);
     eprintln!("chaos smoke {}", if passed { "passed" } else { "FAILED" });
-    passed
-}
-
-/// Runs the full E25 design-space search (seeded successive halving with
-/// Pareto pruning over the §3.6 axes) and prints the frontier,
-/// best-vs-paper verdict, and per-generation telemetry. Fails only if
-/// the search falls short of the paper's hand-picked point — matching or
-/// dominating it both count as success.
-fn explore_full(threads: usize) -> bool {
-    use mtia_bench::experiments::explore_exps::{self, Verdict};
-
-    pool::set_threads(threads);
-    let run = explore_exps::e25_run();
-    pool::set_threads(0);
-    print!("{}", explore_exps::report_tables(&run, "E25"));
-    let out = &run.outcome;
-    eprintln!(
-        "explore: {} candidates evaluated ({} infeasible, memo hit rate {:.1}%), \
-         best perf/TCO {:.4} vs paper {:.4}",
-        out.evaluated.len(),
-        out.infeasible,
-        out.cache_hit_rate() * 100.0,
-        out.best.score.perf_per_tco,
-        run.paper_score.perf_per_tco,
-    );
-    let passed = run.verdict != Verdict::FellShort;
-    eprintln!(
-        "explore {} ({})",
-        if passed { "passed" } else { "FAILED" },
-        match run.verdict {
-            Verdict::Rediscovered => "search rediscovered the shipped design point",
-            Verdict::Dominates => "search found a point dominating the shipped design",
-            Verdict::FellShort => "search fell short of the shipped design point",
-        }
-    );
     passed
 }
 
@@ -751,9 +689,6 @@ fn main() -> ExitCode {
     if opts.chaos_smoke {
         failed |= !chaos_smoke();
     }
-    if opts.explore {
-        failed |= !explore_full(threads);
-    }
     if opts.explore_smoke {
         failed |= !explore_smoke();
     }
@@ -764,7 +699,6 @@ fn main() -> ExitCode {
         || opts.bench_perf.is_some()
         || opts.telemetry_smoke
         || opts.chaos_smoke
-        || opts.explore
         || opts.explore_smoke
         || opts.trace_out.is_some()
     {

@@ -6,9 +6,10 @@
 //! to the E6/F6 platform objective — mean relative Perf/TCO and
 //! Perf/Watt vs the fixed GPU baseline over the E18a model set — with
 //! the candidate's module priced by the calibrated area/power model.
-//! The acceptance bar (`reproduce --explore`, `tests/paper_claims.rs`)
-//! is that a cold-start seeded search rediscovers or Pareto-dominates
-//! the shipped point, byte-identically at any thread count.
+//! The acceptance bar (`reproduce --filter e25_explore`,
+//! `tests/paper_claims.rs`) is that a cold-start seeded search
+//! rediscovers or Pareto-dominates the shipped point, byte-identically
+//! at any thread count.
 
 use mtia_autotune::explore::{
     self, ChipSpecSpace, DesignPoint, ExploreConfig, ExploreOutcome, ObjectivePoint,
@@ -219,7 +220,7 @@ fn verdict_label(v: Verdict) -> &'static str {
 
 /// Renders an explore run as the E25 report tables (frontier,
 /// best-vs-paper with verdict, per-generation telemetry) — shared by
-/// the registry entries and the `reproduce --explore` CLI mode.
+/// the `e25_explore` and `e25_rung` registry entries.
 pub fn report_tables(run: &ExploreRun, id: &'static str) -> ExperimentReport {
     let mut frontier = Table::new(
         "discovered Pareto frontier (Perf/TCO × Perf/Watt)",

@@ -29,6 +29,7 @@ pub mod des;
 pub mod dtype;
 pub mod error;
 pub mod eventq;
+pub mod fnv;
 pub mod incident;
 pub mod memo;
 pub mod perfcount;

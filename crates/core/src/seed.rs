@@ -12,6 +12,8 @@
 //! decorrelated streams while remaining reproducible: changing the
 //! label changes the stream, changing the root seed changes all of them.
 
+use crate::fnv::Fnv1a;
+
 /// The documented root seed for all examples and integration tests.
 ///
 /// The value spells "MTIA 2i" in spirit: 0x2i = the second-generation
@@ -32,12 +34,9 @@ pub const DEFAULT_SEED: u64 = 0x4D54_4941_2025_0002; // "MTIA" 2025 #2
 /// assert_eq!(faults, derive(DEFAULT_SEED, "fault-plan"));
 /// ```
 pub fn derive(root: u64, label: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in label.as_bytes() {
-        hash ^= *byte as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    let mut z = root ^ hash;
+    let mut hash = Fnv1a::default();
+    hash.bytes(label.as_bytes());
+    let mut z = root ^ hash.finish();
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

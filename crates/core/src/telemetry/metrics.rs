@@ -14,9 +14,9 @@
 //! Dotted lowercase paths, subsystem first: `chip.occupancy.dpe_ps`,
 //! `serving.shed`, `fleet.rollout.impacted`. Names prefixed with
 //! `nondet.` are *excluded from canonical trace exports*: they carry
-//! useful-but-scheduling-dependent values (e.g. process-global
-//! cost-cache hit counts, which depend on what else ran in the same
-//! process) and must not participate in golden-trace comparisons.
+//! useful-but-scheduling-dependent values (e.g. wall-clock timings or
+//! process-global memo hit counts, which depend on what else ran in the
+//! same process) and must not participate in golden-trace comparisons.
 
 use std::collections::BTreeMap;
 
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn canonical_records_skip_nondet_names() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("nondet.costcache.hits", 7);
+        m.counter_add("nondet.profile.wall_ns", 7);
         m.counter_add("chip.nodes", 3);
         let (canon, _, _) = m.to_json_records(true);
         assert_eq!(canon.len(), 1);

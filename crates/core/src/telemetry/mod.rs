@@ -15,7 +15,7 @@
 //!
 //! The one escape hatch: metric names prefixed `nondet.` (see
 //! [`NONDET_PREFIX`]) may carry scheduling-dependent values such as
-//! process-global cost-cache hit counts. They appear in human-facing
+//! wall-clock timings. They appear in human-facing
 //! exports but are excluded from [`Telemetry::to_canonical_json`], the
 //! representation golden tests compare.
 //!
@@ -311,7 +311,7 @@ mod tests {
         tel.end_span(t(5));
         tel.instant("halt", "fleet", t(3), vec![("stage".into(), Json::UInt(1))]);
         tel.counter_add("chip.nodes", 1);
-        tel.counter_add("nondet.costcache.hits", 9);
+        tel.counter_add("nondet.profile.wall_ns", 9);
         tel.gauge_max("queue.depth", 4.0);
         tel.hist_record("req.latency", t(1000));
         tel
@@ -336,9 +336,9 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"path\":\"run/gemm0\""));
         // nondet metrics are excluded from the canonical form...
-        assert!(!a.contains("nondet.costcache.hits"));
+        assert!(!a.contains("nondet.profile.wall_ns"));
         // ...but present in the chrome export.
-        assert!(sample().to_chrome_json().contains("nondet.costcache.hits"));
+        assert!(sample().to_chrome_json().contains("nondet.profile.wall_ns"));
         // The document is valid JSON despite being line-oriented.
         json::parse(&a).expect("canonical trace parses");
     }

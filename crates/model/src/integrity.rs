@@ -24,6 +24,8 @@
 
 use std::fmt;
 
+use mtia_core::fnv::Fnv1a;
+
 use crate::tensor::DenseTensor;
 
 /// A violation one of the integrity mechanisms detected.
@@ -303,19 +305,13 @@ impl OutputGuard {
 /// is bit-identical, so canary and shadow comparisons use exact equality
 /// — any divergence is evidence of corruption, not jitter.
 pub fn output_fingerprint(out: &DenseTensor) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    mix(out.rows() as u64);
-    mix(out.cols() as u64);
+    let mut hash = Fnv1a::default();
+    hash.word(out.rows() as u64);
+    hash.word(out.cols() as u64);
     for v in out.data() {
-        mix(v.to_bits() as u64);
+        hash.word(v.to_bits() as u64);
     }
-    hash
+    hash.finish()
 }
 
 #[cfg(test)]

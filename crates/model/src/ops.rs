@@ -13,7 +13,7 @@ use mtia_core::units::{Bytes, FlopCount};
 use mtia_core::DType;
 
 /// Parameters of a Table-Batched-Embedding lookup (the "sparse network").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TbeParams {
     /// Number of embedding tables batched into this operator.
     pub num_tables: u64,
@@ -50,7 +50,7 @@ impl TbeParams {
 
 /// Parameters of dense multi-headed attention (§6: "a network of MHA
 /// blocks like those in traditional transformers").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttentionParams {
     /// Batch size.
     pub batch: u64,
@@ -65,7 +65,7 @@ pub struct AttentionParams {
 /// Parameters of HSTU-style ragged attention over jagged user histories
 /// (§4.3): sequence lengths vary per batch item and a positional/timestamp
 /// bias is gathered from lookup tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaggedAttentionParams {
     /// Batch size (number of users).
     pub batch: u64,
@@ -81,7 +81,7 @@ pub struct RaggedAttentionParams {
 
 /// Elementwise operation families, distinguished because nonlinear functions
 /// use the SIMD engine's lookup tables while arithmetic uses its ALUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EwKind {
     /// Add/mul/sub with one or two inputs.
     Arithmetic,
@@ -103,7 +103,7 @@ pub enum OpCategory {
 }
 
 /// One operator in the graph IR.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKind {
     /// Fully-connected layer: `[batch × in] · [in × out]`.
     Fc {

@@ -30,7 +30,7 @@
 //! smoke asserts is zero with failover enabled. Everything is a pure
 //! function of `(config, placement, domains, plan, arrivals)`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use mtia_core::des::Kernel;
 use mtia_core::error::ConfigError;
@@ -220,7 +220,9 @@ struct Engine<'a> {
     shards: Vec<Shard>,
     /// Device → (shard, replica slot) for devices hosting a replica.
     device_replica: Vec<Option<(u32, u32)>>,
-    inflight: HashMap<(DeviceId, u64), InflightJob>,
+    /// Per device, the job it is serving and the device epoch it
+    /// started under. A device serves one job at a time.
+    inflight: Vec<Option<(u64, InflightJob)>>,
     des: Kernel<Ev>,
     next_token: u64,
     controller: Option<DegradationController>,
@@ -294,7 +296,7 @@ impl<'a> Engine<'a> {
         if epoch == u64::MAX {
             return;
         }
-        let Some(job) = self.inflight.remove(&(device, epoch)) else {
+        let Some(job) = self.take_inflight(device, epoch) else {
             return;
         };
         if self.config.failover {
@@ -309,6 +311,13 @@ impl<'a> Engine<'a> {
         } else {
             self.report.lost += 1;
         }
+    }
+
+    /// Removes and returns the job `device` runs under `epoch`, if any.
+    fn take_inflight(&mut self, device: DeviceId, epoch: u64) -> Option<InflightJob> {
+        self.inflight[device as usize]
+            .take_if(|(e, _)| *e == epoch)
+            .map(|(_, job)| job)
     }
 
     /// Marks the replica on `device` (if any) down and re-arms
@@ -367,15 +376,16 @@ impl<'a> Engine<'a> {
             let epoch = self.set.get(replica.device).epoch();
             let factor = self.set.get(replica.device).faults.service_time_factor(now);
             let occupancy = self.config.service_time.scale(factor) + self.config.dispatch_overhead;
-            self.inflight.insert(
-                (replica.device, epoch),
+            debug_assert!(self.inflight[replica.device as usize].is_none());
+            self.inflight[replica.device as usize] = Some((
+                epoch,
                 InflightJob {
                     shard: s,
                     request: req.id,
                     arrived: req.arrived,
                     incident: req.incident,
                 },
-            );
+            ));
             self.des.schedule(
                 now + occupancy,
                 Ev::JobDone {
@@ -390,13 +400,17 @@ impl<'a> Engine<'a> {
     fn checkpoint_all(&mut self, now: SimTime) {
         for s in 0..self.config.shards {
             let shard = &self.shards[s as usize];
-            // At most one in-flight job per shard (single serving
-            // primary), so this scan has a unique, deterministic result.
+            // A partitioned primary keeps its job while a promoted
+            // standby starts another, so a shard can have two; record the
+            // lowest-indexed device's.
             let inflight = self
                 .inflight
                 .iter()
-                .find(|(_, job)| job.shard == s)
-                .map(|(&(device, epoch), _)| (device, epoch));
+                .enumerate()
+                .find_map(|(device, slot)| match slot {
+                    Some((epoch, job)) if job.shard == s => Some((device as DeviceId, *epoch)),
+                    _ => None,
+                });
             let checkpoint = CellCheckpoint {
                 at: now,
                 shard: s,
@@ -503,10 +517,7 @@ impl<'a> Engine<'a> {
                     if !self.set.finish_job(device, epoch, now) {
                         continue; // stale: killed by a fault
                     }
-                    let job = self
-                        .inflight
-                        .remove(&(device, epoch))
-                        .expect("inflight job");
+                    let job = self.take_inflight(device, epoch).expect("inflight job");
                     self.set.get_mut(device).health.observe_success(now);
                     self.report.completed += 1;
                     let latency = now - job.arrived;
@@ -755,7 +766,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.report.offered -= self.inflight.len() as u64;
+        self.report.offered -= self.inflight.iter().flatten().count() as u64;
         self.set.tick(end);
         self.report.device_availability = self.set.availability(end.max(SimTime::from_picos(1)));
         self.tel.end_span(end);
@@ -853,7 +864,7 @@ pub fn simulate_cell_failover_traced(
         set: DeviceSet::new(domains.devices(), config.health, config.pcie_util_window),
         shards,
         device_replica,
-        inflight: HashMap::new(),
+        inflight: vec![None; domains.devices() as usize],
         des: Kernel::new(),
         next_token: 0,
         controller: if config.failover {
@@ -1159,6 +1170,52 @@ mod tests {
         assert_eq!(report.restores, 0, "no warm restarts for partitions");
         assert_eq!(report.lost, 0);
         assert!(report.promotions > 0, "partitioned primaries hand over");
+    }
+
+    /// A partitioned primary keeps serving its job while the promoted
+    /// standby starts another, so a shard has two in-flight jobs for a
+    /// while; checkpoints taken in that overlap must not depend on any
+    /// hash order.
+    #[test]
+    fn partition_overlap_checkpoints_are_reproducible() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut cfg = config(29);
+        cfg.service_time = SimTime::from_millis(1_000);
+        cfg.checkpoint_every = SimTime::from_millis(100);
+        assert!(cfg.service_time >= cfg.promotion_delay.scale(10.0));
+        let primary = place_replicas(PlacementPolicy::DomainAware, &MiniTopo, cfg.shards, 2)[0][0];
+        let host = MiniTopo.host_of(primary);
+        let plan = FaultPlan::empty(29).with_correlated_event(
+            host * 4..host * 4 + 4,
+            SimTime::from_millis(1_500),
+            FaultKind::NicPartition,
+            SimTime::from_secs(5),
+        );
+        let fingerprints: Vec<u64> = (0..16)
+            .map(|_| {
+                let mut arrivals =
+                    crate::traffic::PoissonArrivals::new(8.0, StdRng::seed_from_u64(29));
+                let report = simulate_cell_failover(
+                    &cfg,
+                    PlacementPolicy::DomainAware,
+                    &MiniTopo,
+                    &mut arrivals,
+                    &plan,
+                    SimTime::from_secs(10),
+                    SimTime::ZERO,
+                );
+                assert!(
+                    report.promotions > 0,
+                    "the partition must hand shard 0 over"
+                );
+                report.checkpoint_fingerprint
+            })
+            .collect();
+        assert!(
+            fingerprints.iter().all(|&f| f == fingerprints[0]),
+            "checkpoint fingerprints differ between identical runs: {fingerprints:x?}"
+        );
     }
 
     #[test]

@@ -56,6 +56,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mtia_core::error::ConfigError;
+use mtia_core::fnv::Fnv1a;
 use mtia_core::pool;
 use mtia_core::seed::derive_indexed;
 use mtia_core::SimTime;
@@ -842,22 +843,16 @@ impl RegionalTrace {
 
 /// FNV-1a over `(at, region, priority)` words.
 fn fnv_fingerprint(arrivals: impl Iterator<Item = GlobalArrival>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::default();
     for a in arrivals {
-        mix(a.at.as_picos());
-        mix(a.region as u64);
-        mix(match a.priority {
+        hash.word(a.at.as_picos());
+        hash.word(a.region as u64);
+        hash.word(match a.priority {
             Priority::High => 0,
             Priority::Low => 1,
         });
     }
-    hash
+    hash.finish()
 }
 
 /// [`RegionalTrace::arrivals`]: a merge of the region columns in

@@ -63,6 +63,7 @@
 //! driver on overloaded planets that do roll back.
 
 use mtia_core::error::ConfigError;
+use mtia_core::fnv::Fnv1a;
 use mtia_core::pool::parallel_map;
 use mtia_core::telemetry::Telemetry;
 use mtia_core::SimTime;
@@ -177,14 +178,11 @@ pub struct PlanetReport {
 /// order-sensitive so cell permutations are visible): the fingerprints
 /// a [`PlanetReport::merged`] carries.
 pub fn fold_fingerprints(parts: impl Iterator<Item = u64>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::default();
     for part in parts {
-        for byte in part.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x100_0000_01b3);
-        }
+        hash.word(part);
     }
-    hash
+    hash.finish()
 }
 
 /// Merges fully-drained per-cell reports into the fleet-wide view.

@@ -16,8 +16,8 @@ use mtia_model::graph::Graph;
 use mtia_model::ops::{OpCategory, OpKind};
 
 use crate::control::JobLaunchModel;
-use crate::costcache::{cost_op_cached, env_signature, zipf_hit_rate_cached};
-use crate::kernels::{FcVariant, KernelEnv};
+use crate::costcache::zipf_hit_rate_cached;
+use crate::kernels::{cost_op, FcVariant, KernelEnv};
 use crate::mem::lpddr::LpddrController;
 use crate::mem::sram::place_model;
 use crate::noc::NocModel;
@@ -170,11 +170,6 @@ impl ChipSim {
     /// as the chip's serial timeline), engine-occupancy and byte
     /// counters, and a per-node kernel-time histogram.
     ///
-    /// The cost-cache hit/miss counters are recorded under the
-    /// `nondet.` prefix: the cache is process-global, so those two
-    /// numbers depend on what else ran first in the process and are
-    /// excluded from canonical (golden-diffable) exports.
-    ///
     /// The returned report is byte-identical whether `tel` is enabled
     /// or disabled — telemetry only observes.
     ///
@@ -221,9 +216,6 @@ impl ChipSim {
             tbe_hit_rate,
             skip_writeback_hints: plan.memory_hints,
         };
-        // One environment fingerprint per run: every node lookup below
-        // reuses it to key the process-wide cost memo cache.
-        let env_sig = env_signature(&env);
         let launch = JobLaunchModel::new(self.spec.control.clone());
         let per_node_overhead = match plan.launch_mode {
             LaunchMode::Eager => launch.replace_time(self.spec.pe_count()),
@@ -231,7 +223,6 @@ impl ChipSim {
             LaunchMode::Graph => mtia_core::SimTime::from_nanos(50),
         };
 
-        let cache_before = crate::costcache::stats();
         tel.begin_span("chip.run", "sim", SimTime::ZERO);
         tel.span_attr("model", Json::Str(graph.name().to_string()));
         tel.span_attr("batch", Json::UInt(graph.batch()));
@@ -245,7 +236,7 @@ impl ChipSim {
             let node = &graph.nodes()[idx];
             let dtype = graph.node_dtype(node);
             let variant = plan.fc_variants.get(&idx).copied();
-            let cost = cost_op_cached(&env, env_sig, &node.op, dtype, variant);
+            let cost = cost_op(&env, &node.op, dtype, variant);
             // Graph mode pays one full job launch up front.
             let launch_overhead = if pos == 0 && plan.launch_mode == LaunchMode::Graph {
                 per_node_overhead + launch.launch_time(self.spec.pe_count())
@@ -299,17 +290,6 @@ impl ChipSim {
             });
         }
         tel.end_span(cursor);
-        if tel.is_enabled() {
-            let cache_after = crate::costcache::stats();
-            tel.counter_add(
-                "nondet.costcache.hits",
-                cache_after.hits.saturating_sub(cache_before.hits),
-            );
-            tel.counter_add(
-                "nondet.costcache.misses",
-                cache_after.misses.saturating_sub(cache_before.misses),
-            );
-        }
 
         // One perf-counter event per executed node, so chip-level
         // experiments carry real work into the `--bench-perf` gate.

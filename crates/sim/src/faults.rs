@@ -67,6 +67,7 @@
 
 use std::cmp::Ordering;
 
+use mtia_core::fnv::Fnv1a;
 use mtia_core::SimTime;
 use mtia_model::error_inject::InjectionTarget;
 use rand::rngs::StdRng;
@@ -733,23 +734,17 @@ impl FaultPlan {
     /// fingerprints injected the same trace. Reports embed this so
     /// "compared under identical fault traces" is checkable.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.seed);
+        let mut hash = Fnv1a::default();
+        hash.word(self.seed);
         for e in &self.events {
-            mix(e.at.as_picos());
-            mix(e.device as u64);
+            hash.word(e.at.as_picos());
+            hash.word(e.device as u64);
             let (tag, param) = e.kind.fingerprint_words();
-            mix(tag);
-            mix(param);
-            mix(e.duration.as_picos());
+            hash.word(tag);
+            hash.word(param);
+            hash.word(e.duration.as_picos());
         }
-        hash
+        hash.finish()
     }
 }
 

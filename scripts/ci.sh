@@ -34,11 +34,10 @@ echo "==> reproduce smoke: determinism + perf (--filter quick)"
 # e23_rung, e24_rung, e25_rung, e26_rung), run at one thread and at all
 # host threads: fails if the rendered tables are not byte-identical,
 # and leaves the per-experiment wall-clock/speedup/events-per-sec/
-# peak-RSS/cache telemetry (global + non-zero per-shard counters) in
-# BENCH_PERF.json.
-# e25_rung's design search re-evaluates kernels through
-# sim::costcache, so a 0% overall hit rate here is a regression (the
-# binary warns on it).
+# peak-RSS/Zipf-memo telemetry in BENCH_PERF.json.
+# e25_rung's design search re-solves the same embedding-cache budgets
+# through the Zipf hit-rate memo in sim::costcache, so a 0% overall hit
+# rate here is a regression (the binary warns on it).
 #
 # --perf-baseline regression-gates the DES core's single-thread
 # events/sec against the checked-in BENCH_BASELINE.json: any gated
