@@ -78,13 +78,14 @@ struct Options {
     explore_smoke: bool,
 }
 
+const USAGE: &str = "usage: reproduce [--threads N] [--filter STR] [--list] \
+                     [--determinism-check] [--bench-perf PATH] \
+                     [--perf-baseline PATH] [--trace-out DIR] \
+                     [--telemetry-smoke] [--chaos-smoke] [--explore-smoke]";
+
+/// Prints the usage line to stderr and exits 2, the bad-argument code.
 fn usage() -> ! {
-    eprintln!(
-        "usage: reproduce [--threads N] [--filter STR] [--list] \
-         [--determinism-check] [--bench-perf PATH] \
-         [--perf-baseline PATH] [--trace-out DIR] \
-         [--telemetry-smoke] [--chaos-smoke] [--explore-smoke]"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -117,7 +118,10 @@ fn parse_args() -> Options {
             "--telemetry-smoke" => opts.telemetry_smoke = true,
             "--chaos-smoke" => opts.chaos_smoke = true,
             "--explore-smoke" => opts.explore_smoke = true,
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                std::process::exit(0)
+            }
             _ => usage(),
         }
     }
@@ -156,7 +160,7 @@ fn selection(opts: &Options) -> Vec<ExperimentEntry> {
 struct TimedRun {
     out: String,
     wall: f64,
-    cache: mtia_core::memo::CacheStats,
+    cache: mtia_sim::costcache::CacheStats,
     events: u64,
 }
 

@@ -1,7 +1,7 @@
 //! Autotuning experiments: the FC kernel performance database (E4, §4.1)
 //! and request-coalescing tuning (E5, §4.1).
 
-use mtia_compiler::perfdb::{exhaustive_tune_par, FcShape, MemoEval, PerfDb};
+use mtia_compiler::perfdb::{exhaustive_tune_par, FcShape, PerfDb};
 use mtia_core::spec::{chips, EccMode};
 use mtia_core::units::{Bytes, SimTime};
 use mtia_core::DType;
@@ -36,18 +36,17 @@ fn sim_eval() -> impl Fn(FcShape, FcVariant) -> SimTime + Sync {
 
 /// E4: exhaustive FC tuning vs the perf-DB ANN lookup.
 pub fn e4_kernel_tuning() -> ExperimentReport {
-    // The kernel-cost evaluator is pure, so tuning memoizes it: repeated
-    // (shape, variant) cells across grid seeding, exhaustive baselines,
-    // and ANN queries hit the sharded cache, and the grid itself tunes
-    // its shapes on the pool workers.
+    // Each evaluation is one analytic `cost_op` call, microseconds of
+    // work, so the tuners call it directly: a memo in front of it costs
+    // more in hashing and locking than the repeated cells save. The grid
+    // tunes its shapes on the pool workers.
     let eval = sim_eval();
-    let memo = MemoEval::new(&eval);
     let mut db = PerfDb::new();
     db.seed_grid_par(
         &[64, 256, 1024, 4096],
         &[128, 512, 2048, 8192],
         &[128, 512, 2048],
-        &memo.as_fn(),
+        &eval,
     );
 
     let mut t = Table::new(
@@ -71,8 +70,8 @@ pub fn e4_kernel_tuning() -> ExperimentReport {
         FcShape::new(1536, 1536, 640),
     ];
     for q in queries {
-        let ex = exhaustive_tune_par(q, &memo.as_fn());
-        let ann = db.lookup_tune(q, &mut memo.as_fn());
+        let ex = exhaustive_tune_par(q, &eval);
+        let ann = db.lookup_tune(q, &mut |s, v| eval(s, v));
         t.row(&[
             format!("{}x{}x{}", q.m, q.k, q.n),
             ex.evaluations.to_string(),

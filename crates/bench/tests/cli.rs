@@ -131,3 +131,21 @@ fn malformed_perf_baseline_fails_the_gate() {
         "stderr must name the cause: {stderr}"
     );
 }
+
+#[test]
+fn help_prints_usage_to_stdout_and_succeeds() {
+    for flag in ["--help", "-h"] {
+        let out = reproduce().arg(flag).output().expect("spawn reproduce");
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: reproduce"), "{flag}: {stdout}");
+        assert!(stdout.contains("--explore-smoke"), "{flag}: {stdout}");
+    }
+    let out = reproduce()
+        .arg("--no-such-flag")
+        .output()
+        .expect("spawn reproduce");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: reproduce"));
+}

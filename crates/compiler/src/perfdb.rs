@@ -12,9 +12,6 @@
 //! tuner measures every generated variant; the database answers with a
 //! single nearest-neighbour lookup.
 
-use std::hash::Hash;
-
-use mtia_core::memo::{stable_key, CacheStats, ShardedCache};
 use mtia_core::pool;
 use mtia_core::units::SimTime;
 use mtia_sim::kernels::{FcVariant, Stationarity};
@@ -150,57 +147,6 @@ pub fn exhaustive_tune_par(
         variant: variants[best_idx],
         time,
         evaluations,
-    }
-}
-
-/// A memoized, thread-safe wrapper around a kernel-evaluation function.
-///
-/// Tuning sweeps revisit `(shape, variant)` cells: the grid seeding, the
-/// exhaustive baselines, and the validating lookups all call the same
-/// simulator-backed evaluation. `MemoEval` interns results in a
-/// lock-sharded cache so each distinct cell is simulated once per
-/// process; being `&self`-based it is shared freely across the
-/// [`pool`] workers.
-///
-/// The wrapped function must be pure — the cache returns the first
-/// computed value for a key forever after.
-#[derive(Debug)]
-pub struct MemoEval<F> {
-    inner: F,
-    cache: ShardedCache<SimTime>,
-}
-
-impl<F: Fn(FcShape, FcVariant) -> SimTime> MemoEval<F> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: F) -> Self {
-        MemoEval {
-            inner,
-            cache: ShardedCache::default(),
-        }
-    }
-
-    /// Evaluates `(shape, variant)`, consulting the cache first.
-    pub fn eval(&self, shape: FcShape, variant: FcVariant) -> SimTime {
-        let key = stable_key(|h| {
-            shape.hash(h);
-            variant.hash(h);
-        });
-        self.cache
-            .get_or_insert_with(key, || (self.inner)(shape, variant))
-    }
-
-    /// Hit/miss counters accumulated so far.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Borrowing closure adapter for the `&mut impl FnMut` tuning APIs
-    /// and (when the inner evaluator is `Sync`) the parallel ones.
-    pub fn as_fn(&self) -> impl Fn(FcShape, FcVariant) -> SimTime + Sync + '_
-    where
-        F: Sync,
-    {
-        move |shape, variant| self.eval(shape, variant)
     }
 }
 
@@ -358,7 +304,7 @@ mod tests {
     }
 
     /// A shareable (`Fn`) simulator-backed evaluation over a borrowed
-    /// chip, for the parallel/memoized APIs.
+    /// chip, for the parallel APIs.
     fn shared_eval(
         chip: &mtia_core::ChipSpec,
     ) -> impl Fn(FcShape, FcVariant) -> SimTime + Sync + '_ {
@@ -393,22 +339,6 @@ mod tests {
         assert_eq!(serial.variant, parallel.variant);
         assert_eq!(serial.time, parallel.time);
         assert_eq!(serial.evaluations, parallel.evaluations);
-    }
-
-    #[test]
-    fn memoized_eval_computes_each_cell_once() {
-        let chip = chips::mtia2i();
-        let memo = MemoEval::new(shared_eval(&chip));
-        let shape = FcShape::new(256, 1024, 512);
-        let first = exhaustive_tune_par(shape, &memo.as_fn());
-        let misses_after_first = memo.stats().misses;
-        let second = exhaustive_tune_par(shape, &memo.as_fn());
-        assert_eq!(first.variant, second.variant);
-        assert_eq!(first.time, second.time);
-        // The second sweep is answered entirely from the cache (allowing
-        // for first-sweep races that double-computed a fresh key).
-        assert_eq!(memo.stats().misses, misses_after_first);
-        assert!(memo.stats().hits >= first.evaluations as u64);
     }
 
     #[test]

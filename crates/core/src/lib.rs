@@ -3,8 +3,8 @@
 //! TCO/power accounting used by every experiment.
 //!
 //! This crate is dependency-free and (apart from the small execution
-//! utilities in [`pool`] and [`memo`]) purely descriptive; the
-//! behavioural models live in `mtia-sim` and above.
+//! utility in [`pool`]) purely descriptive; the behavioural models live
+//! in `mtia-sim` and above.
 //!
 //! # Quick tour
 //!
@@ -31,7 +31,6 @@ pub mod error;
 pub mod eventq;
 pub mod fnv;
 pub mod incident;
-pub mod memo;
 pub mod perfcount;
 pub mod pool;
 pub mod power;

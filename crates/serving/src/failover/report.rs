@@ -6,7 +6,7 @@ use mtia_core::telemetry::LatencyHistogram;
 
 /// What one cell-failover run produced. All counters are exact event
 /// counts; latency histograms exclude the warmup window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FailoverReport {
     /// Placement policy name (`"naive"` / `"domain-aware"`).
     pub placement: &'static str,

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 
 use mtia_core::des::Kernel;
 use mtia_core::error::ConfigError;
-use mtia_core::telemetry::{Json, LatencyHistogram, Telemetry};
+use mtia_core::telemetry::{Json, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceId, FaultPlan};
 
@@ -877,21 +877,8 @@ pub fn simulate_cell_failover_traced(
             failover_enabled: config.failover,
             seed: config.seed,
             fault_fingerprint: plan.fingerprint(),
-            offered: 0,
-            completed: 0,
-            shed: 0,
-            lost: 0,
-            requeued: 0,
-            promotions: 0,
-            restores: 0,
-            rereplications: 0,
-            checkpoints: 0,
-            checkpoint_fingerprint: 0,
-            unavailable: SimTime::ZERO,
-            recovery_time: SimTime::ZERO,
-            request_latency: LatencyHistogram::new(),
-            incident_latency: LatencyHistogram::new(),
             device_availability: 1.0,
+            ..FailoverReport::default()
         },
         warmup,
         tel,

@@ -476,6 +476,11 @@ impl AutoscaleConfig {
     }
 }
 
+/// Bucket width of a report's goodput timeline
+/// ([`GlobalReport::timeline`]). One width for every run is what lets a
+/// planet merge sum cell timelines bucket by bucket.
+pub const TIMELINE_BUCKET: SimTime = SimTime::from_secs(1);
+
 /// Everything that parameterizes one global-serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalConfig {
@@ -513,8 +518,6 @@ pub struct GlobalConfig {
     /// keeps every device active, which is byte-identical to the
     /// pre-reserve behaviour.
     pub reserve_per_pod: u32,
-    /// Bucket width of the report's goodput timeline.
-    pub timeline_bucket: SimTime,
     /// Root seed (recorded in reports; the simulation itself is
     /// deterministic given its inputs).
     pub seed: u64,
@@ -542,7 +545,6 @@ impl GlobalConfig {
             overload: OverloadConfig::production(),
             autoscale: None,
             reserve_per_pod: 0,
-            timeline_bucket: SimTime::from_secs(1),
             seed,
         }
     }

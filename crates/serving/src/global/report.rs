@@ -4,11 +4,13 @@ use mtia_core::SimTime;
 
 use mtia_core::telemetry::LatencyHistogram;
 
+use super::TIMELINE_BUCKET;
+
 /// What one global-serving run produced. All counters are exact event
 /// counts over a fully-drained run, so the conservation identity
 /// `offered == served_full + served_degraded + shed + lost` holds
 /// exactly ([`GlobalReport::unaccounted`] returns the residue).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GlobalReport {
     /// Routing arm name (`"static-local"`, `"global-router"`,
     /// `"outlier-hedge"`, `"naive-retry"` or `"overload-resilient"`; see
@@ -97,15 +99,13 @@ pub struct GlobalReport {
     /// test audits.
     pub routed: Vec<Vec<u64>>,
     /// Goodput timeline: per arrival-time bucket
-    /// ([`GlobalReport::timeline_bucket`] wide), how many requests
+    /// ([`TIMELINE_BUCKET`] wide), how many requests
     /// *arrived* in the bucket and how many of those were eventually
     /// served (either tier). Keyed by arrival instant, not completion,
     /// so windows line up across arms — the witness behind the
     /// metastability verdict (goodput staying depressed *after* a
     /// trigger clears).
     pub timeline: Vec<TimelineBucket>,
-    /// Width of one [`GlobalReport::timeline`] bucket.
-    pub timeline_bucket: SimTime,
 }
 
 /// One arrival-time bucket of the goodput timeline.
@@ -123,46 +123,13 @@ impl GlobalReport {
     /// what a run counts into, and what a merge folds cells into.
     /// Identity fields not passed here (fingerprints, `offered`) start
     /// at zero.
-    pub(super) fn empty(
-        policy: &'static str,
-        seed: u64,
-        regions: usize,
-        pods: usize,
-        timeline_bucket: SimTime,
-    ) -> Self {
+    pub(super) fn empty(policy: &'static str, seed: u64, regions: usize, pods: usize) -> Self {
         GlobalReport {
             policy,
             seed,
-            fault_fingerprint: 0,
-            trace_fingerprint: 0,
-            offered: 0,
-            served_full: 0,
-            served_degraded: 0,
-            shed: 0,
-            lost: 0,
-            lost_unroutable: 0,
-            lost_killed: 0,
-            lost_deadline: 0,
-            spillover: 0,
-            hedges_issued: 0,
-            hedge_wins: 0,
-            duplicates_suppressed: 0,
-            hedges_cancelled: 0,
-            retries_issued: 0,
-            retries_shed: 0,
-            breaker_opens: 0,
-            cancelled_at_admission: 0,
-            scale_events: 0,
-            outlier_demotions: 0,
-            device_downs: 0,
-            events: 0,
-            request_latency: LatencyHistogram::new(),
-            spillover_latency: LatencyHistogram::new(),
-            recovery_time: SimTime::ZERO,
             capacity_headroom: 1.0,
             routed: vec![vec![0; pods]; regions],
-            timeline: Vec::new(),
-            timeline_bucket,
+            ..GlobalReport::default()
         }
     }
 
@@ -187,7 +154,7 @@ impl GlobalReport {
     /// Goodput over the half-open arrival window `[from, to)`, from the
     /// timeline. `1.0` when the window offered nothing.
     pub fn windowed_goodput(&self, from: SimTime, to: SimTime) -> f64 {
-        let bucket = self.timeline_bucket.as_picos().max(1);
+        let bucket = TIMELINE_BUCKET.as_picos();
         let lo = (from.as_picos() / bucket) as usize;
         let hi = (to.as_picos() / bucket) as usize;
         let (mut offered, mut served) = (0u64, 0u64);
@@ -214,9 +181,9 @@ impl GlobalReport {
         baseline: f64,
         tolerance_pp: f64,
     ) -> Option<SimTime> {
-        let bucket = self.timeline_bucket;
-        let step = (window.as_picos() / bucket.as_picos().max(1)).max(1) as usize;
-        let start = (heal.as_picos() / bucket.as_picos().max(1)) as usize;
+        let bucket = TIMELINE_BUCKET;
+        let step = (window.as_picos() / bucket.as_picos()).max(1) as usize;
+        let start = (heal.as_picos() / bucket.as_picos()) as usize;
         let floor = baseline - tolerance_pp / 100.0;
         let mut candidate: Option<usize> = None;
         let mut b = start;

@@ -125,24 +125,13 @@ impl PlanetConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::OutOfRange`] on an empty `cells`, on cells whose
-    /// timeline bucket widths differ (the merge sums timelines bucket by
-    /// bucket), and on a zero epoch, which would never advance
-    /// simulated time.
+    /// [`ConfigError::OutOfRange`] on an empty `cells` and on a zero
+    /// epoch, which would never advance simulated time.
     pub fn validate(&self, cells: &[CellSpec]) -> Result<(), ConfigError> {
-        let Some(first) = cells.first() else {
+        if cells.is_empty() {
             return Err(ConfigError::OutOfRange {
                 what: "planet cells",
                 valid: "at least one cell",
-            });
-        };
-        if cells
-            .iter()
-            .any(|c| c.config.timeline_bucket != first.config.timeline_bucket)
-        {
-            return Err(ConfigError::OutOfRange {
-                what: "cell timeline bucket",
-                valid: "one timeline bucket width for every cell",
             });
         }
         if self.epoch == SimTime::ZERO {
@@ -196,13 +185,7 @@ fn merge_reports(cells: &[GlobalReport]) -> GlobalReport {
     let mut merged = GlobalReport {
         fault_fingerprint: fold_fingerprints(cells.iter().map(|c| c.fault_fingerprint)),
         trace_fingerprint: fold_fingerprints(cells.iter().map(|c| c.trace_fingerprint)),
-        ..GlobalReport::empty(
-            cells[0].policy,
-            cells[0].seed,
-            total_regions,
-            total_pods,
-            cells[0].timeline_bucket,
-        )
+        ..GlobalReport::empty(cells[0].policy, cells[0].seed, total_regions, total_pods)
     };
     let (mut region_base, mut pod_base) = (0usize, 0usize);
     for cell in cells {
@@ -614,17 +597,6 @@ mod tests {
         assert!(!r.timeline.is_empty());
     }
 
-    #[test]
-    #[should_panic(expected = "one timeline bucket width")]
-    fn cells_with_different_timeline_buckets_are_rejected() {
-        let mut other = toy_cell(1, RoutingPolicy::HealthAware);
-        other.config.timeline_bucket = SimTime::from_millis(500);
-        simulate_planet(
-            &[toy_cell(0, RoutingPolicy::HealthAware), other],
-            PlanetConfig::uncoupled(SimTime::from_secs(1)),
-        );
-    }
-
     /// The parameter a rejected planet config names.
     fn rejected(planet: PlanetConfig, cells: &[CellSpec]) -> &'static str {
         match planet.validate(cells) {
@@ -636,17 +608,6 @@ mod tests {
     #[test]
     fn a_planet_without_cells_is_rejected() {
         assert_eq!(rejected(PlanetConfig::production(), &[]), "planet cells");
-    }
-
-    #[test]
-    fn a_planet_mixing_timeline_buckets_is_rejected() {
-        let mut other = toy_cell(1, RoutingPolicy::HealthAware);
-        other.config.timeline_bucket = SimTime::from_millis(500);
-        let cells = [toy_cell(0, RoutingPolicy::HealthAware), other];
-        assert_eq!(
-            rejected(PlanetConfig::production(), &cells),
-            "cell timeline bucket"
-        );
     }
 
     #[test]

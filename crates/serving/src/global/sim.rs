@@ -139,7 +139,7 @@ use super::autoscale::{target_devices_per_pod, DiurnalForecast};
 use super::report::{GlobalReport, TimelineBucket};
 use super::{
     utilization, Arrivals, Defenses, GlobalConfig, GlobalFleetSpec, Priority, RegionalTrace,
-    Reissue, RoutingPolicy,
+    Reissue, RoutingPolicy, TIMELINE_BUCKET,
 };
 
 /// Unions each key's `(start, end)` fault windows into disjoint
@@ -584,7 +584,6 @@ impl<'a> Sim<'a> {
                     config.seed,
                     spec.regions as usize,
                     spec.pods() as usize,
-                    config.timeline_bucket,
                 )
             },
         };
@@ -637,8 +636,7 @@ impl<'a> Sim<'a> {
     /// The timeline bucket a request arriving at `arrived` lands in,
     /// growing the vector on demand.
     fn bucket_mut(&mut self, arrived: SimTime) -> &mut TimelineBucket {
-        let width = self.config.timeline_bucket.as_picos().max(1);
-        let b = (arrived.as_picos() / width) as usize;
+        let b = (arrived.as_picos() / TIMELINE_BUCKET.as_picos()) as usize;
         let timeline = &mut self.report.timeline;
         if timeline.len() <= b {
             timeline.resize(b + 1, TimelineBucket::default());

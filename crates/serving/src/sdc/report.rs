@@ -12,7 +12,7 @@ use super::policy::GUARD_COST_FRACTION;
 /// ground truth, incident and quarantine accounting, and the redundant
 /// work performed — enough to score a policy on recall, false positives,
 /// detection latency, and throughput overhead.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SdcReport {
     /// Policy name (bench table row).
     pub policy: String,

@@ -21,7 +21,6 @@
 //!   [`InlineRepair`] standalone), which memtests, repairs, and either
 //!   schedules the device back on probation or retires it.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::iter::Peekable;
 use std::slice;
@@ -255,29 +254,7 @@ pub fn run_sdc_sim(
             policy: cfg.policy.name.to_string(),
             seed: cfg.image.seed,
             fault_fingerprint: plan.fingerprint(),
-            offered: 0,
-            served: 0,
-            served_corrupted: 0,
-            dropped: 0,
-            rescued: 0,
-            flips_injected: 0,
-            flips_corrupting: 0,
-            flips_detected_corrupting: 0,
-            incidents_by_method: BTreeMap::new(),
-            incidents: Vec::new(),
-            false_positives: 0,
-            clean_guarded_executions: 0,
-            detection_latencies: Vec::new(),
-            quarantines: 0,
-            repairs: 0,
-            retirements: 0,
-            execs_user: 0,
-            execs_canary: 0,
-            execs_shadow: 0,
-            execs_replay: 0,
-            execs_retry: 0,
-            execs_guarded: 0,
-            timeline: Vec::new(),
+            ..SdcReport::default()
         },
     };
 

@@ -3,12 +3,17 @@
 //! [`ChipSim`] derives one TBE hit rate per run from
 //! [`zipf_hit_rate`], and a design sweep repeats the same few
 //! embedding-cache budgets over and over. [`zipf_hit_rate_cached`]
-//! interns the solver's result keyed by its exact inputs `(catalog,
-//! cache_size, skew.to_bits())` in a lock-sharded [`ShardedCache`].
-//! Uncached, the bisection solver dominates a co-design evaluation: the
-//! perfbench `codesign` workload runs about 4–5× slower without this
-//! memo (0.44–0.53 s against 0.08–0.13 s per job, three alternating
-//! runs on a shared 2-core x86 host).
+//! interns the solver's result in one map keyed by its exact inputs
+//! `(catalog, cache_size, skew.to_bits())`, so two different inputs can
+//! never share an entry. Uncached, the bisection solver dominates a
+//! co-design evaluation: the perfbench `codesign` workload runs about
+//! 4–5× slower without this memo (0.44–0.53 s against 0.08–0.13 s per
+//! job, three alternating runs on a shared 2-core x86 host).
+//!
+//! One mutex is enough: a `codesign` job makes about 3,600 lookups on
+//! 20 keys, each lock is held only for a map probe or an insert, and the
+//! solver runs outside it. Two workers racing on a fresh key may both
+//! solve it; both store the same bits.
 //!
 //! Per-node kernel costs are not memoized: `ChipSim` calls
 //! [`cost_op`](crate::kernels::cost_op) directly, which costs less than
@@ -26,17 +31,42 @@
 //!
 //! [`ChipSim`]: crate::chip::ChipSim
 
-use std::hash::Hash;
-use std::sync::OnceLock;
-
-use mtia_core::memo::{stable_key, CacheStats, ShardedCache};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::mem::cache::zipf_hit_rate;
 
-static ZIPF: OnceLock<ShardedCache<f64>> = OnceLock::new();
+/// Hit/miss counters snapshotted from the Zipf memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that had to solve (and then inserted).
+    pub misses: u64,
+}
 
-fn zipf_cache() -> &'static ShardedCache<f64> {
-    ZIPF.get_or_init(ShardedCache::default)
+impl CacheStats {
+    /// Fraction of lookups answered from the memo; 0 when unused.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// `(catalog, cache_size, skew.to_bits())`.
+type ZipfKey = (u64, u64, u64);
+
+static ZIPF: Mutex<BTreeMap<ZipfKey, f64>> = Mutex::new(BTreeMap::new());
+static HITS: AtomicU64 = AtomicU64::new(0);
+static MISSES: AtomicU64 = AtomicU64::new(0);
+
+fn zipf_memo() -> MutexGuard<'static, BTreeMap<ZipfKey, f64>> {
+    ZIPF.lock().expect("Zipf memo poisoned")
 }
 
 /// [`zipf_hit_rate`] through the process-wide Zipf memo, keyed by its
@@ -46,29 +76,37 @@ fn zipf_cache() -> &'static ShardedCache<f64> {
 ///
 /// As [`zipf_hit_rate`], on a miss with invalid inputs.
 pub fn zipf_hit_rate_cached(catalog: u64, cache_size: u64, skew: f64) -> f64 {
-    let key = stable_key(|h| {
-        catalog.hash(h);
-        cache_size.hash(h);
-        skew.to_bits().hash(h);
-    });
-    zipf_cache().get_or_insert_with(key, || zipf_hit_rate(catalog, cache_size, skew))
+    let key = (catalog, cache_size, skew.to_bits());
+    if let Some(&rate) = zipf_memo().get(&key) {
+        HITS.fetch_add(1, Ordering::Relaxed);
+        return rate;
+    }
+    MISSES.fetch_add(1, Ordering::Relaxed);
+    let rate = zipf_hit_rate(catalog, cache_size, skew);
+    zipf_memo().insert(key, rate);
+    rate
 }
 
 /// Snapshot of the Zipf memo's hit/miss counters.
 pub fn stats() -> CacheStats {
-    zipf_cache().stats()
+    CacheStats {
+        hits: HITS.load(Ordering::Relaxed),
+        misses: MISSES.load(Ordering::Relaxed),
+    }
 }
 
 /// Zipf hit rates currently interned.
 pub fn entries() -> usize {
-    zipf_cache().len()
+    zipf_memo().len()
 }
 
 /// Empties the Zipf memo and zeroes its counters (fair cold-start
 /// timings when benchmarking thread counts or measuring per-experiment
 /// rates).
 pub fn reset() {
-    zipf_cache().clear();
+    zipf_memo().clear();
+    HITS.store(0, Ordering::Relaxed);
+    MISSES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -78,7 +116,6 @@ mod tests {
     use mtia_core::spec::chips;
     use mtia_model::models::dlrm::DlrmConfig;
     use mtia_model::models::zoo;
-    use std::sync::{Mutex, MutexGuard};
 
     /// Serializes the tests that count hits or call [`reset`]: the memo
     /// is process-wide and the harness runs tests in parallel.
@@ -140,6 +177,34 @@ mod tests {
             reset();
             entries() == 0 && stats() == CacheStats::default()
         }));
+    }
+
+    /// Workers sharing the memo all get the solver's bits, and every
+    /// lookup is counted as a hit or a miss.
+    #[test]
+    fn concurrent_lookups_under_the_pool() {
+        let _guard = memo_lock();
+        let keys = [
+            (31_415_926u64, 27_182u64, 0.61f64),
+            (31_415_926, 27_183, 0.61),
+            (16_180_339, 14_142, 1.17),
+            (16_180_339, 14_142, 1.171),
+        ];
+        let before = stats();
+        let results = mtia_core::pool::parallel_map_with(8, (0..512usize).collect(), |_, i| {
+            let (catalog, cache, skew) = keys[i % keys.len()];
+            zipf_hit_rate_cached(catalog, cache, skew)
+        });
+        for (i, rate) in results.iter().enumerate() {
+            let (catalog, cache, skew) = keys[i % keys.len()];
+            assert_eq!(
+                rate.to_bits(),
+                zipf_hit_rate(catalog, cache, skew).to_bits(),
+                "({catalog}, {cache}, {skew})"
+            );
+        }
+        let after = stats();
+        assert!(after.hits + after.misses >= before.hits + before.misses + 512);
     }
 
     /// `ChipSim` interns one Zipf hit rate per distinct embedding-cache

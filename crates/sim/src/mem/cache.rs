@@ -10,8 +10,9 @@
 //!   predictions over multi-billion-row tables where streaming every access
 //!   is impractical. Its `t`-independent rank buckets are built once per
 //!   call, outside the bisection; `ChipSim` calls it through the
-//!   process-wide memo in [`crate::costcache`], so a repeated
-//!   `(catalog, cache, skew)` is solved once per process.
+//!   process-wide exact-key memo in [`crate::costcache`], so a repeated
+//!   `(catalog, cache, skew)` is solved once per process, or twice when
+//!   two workers race on its first lookup.
 
 /// Statistics of a cache simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
