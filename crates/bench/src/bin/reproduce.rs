@@ -83,9 +83,10 @@ const USAGE: &str = "usage: reproduce [--threads N] [--filter STR] [--list] \
                      [--perf-baseline PATH] [--trace-out DIR] \
                      [--telemetry-smoke] [--chaos-smoke] [--explore-smoke]";
 
-/// Prints the usage line to stderr and exits 2, the bad-argument code.
-fn usage() -> ! {
-    eprintln!("{USAGE}");
+/// Prints `reproduce: <problem>` and the usage line to stderr and exits
+/// 2, the bad-argument code.
+fn usage(problem: &str) -> ! {
+    eprintln!("reproduce: {problem}\n{USAGE}");
     std::process::exit(2)
 }
 
@@ -104,17 +105,23 @@ fn parse_args() -> Options {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
             "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.threads = v.parse().unwrap_or_else(|_| usage());
+                let v = value();
+                opts.threads = v
+                    .parse()
+                    .unwrap_or_else(|_| usage(&format!("bad --threads value {v:?}")));
             }
-            "--filter" => opts.filter = Some(args.next().unwrap_or_else(|| usage())),
+            "--filter" => opts.filter = Some(value()),
             "--list" => opts.list = true,
             "--determinism-check" => opts.determinism_check = true,
-            "--bench-perf" => opts.bench_perf = Some(args.next().unwrap_or_else(|| usage())),
-            "--perf-baseline" => opts.perf_baseline = Some(args.next().unwrap_or_else(|| usage())),
-            "--trace-out" => opts.trace_out = Some(args.next().unwrap_or_else(|| usage())),
+            "--bench-perf" => opts.bench_perf = Some(value()),
+            "--perf-baseline" => opts.perf_baseline = Some(value()),
+            "--trace-out" => opts.trace_out = Some(value()),
             "--telemetry-smoke" => opts.telemetry_smoke = true,
             "--chaos-smoke" => opts.chaos_smoke = true,
             "--explore-smoke" => opts.explore_smoke = true,
@@ -122,7 +129,7 @@ fn parse_args() -> Options {
                 println!("{USAGE}");
                 std::process::exit(0)
             }
-            _ => usage(),
+            _ => usage(&format!("unknown flag {arg}")),
         }
     }
     opts
@@ -684,8 +691,7 @@ fn main() -> ExitCode {
             failed |= !perf_baseline_gate(&measured, baseline);
         }
     } else if opts.perf_baseline.is_some() {
-        eprintln!("--perf-baseline requires --bench-perf");
-        usage();
+        usage("--perf-baseline requires --bench-perf");
     }
     if opts.telemetry_smoke {
         failed |= !telemetry_smoke();

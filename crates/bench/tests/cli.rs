@@ -141,11 +141,31 @@ fn help_prints_usage_to_stdout_and_succeeds() {
         assert!(stdout.starts_with("usage: reproduce"), "{flag}: {stdout}");
         assert!(stdout.contains("--explore-smoke"), "{flag}: {stdout}");
     }
-    let out = reproduce()
-        .arg("--no-such-flag")
-        .output()
-        .expect("spawn reproduce");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty());
-    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: reproduce"));
+}
+
+#[test]
+fn rejected_arguments_are_named_before_the_usage() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--bogus"], "reproduce: unknown flag --bogus"),
+        (&["--threads", "x"], r#"reproduce: bad --threads value "x""#),
+        (&["--threads"], "reproduce: --threads needs a value"),
+        (
+            &["--perf-baseline", "b.json"],
+            "reproduce: --perf-baseline requires --bench-perf",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = reproduce().args(args).output().expect("spawn reproduce");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let mut lines = stderr.lines();
+        assert_eq!(lines.next(), Some(message), "{args:?}: {stderr}");
+        assert!(
+            lines
+                .next()
+                .is_some_and(|l| l.starts_with("usage: reproduce")),
+            "{args:?}: {stderr}"
+        );
+    }
 }

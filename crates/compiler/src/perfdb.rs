@@ -17,7 +17,7 @@ use mtia_core::units::SimTime;
 use mtia_sim::kernels::{FcVariant, Stationarity};
 
 /// An FC shape (m = batch rows, k = input features, n = output features).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FcShape {
     /// Batch rows.
     pub m: u64,

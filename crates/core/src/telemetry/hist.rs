@@ -21,7 +21,7 @@ const DECADES: usize = 9;
 const BUCKETS: usize = BUCKETS_PER_DECADE * DECADES + 2;
 
 /// The bucket rule: `⌊20·log10(ps / 1 µs)⌋ + 1`, clamped to the
-/// buckets, and 0 below 1 µs. [`lower_edges`] tabulates it once so
+/// buckets, and 0 below 1 µs. [`bucket_tables`] tabulates it once so
 /// recording a sample needs no `log10`.
 fn bucket_by_log10(ps: u64) -> usize {
     let ps = ps as f64;
@@ -32,13 +32,36 @@ fn bucket_by_log10(ps: u64) -> usize {
     (pos as usize + 1).min(BUCKETS - 1)
 }
 
-/// `edges[i]` is the smallest picosecond count [`bucket_by_log10`]
-/// puts in bucket `i + 1` or above, found by binary search: the rule is
-/// monotone in `ps`, so a value's bucket is the number of edges at or
-/// below it.
-fn lower_edges() -> &'static [u64; BUCKETS - 1] {
-    static EDGES: OnceLock<[u64; BUCKETS - 1]> = OnceLock::new();
-    EDGES.get_or_init(|| {
+/// Bits of a value below its top set bit that pick its [`Buckets::start`]
+/// slot: 64 bit positions × 16 = 1,024 slots.
+const SLOT_BITS: u32 = 4;
+
+/// The slot of `ps`: its top set bit's position and the
+/// [`SLOT_BITS`] bits below it. Slot `s` covers `[lo, hi)` with
+/// `hi / lo ≤ 17/16` (values below 16 get a slot each), narrower than
+/// the ≈1.122 ratio between consecutive edges, so at most one edge falls
+/// inside a slot.
+fn slot_of(ps: u64) -> usize {
+    let top = 63 - (ps | 1).leading_zeros();
+    let mantissa = (ps >> top.saturating_sub(SLOT_BITS)) & ((1 << SLOT_BITS) - 1);
+    ((top << SLOT_BITS) as u64 | mantissa) as usize
+}
+
+/// The bucket rule tabulated.
+struct Buckets {
+    /// `edges[i]` is the smallest picosecond count [`bucket_by_log10`]
+    /// puts in bucket `i + 1` or above, found by binary search: the rule
+    /// is monotone in `ps`, so a value's bucket is the number of edges at
+    /// or below it.
+    edges: [u64; BUCKETS - 1],
+    /// Per slot, the bucket of the slot's smallest value.
+    start: [u8; 64 << SLOT_BITS],
+}
+
+/// The tables, built on first use.
+fn bucket_tables() -> &'static Buckets {
+    static TABLES: OnceLock<Buckets> = OnceLock::new();
+    TABLES.get_or_init(|| {
         let mut edges = [0; BUCKETS - 1];
         for (i, edge) in edges.iter_mut().enumerate() {
             let (mut lo, mut hi) = (0, u64::MAX);
@@ -52,7 +75,16 @@ fn lower_edges() -> &'static [u64; BUCKETS - 1] {
             }
             *edge = lo;
         }
-        edges
+        // Values below 16 lie under the first edge (1 µs): their slots
+        // keep bucket 0.
+        let mut start = [0; 64 << SLOT_BITS];
+        let small = (SLOT_BITS as usize) << SLOT_BITS;
+        for (slot, entry) in start.iter_mut().enumerate().skip(small) {
+            let (top, mantissa) = (slot >> SLOT_BITS, slot as u64 & ((1 << SLOT_BITS) - 1));
+            let lo = ((1 << SLOT_BITS) | mantissa) << (top - SLOT_BITS as usize);
+            *entry = edges.partition_point(|&edge| edge <= lo) as u8;
+        }
+        Buckets { edges, start }
     })
 }
 
@@ -77,9 +109,14 @@ impl LatencyHistogram {
     }
 
     /// The bucket of `latency`: how many bucket lower edges it reaches.
+    /// Its slot's first bucket, plus one if it reaches the one edge the
+    /// slot may hold.
+    #[inline]
     fn bucket_of(latency: SimTime) -> usize {
         let ps = latency.as_picos();
-        lower_edges().partition_point(|&edge| edge <= ps)
+        let tables = bucket_tables();
+        let start = tables.start[slot_of(ps)] as usize;
+        start + tables.edges.get(start).is_some_and(|&edge| ps >= edge) as usize
     }
 
     fn bucket_upper(index: usize) -> SimTime {
@@ -215,34 +252,40 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(2_000))]
+    /// The edges' binary search, which the slot table replaces.
+    fn searched(ps: u64) -> usize {
+        bucket_tables().edges.partition_point(|&edge| edge <= ps)
+    }
 
-        /// The edge table buckets any value as the `log10` rule does;
-        /// the shift spreads values over every scale.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// The slot table buckets any value as the edges' binary search
+        /// and the `log10` rule do; the shift spreads values over every
+        /// scale.
         #[test]
         fn edge_table_matches_the_log10_rule(raw in any::<u64>(), shift in 0u32..64) {
             let ps = raw >> shift;
-            prop_assert_eq!(
-                LatencyHistogram::bucket_of(SimTime::from_picos(ps)),
-                bucket_by_log10(ps)
-            );
+            let bucket = LatencyHistogram::bucket_of(SimTime::from_picos(ps));
+            prop_assert_eq!(bucket, searched(ps));
+            prop_assert_eq!(bucket, bucket_by_log10(ps));
         }
     }
 
     #[test]
     fn edge_table_matches_the_log10_rule_at_every_edge() {
-        for &edge in lower_edges() {
-            for ps in [edge.saturating_sub(1), edge, edge.saturating_add(1)] {
-                assert_eq!(
-                    LatencyHistogram::bucket_of(SimTime::from_picos(ps)),
-                    bucket_by_log10(ps),
-                    "{ps} ps"
-                );
-            }
+        let mut values = vec![0, 1, 15, 16, u64::MAX];
+        for &edge in &bucket_tables().edges {
+            values.extend([edge - 1, edge, edge + 1]);
         }
-        assert_eq!(lower_edges()[0], FLOOR_PICOS as u64);
-        assert!(lower_edges().windows(2).all(|w| w[0] < w[1]));
+        for ps in values {
+            let bucket = LatencyHistogram::bucket_of(SimTime::from_picos(ps));
+            assert_eq!(bucket, searched(ps), "{ps} ps");
+            assert_eq!(bucket, bucket_by_log10(ps), "{ps} ps");
+        }
+        assert_eq!(searched(u64::MAX), BUCKETS - 1);
+        assert_eq!(bucket_tables().edges[0], FLOOR_PICOS as u64);
+        assert!(bucket_tables().edges.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

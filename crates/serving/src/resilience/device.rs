@@ -156,7 +156,33 @@ pub enum FaultImpact {
     },
 }
 
+/// Which term of the availability count a device feeds; see
+/// [`DeviceSet::tick`].
+#[derive(Debug, Clone, Copy)]
+enum AvailClass {
+    /// Health not dispatchable: counts zero whatever its faults.
+    Off,
+    /// Dispatchable health, reachable from the last tick on: counted in
+    /// `steady`.
+    Steady,
+    /// Dispatchable health and a live link-loss, partition or flap
+    /// window: listed in `timed` and evaluated at each tick.
+    Timed,
+    /// Handed out mutably since its last classification: listed in
+    /// `dirty` and evaluated (then reclassified) at the next tick.
+    Dirty,
+}
+
 /// The accelerator pool.
+///
+/// Besides the devices it keeps the time-weighted integral of how many
+/// are dispatchable (health dispatchable and reachable), for the
+/// availability metric. The count is maintained, not rescanned: every
+/// device sits in one availability class, steady devices add to a counter,
+/// only the few with a timed reachability window are evaluated per
+/// tick, and a device handed out by [`get_mut`](Self::get_mut) or hit
+/// by [`apply_fault`](Self::apply_fault) is marked dirty in O(1) and
+/// reclassified at the next tick.
 #[derive(Debug, Clone)]
 pub struct DeviceSet {
     devices: Vec<Device>,
@@ -164,6 +190,14 @@ pub struct DeviceSet {
     /// availability metric.
     avail_accum: f64,
     avail_last: SimTime,
+    /// Each device's class, by id.
+    class: Vec<AvailClass>,
+    /// Number of [`AvailClass::Steady`] devices.
+    steady: usize,
+    /// The [`AvailClass::Timed`] devices.
+    timed: Vec<DeviceId>,
+    /// The [`AvailClass::Dirty`] devices.
+    dirty: Vec<DeviceId>,
 }
 
 impl DeviceSet {
@@ -176,6 +210,10 @@ impl DeviceSet {
                 .collect(),
             avail_accum: 0.0,
             avail_last: SimTime::ZERO,
+            class: vec![AvailClass::Steady; n as usize],
+            steady: n as usize,
+            timed: Vec::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -194,8 +232,10 @@ impl DeviceSet {
         &self.devices[id as usize]
     }
 
-    /// Mutable device access.
+    /// Mutable device access. Marks the device dirty: its availability
+    /// class is recomputed at the next [`tick`](Self::tick).
     pub fn get_mut(&mut self, id: DeviceId) -> &mut Device {
+        self.mark_dirty(id);
         &mut self.devices[id as usize]
     }
 
@@ -204,16 +244,93 @@ impl DeviceSet {
         self.devices.iter()
     }
 
+    fn mark_dirty(&mut self, id: DeviceId) {
+        match self.class[id as usize] {
+            AvailClass::Dirty => return,
+            AvailClass::Off => {}
+            AvailClass::Steady => self.steady -= 1,
+            AvailClass::Timed => {
+                let at = self.timed.iter().position(|&t| t == id);
+                self.timed
+                    .swap_remove(at.expect("a timed device is listed"));
+            }
+        }
+        self.class[id as usize] = AvailClass::Dirty;
+        self.dirty.push(id);
+    }
+
+    /// Whether `d` counts as dispatchable at `at`: health dispatchable
+    /// and reachable. Busy devices count; availability is about the
+    /// pool, not its load.
+    fn counts_at(d: &Device, at: SimTime) -> bool {
+        d.health.is_dispatchable() && d.faults.reachable(at)
+    }
+
+    /// The dispatchable-device count at `avail_last`, from the classes.
+    fn dispatchable_at_last(&self) -> usize {
+        let at = self.avail_last;
+        let live = |id: &&DeviceId| Self::counts_at(&self.devices[**id as usize], at);
+        self.steady
+            + self.timed.iter().filter(live).count()
+            + self.dirty.iter().filter(live).count()
+    }
+
+    /// Moves every dirty device into its class, and timed devices whose
+    /// windows have all ended by `avail_last` into `steady`.
+    fn reclassify(&mut self) {
+        let at = self.avail_last;
+        let Self {
+            devices,
+            class,
+            steady,
+            timed,
+            dirty,
+            ..
+        } = self;
+        for id in dirty.drain(..) {
+            let d = &devices[id as usize];
+            class[id as usize] = if !d.health.is_dispatchable() {
+                AvailClass::Off
+            } else if d.faults.reachable_from(at) {
+                *steady += 1;
+                AvailClass::Steady
+            } else {
+                timed.push(id);
+                AvailClass::Timed
+            };
+        }
+        timed.retain(|&id| {
+            let ended = devices[id as usize].faults.reachable_from(at);
+            if ended {
+                class[id as usize] = AvailClass::Steady;
+                *steady += 1;
+            }
+            !ended
+        });
+    }
+
     /// Advances the availability integral to `now`. Call before any
     /// state change that affects dispatchability.
+    ///
+    /// The span since the last tick is weighted by the count of devices
+    /// dispatchable at the last tick, read from the health and fault
+    /// state as of this call. The count costs O(timed + dirty), not
+    /// O(pool): dirty devices are reclassified first, then steady ones
+    /// are a counter and only timed ones are evaluated. Debug builds
+    /// cross-check it against a full scan.
     pub fn tick(&mut self, now: SimTime) {
         let span = now.saturating_sub(self.avail_last).as_secs_f64();
         if span > 0.0 {
-            let dispatchable = self
-                .devices
-                .iter()
-                .filter(|d| d.health.is_dispatchable() && d.faults.reachable(self.avail_last))
-                .count();
+            self.reclassify();
+            let dispatchable = self.dispatchable_at_last();
+            debug_assert_eq!(
+                dispatchable,
+                self.devices
+                    .iter()
+                    .filter(|d| Self::counts_at(d, self.avail_last))
+                    .count(),
+                "maintained availability count diverged from a full scan"
+            );
             self.avail_accum += span * dispatchable as f64;
             self.avail_last = now;
         }
@@ -229,12 +346,7 @@ impl DeviceSet {
         let mut accum = self.avail_accum;
         let tail = now.saturating_sub(self.avail_last).as_secs_f64();
         if tail > 0.0 {
-            let dispatchable = self
-                .devices
-                .iter()
-                .filter(|d| d.health.is_dispatchable() && d.faults.reachable(self.avail_last))
-                .count();
-            accum += tail * dispatchable as f64;
+            accum += tail * self.dispatchable_at_last() as f64;
         }
         accum / (span * self.devices.len() as f64)
     }
@@ -302,7 +414,7 @@ impl DeviceSet {
     pub fn apply_fault(&mut self, event: &FaultEvent, now: SimTime) -> FaultImpact {
         self.tick(now);
         let util = self.devices[event.device as usize].trailing_utilization(now);
-        let d = &mut self.devices[event.device as usize];
+        let d = self.get_mut(event.device);
         match event.kind {
             FaultKind::EccDoubleBit | FaultKind::TransientJobFailure => {
                 if d.busy {

@@ -1,6 +1,7 @@
 //! Property tests for the resilience layer's contracts: backoff delays
-//! are bounded and monotone, retries never exceed the attempt cap, and
-//! the health machine never revives an offline device without probation.
+//! are bounded and monotone, retries never exceed the attempt cap, the
+//! health machine never revives an offline device without probation, and
+//! the pool's maintained availability count matches a full scan.
 
 use mtia_core::SimTime;
 use mtia_serving::resilience::device::DeviceSet;
@@ -18,6 +19,81 @@ fn policy(base_ms: u64, multiplier: f64, max_ms: u64, jitter: f64, attempts: u32
         jitter,
         max_attempts: attempts,
         deadline: SimTime::from_secs(10),
+    }
+}
+
+/// The availability integral as a full scan through `iter()` at every
+/// tick computes it: the reference for the pool's maintained count.
+struct ScanIntegral {
+    accum: f64,
+    last: SimTime,
+}
+
+impl ScanIntegral {
+    fn count(set: &DeviceSet, at: SimTime) -> usize {
+        set.iter()
+            .filter(|d| d.health.is_dispatchable() && d.faults.reachable(at))
+            .count()
+    }
+
+    fn tick(&mut self, set: &DeviceSet, now: SimTime) {
+        let span = now.saturating_sub(self.last).as_secs_f64();
+        if span > 0.0 {
+            self.accum += span * Self::count(set, self.last) as f64;
+            self.last = now;
+        }
+    }
+
+    fn availability(&self, set: &DeviceSet, now: SimTime) -> f64 {
+        let span = now.as_secs_f64();
+        if span <= 0.0 || set.is_empty() {
+            return 1.0;
+        }
+        let mut accum = self.accum;
+        let tail = now.saturating_sub(self.last).as_secs_f64();
+        if tail > 0.0 {
+            accum += tail * Self::count(set, self.last) as f64;
+        }
+        accum / (span * set.len() as f64)
+    }
+}
+
+/// A fault of kind `pick` (every windowed kind, NIC flaps included, and
+/// the two job-killing instantaneous ones), its parameters drawn from
+/// `w`.
+fn any_fault_kind(pick: u64, w: u64) -> FaultKind {
+    let frac = (w % 1_000) as f64 / 1_000.0;
+    match pick % 14 {
+        0 => FaultKind::EccSingleBitBurst {
+            flips: (w % 50) as u32,
+        },
+        1 => FaultKind::EccDoubleBit,
+        2 => FaultKind::PcieLinkLoss {
+            min_utilization: frac,
+        },
+        3 => FaultKind::NocStall {
+            slowdown: 1.0 + frac,
+        },
+        4 => FaultKind::TransientJobFailure,
+        5 => FaultKind::HostCrash,
+        6 => FaultKind::RackPowerLoss,
+        7 => FaultKind::NicPartition,
+        8 => FaultKind::PodLoss,
+        9 => FaultKind::RegionOutage,
+        10 => FaultKind::WanPartition,
+        11 => FaultKind::ThermalThrottle {
+            ramp_s: 0.01 + frac,
+            floor: 0.2 + frac / 2.0,
+        },
+        12 => FaultKind::MemoryRetentionDegradation {
+            slowdown_per_hour: frac,
+        },
+        // Short cycles so reachability flips many times between events;
+        // a zero loss fraction never drops the device.
+        _ => FaultKind::NicFlap {
+            period_s: 0.005 + (w % 200) as f64 / 1_000.0,
+            loss_frac: if w.is_multiple_of(5) { 0.0 } else { frac },
+        },
     }
 }
 
@@ -145,6 +221,96 @@ proptest! {
             "availability {} != shadow integral {}", actual, shadow_mean
         );
         prop_assert!((0.0..=1.0).contains(&actual));
+    }
+
+    /// The availability the pool keeps by counting steady devices and
+    /// evaluating only timed and dirty ones equals, bit for bit, the
+    /// integral a full scan computes — under random interleavings of
+    /// faults of every windowed kind (NIC flaps change reachability with
+    /// no event), health transitions and fault expiry through `get_mut`,
+    /// acquires and completions, at random non-decreasing times, with
+    /// and without an explicit tick before a `get_mut` change.
+    #[test]
+    fn maintained_availability_matches_a_full_scan(
+        n in 1u32..12,
+        words in vec(any::<u64>(), 0..320),
+    ) {
+        let mut set = DeviceSet::new(n, HealthConfig::default(), SimTime::from_millis(200));
+        let mut scan = ScanIntegral { accum: 0.0, last: SimTime::ZERO };
+        let mut now = SimTime::ZERO;
+        for pair in words.chunks_exact(2) {
+            // `w` picks the step, device and time; `v` a fault's shape.
+            let (w, v) = (pair[0], pair[1]);
+            let op = w as u8;
+            // A quarter of the steps stay at the same instant.
+            now += SimTime::from_micros((w >> 32) % 40_000 * u64::from(op & 3 != 0));
+            let device = ((w >> 8) as u32) % n;
+            let ticked = op & 4 != 0;
+            if ticked {
+                scan.tick(&set, now);
+                set.tick(now);
+            }
+            let step = (op >> 3) % 12;
+            if step <= 6 {
+                // These steps tick the pool before they change it.
+                scan.tick(&set, now);
+            }
+            match step {
+                0..=3 => {
+                    let event = FaultEvent {
+                        at: now + SimTime::from_micros(v % 4 * 5_000),
+                        device,
+                        kind: any_fault_kind(v >> 2, v >> 8),
+                        duration: SimTime::from_micros(1 + (v >> 32) % 300_000),
+                    };
+                    set.apply_fault(&event, now);
+                }
+                4 => {
+                    set.acquire_resilient(now);
+                }
+                5 => {
+                    set.acquire_naive(now);
+                }
+                6 => {
+                    // Sometimes a stale epoch, which changes nothing.
+                    let epoch = set.get(device).epoch().saturating_sub(v % 2);
+                    set.finish_job(device, epoch, now);
+                }
+                // Changes through `get_mut`, which does not tick.
+                7 => set.get_mut(device).faults.expire(now),
+                8 => set.get_mut(device).health.observe_error(now),
+                9 => set.get_mut(device).health.observe_success(now),
+                10 => {
+                    let health = &mut set.get_mut(device).health;
+                    match v % 3 {
+                        0 => health.begin_drain(now),
+                        1 => health.set_offline(now),
+                        _ => health.begin_recovery(now),
+                    }
+                }
+                _ => {
+                    set.get_mut(device).invalidate_inflight(now);
+                }
+            }
+            if (w >> 24) % 4 == 0 {
+                prop_assert_eq!(
+                    set.availability(now).to_bits(),
+                    scan.availability(&set, now).to_bits(),
+                    "mid-run availability at {:?}", now
+                );
+            }
+        }
+        let end = now + SimTime::from_millis(250);
+        prop_assert_eq!(
+            set.availability(end).to_bits(),
+            scan.availability(&set, end).to_bits()
+        );
+        scan.tick(&set, end);
+        set.tick(end);
+        prop_assert_eq!(
+            set.availability(end).to_bits(),
+            scan.availability(&set, end).to_bits()
+        );
     }
 }
 

@@ -902,6 +902,7 @@ impl DeviceFaultState {
     }
 
     /// Whether the PCIe link is up at `now`.
+    #[inline]
     pub fn link_up(&self, now: SimTime) -> bool {
         match self.link_down_until {
             Some(until) => now >= until,
@@ -912,6 +913,7 @@ impl DeviceFaultState {
     /// Whether the device can be reached for *new* work at `now`: link
     /// up, no active network partition, and not inside the dead phase
     /// of a NIC-flap cycle.
+    #[inline]
     pub fn reachable(&self, now: SimTime) -> bool {
         self.link_up(now)
             && match self.partitioned_until {
@@ -924,6 +926,7 @@ impl DeviceFaultState {
     /// Whether `now` falls in the unreachable phase of any active flap
     /// window. Each cycle starts dead: the flap is observable from its
     /// injection instant.
+    #[inline]
     fn in_flap_loss(&self, now: SimTime) -> bool {
         self.flaps.iter().any(|&(start, until, period_s, loss)| {
             if now < start || now >= until || loss <= 0.0 {
@@ -933,6 +936,22 @@ impl DeviceFaultState {
             let phase = (elapsed / period_s).fract();
             phase < loss
         })
+    }
+
+    /// Whether [`reachable`](Self::reachable) holds at `now` and at
+    /// every later instant until another event is applied: no link-loss,
+    /// partition or lossy flap window ends after `now`. A `false` is
+    /// conservative: a flap whose next dead phase falls past its window
+    /// still counts, so callers must evaluate such a device with
+    /// `reachable`.
+    #[inline]
+    pub fn reachable_from(&self, now: SimTime) -> bool {
+        self.link_down_until.is_none_or(|until| until <= now)
+            && self.partitioned_until.is_none_or(|until| until <= now)
+            && self
+                .flaps
+                .iter()
+                .all(|&(_, until, _, loss)| until <= now || loss <= 0.0)
     }
 
     /// The earliest instant strictly after `now` at which the device
@@ -1322,6 +1341,39 @@ mod tests {
         assert!(state.reachable(SimTime::from_secs(6)));
         state.expire(SimTime::from_secs(7));
         assert!(state.is_clean(SimTime::from_secs(7)));
+    }
+
+    #[test]
+    fn reachable_from_holds_only_once_every_window_has_ended() {
+        let s = SimTime::from_secs;
+        let mut state = DeviceFaultState::new();
+        assert!(state.reachable_from(SimTime::ZERO));
+        let crash = FaultEvent {
+            at: s(1),
+            device: 0,
+            kind: FaultKind::HostCrash,
+            duration: s(4),
+        };
+        state.apply(&crash, 0.0);
+        assert!(!state.reachable_from(s(1)));
+        assert!(state.reachable_from(s(5)), "no expire needed");
+        // A lossless flap never drops the device; a lossy one does
+        // until its window ends, even before its start.
+        let flap = |loss_frac| FaultEvent {
+            at: s(10),
+            device: 0,
+            kind: FaultKind::NicFlap {
+                period_s: 1.0,
+                loss_frac,
+            },
+            duration: s(10),
+        };
+        state.apply(&flap(0.0), 0.0);
+        assert!(state.reachable_from(s(5)));
+        state.apply(&flap(0.5), 0.0);
+        assert!(!state.reachable_from(s(5)));
+        assert!(state.reachable(s(5)) && !state.reachable(s(10)));
+        assert!(state.reachable_from(s(20)));
     }
 
     #[test]

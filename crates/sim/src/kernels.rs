@@ -81,7 +81,7 @@ impl OpCost {
 
 /// Weight stationarity of an FC kernel variant (§4.1: "input, output, and
 /// weight stationary" variants from the kernel generator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stationarity {
     /// Weights cached in the DPE; activations streamed. Best when weights
     /// fit and batch is large.
@@ -94,7 +94,7 @@ pub enum Stationarity {
 }
 
 /// A generated FC kernel variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FcVariant {
     /// Stationarity choice.
     pub stationarity: Stationarity,
