@@ -329,7 +329,9 @@ fn bench_perf(
         max_peak_rss.map_or("null".to_string(), |b: u64| b.to_string()),
         all_identical,
     );
-    if total_hits == 0 {
+    // A selection that never reaches the memo (no misses either) says
+    // nothing about it.
+    if total_misses > 0 && total_hits == 0 {
         eprintln!(
             "warning: Zipf-memo hit rate is 0% across the selected \
              experiments ({total_misses} misses) — the selection never \

@@ -169,3 +169,32 @@ fn rejected_arguments_are_named_before_the_usage() {
         );
     }
 }
+
+/// The stderr of `--bench-perf` over the experiments `filter` selects.
+fn bench_perf_stderr(filter: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("mtia-memo-{filter}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = reproduce()
+        .args(["--filter", filter, "--bench-perf"])
+        .arg(dir.join("perf.json"))
+        .output()
+        .expect("spawn reproduce");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{filter}: {stderr}");
+    stderr
+}
+
+#[test]
+fn a_selection_that_never_reaches_the_zipf_memo_gets_no_dead_weight_warning() {
+    // Table 2 is a spec table: no Zipf-memo lookups at all.
+    let stderr = bench_perf_stderr("table2");
+    assert!(!stderr.contains("dead weight"), "stderr: {stderr}");
+}
+
+#[test]
+fn a_zipf_memo_that_misses_and_never_hits_is_dead_weight() {
+    // E6 looks up each embedding-cache budget once: misses, no hits.
+    let stderr = bench_perf_stderr("e6_sram_hit_rates");
+    assert!(stderr.contains("dead weight"), "stderr: {stderr}");
+}

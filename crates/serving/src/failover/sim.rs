@@ -32,15 +32,15 @@
 
 use std::collections::VecDeque;
 
-use mtia_core::des::Kernel;
 use mtia_core::error::ConfigError;
 use mtia_core::telemetry::{Json, Telemetry};
 use mtia_core::SimTime;
-use mtia_sim::faults::{DeviceId, FaultPlan};
+use mtia_sim::faults::{DeviceId, FaultEvent, FaultPlan};
 
 use crate::resilience::controller::{DegradationConfig, DegradationController};
 use crate::resilience::device::{DeviceSet, FaultImpact};
 use crate::resilience::health::HealthConfig;
+use crate::resilience::pod::{Pod, Step};
 use crate::traffic::ArrivalProcess;
 
 use super::checkpoint::{fold_fingerprint, CellCheckpoint, ReplicaSnapshot};
@@ -141,36 +141,23 @@ impl FailoverConfig {
     }
 }
 
+/// The engine's own events; arrivals, completions and faults are the
+/// chassis's ([`Pod`]).
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    Arrival,
-    JobDone {
-        device: DeviceId,
-        epoch: u64,
-    },
-    Promote {
-        shard: u32,
-    },
+    Promote { shard: u32 },
     Checkpoint,
-    HostRestored {
-        device: DeviceId,
-    },
-    PartitionHealed {
-        device: DeviceId,
-    },
-    RestoreDone {
-        shard: u32,
-        replica: u32,
-        token: u64,
-    },
-    Rereplicate {
-        shard: u32,
-        replica: u32,
-        since: SimTime,
-    },
-    FaultAt {
-        index: usize,
-    },
+    HostRestored { device: DeviceId },
+    PartitionHealed { device: DeviceId },
+    RestoreDone { slot: Slot, token: u64 },
+    Rereplicate { slot: Slot, since: SimTime },
+}
+
+/// Where a replica lives in the cell: replica `replica` of shard `shard`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    shard: u32,
+    replica: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,37 +193,25 @@ struct Shard {
     promote_pending: bool,
 }
 
+/// The job a device serves: one request of one shard.
 #[derive(Debug, Clone, Copy)]
 struct InflightJob {
     shard: u32,
-    request: u64,
-    arrived: SimTime,
-    incident: bool,
+    request: QueuedRequest,
 }
 
 struct Engine<'a> {
     config: &'a FailoverConfig,
-    set: DeviceSet,
+    pod: Pod<'a, InflightJob, Ev>,
     shards: Vec<Shard>,
-    /// Device → (shard, replica slot) for devices hosting a replica.
-    device_replica: Vec<Option<(u32, u32)>>,
-    /// Per device, the job it is serving and the device epoch it
-    /// started under. A device serves one job at a time.
-    inflight: Vec<Option<(u64, InflightJob)>>,
-    des: Kernel<Ev>,
+    /// The slot of the replica each device hosts, if any.
+    device_replica: Vec<Option<Slot>>,
     next_token: u64,
-    controller: Option<DegradationController>,
     report: FailoverReport,
     warmup: SimTime,
-    tel: &'a mut Telemetry,
 }
 
 impl<'a> Engine<'a> {
-    fn token(&mut self) -> u64 {
-        self.next_token += 1;
-        self.next_token
-    }
-
     fn serving_capable(&self, s: u32) -> bool {
         let shard = &self.shards[s as usize];
         shard
@@ -279,8 +254,8 @@ impl<'a> Engine<'a> {
         if self.config.failover {
             if !self.shards[s as usize].promote_pending && self.live_count(s) > 0 {
                 self.shards[s as usize].promote_pending = true;
-                self.des
-                    .schedule(now + self.config.promotion_delay, Ev::Promote { shard: s });
+                self.pod
+                    .at(now + self.config.promotion_delay, Ev::Promote { shard: s });
             }
         } else if self.shards[s as usize].replicas[0].state == ReplicaState::Live {
             self.shards[s as usize].primary = Some(0);
@@ -289,68 +264,70 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Kills the in-flight job on `device` under `epoch` (if any):
-    /// requeued at the front of its shard queue with failover, lost
-    /// without.
-    fn kill_inflight(&mut self, device: DeviceId, epoch: u64) {
-        if epoch == u64::MAX {
-            return;
-        }
-        let Some(job) = self.take_inflight(device, epoch) else {
-            return;
-        };
+    fn replica(&mut self, slot: Slot) -> &mut Replica {
+        &mut self.shards[slot.shard as usize].replicas[slot.replica as usize]
+    }
+
+    /// The slot of the replica `device` hosts, if that replica is down.
+    fn down_replica(&mut self, device: DeviceId) -> Option<Slot> {
+        let slot = self.device_replica[device as usize]?;
+        matches!(self.replica(slot).state, ReplicaState::Down { .. }).then_some(slot)
+    }
+
+    /// Starts restoring the replica in `slot`, ready at `ready_at`.
+    fn begin_restore(&mut self, slot: Slot, ready_at: SimTime) {
+        self.next_token += 1;
+        let token = self.next_token;
+        self.replica(slot).state = ReplicaState::Restoring { token, ready_at };
+        self.pod.at(ready_at, Ev::RestoreDone { slot, token });
+    }
+
+    /// The replica in `slot` serves again: elect a primary if its shard
+    /// has none, close the shard's outage, and drain its queue.
+    fn replica_live(&mut self, slot: Slot, now: SimTime) {
+        self.replica(slot).state = ReplicaState::Live;
+        self.maybe_elect(slot.shard, now);
+        self.update_outage(slot.shard, now);
+        self.dispatch_shard(slot.shard, now);
+    }
+
+    /// A job a fault killed: requeued at the front of its shard queue
+    /// with failover, lost without.
+    fn requeue(&mut self, job: InflightJob) {
         if self.config.failover {
             self.report.requeued += 1;
             self.shards[job.shard as usize]
                 .queue
                 .push_front(QueuedRequest {
-                    id: job.request,
-                    arrived: job.arrived,
                     incident: true,
+                    ..job.request
                 });
         } else {
             self.report.lost += 1;
         }
     }
 
-    /// Removes and returns the job `device` runs under `epoch`, if any.
-    fn take_inflight(&mut self, device: DeviceId, epoch: u64) -> Option<InflightJob> {
-        self.inflight[device as usize]
-            .take_if(|(e, _)| *e == epoch)
-            .map(|(_, job)| job)
-    }
-
     /// Marks the replica on `device` (if any) down and re-arms
     /// election/re-replication.
     fn replica_lost(&mut self, device: DeviceId, now: SimTime) {
-        let Some((s, r)) = self.device_replica[device as usize] else {
+        let Some(slot) = self.device_replica[device as usize] else {
             return;
         };
-        let shard = &mut self.shards[s as usize];
-        if matches!(shard.replicas[r as usize].state, ReplicaState::Down { .. }) {
+        let shard = &mut self.shards[slot.shard as usize];
+        let replica = &mut shard.replicas[slot.replica as usize];
+        if matches!(replica.state, ReplicaState::Down { .. }) {
             return;
         }
-        shard.replicas[r as usize].state = ReplicaState::Down { since: now };
-        if shard.primary == Some(r as usize) {
+        replica.state = ReplicaState::Down { since: now };
+        if shard.primary == Some(slot.replica as usize) {
             shard.primary = None;
         }
-        self.update_outage(s, now);
-        self.maybe_elect(s, now);
+        self.update_outage(slot.shard, now);
+        self.maybe_elect(slot.shard, now);
         if self.config.failover {
-            self.des.schedule(
-                now + self.config.rereplicate_after,
-                Ev::Rereplicate {
-                    shard: s,
-                    replica: r,
-                    since: now,
-                },
-            );
+            let at = now + self.config.rereplicate_after;
+            self.pod.at(at, Ev::Rereplicate { slot, since: now });
         }
-    }
-
-    fn device_free(&self, device: DeviceId, now: SimTime) -> bool {
-        let d = self.set.get(device);
-        !d.is_busy() && d.health.is_dispatchable() && d.faults.reachable(now)
     }
 
     /// Serves the shard queue through its primary while possible,
@@ -361,38 +338,22 @@ impl<'a> Engine<'a> {
                 return;
             };
             let replica = self.shards[s as usize].replicas[p];
-            if replica.state != ReplicaState::Live || !self.device_free(replica.device, now) {
+            let device = self.pod.set.get(replica.device);
+            if replica.state != ReplicaState::Live || !device.is_dispatchable(now) {
                 return;
             }
-            let Some(req) = self.shards[s as usize].queue.pop_front() else {
+            let factor = device.faults.service_time_factor(now);
+            let Some(request) = self.shards[s as usize].queue.pop_front() else {
                 return;
             };
-            if now.saturating_sub(req.arrived) > self.config.request_deadline {
+            if now.saturating_sub(request.arrived) > self.config.request_deadline {
                 self.report.lost += 1;
                 continue;
             }
-            self.set.tick(now);
-            self.set.get_mut(replica.device).seize(now);
-            let epoch = self.set.get(replica.device).epoch();
-            let factor = self.set.get(replica.device).faults.service_time_factor(now);
             let occupancy = self.config.service_time.scale(factor) + self.config.dispatch_overhead;
-            debug_assert!(self.inflight[replica.device as usize].is_none());
-            self.inflight[replica.device as usize] = Some((
-                epoch,
-                InflightJob {
-                    shard: s,
-                    request: req.id,
-                    arrived: req.arrived,
-                    incident: req.incident,
-                },
-            ));
-            self.des.schedule(
-                now + occupancy,
-                Ev::JobDone {
-                    device: replica.device,
-                    epoch,
-                },
-            );
+            let job = InflightJob { shard: s, request };
+            self.pod.set.tick(now);
+            self.pod.run_job(replica.device, job, occupancy);
         }
     }
 
@@ -404,13 +365,10 @@ impl<'a> Engine<'a> {
             // standby starts another, so a shard can have two; record the
             // lowest-indexed device's.
             let inflight = self
-                .inflight
-                .iter()
-                .enumerate()
-                .find_map(|(device, slot)| match slot {
-                    Some((epoch, job)) if job.shard == s => Some((device as DeviceId, *epoch)),
-                    _ => None,
-                });
+                .pod
+                .set
+                .jobs()
+                .find_map(|(device, epoch, job)| (job.shard == s).then_some((device, epoch)));
             let checkpoint = CellCheckpoint {
                 at: now,
                 shard: s,
@@ -434,7 +392,7 @@ impl<'a> Engine<'a> {
                 health: shard
                     .replicas
                     .iter()
-                    .map(|r| self.set.get(r.device).health.state())
+                    .map(|r| self.pod.set.get(r.device).health.state())
                     .collect(),
                 primary: shard.primary.map(|p| p as u32),
             };
@@ -445,96 +403,104 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn instant(&mut self, name: &'static str, now: SimTime, attrs: Vec<(String, Json)>) {
-        if self.tel.is_enabled() {
-            self.tel.instant(name, "failover", now, attrs);
+    /// Records a `failover.*` instant naming `shard` and its devices.
+    fn instant(&mut self, name: &str, shard: u32, devices: &[(&'static str, u32)]) {
+        self.pod.instant(name, "failover", || {
+            let devices = devices.iter().map(|&(k, d)| (k, Json::UInt(d.into())));
+            std::iter::once(("shard", Json::UInt(shard.into()))).chain(devices)
+        });
+    }
+
+    /// A fault the pool applied: requeue or lose the job it killed, and
+    /// take the device's replica out of service until it returns.
+    fn fault(&mut self, fault: FaultEvent, impact: FaultImpact<InflightJob>, now: SimTime) {
+        let device = fault.device;
+        self.pod.instant("failover.fault", "failover", || {
+            [
+                ("device", Json::UInt(device.into())),
+                ("kind", Json::Str(format!("{:?}", fault.kind))),
+            ]
+        });
+        self.pod.tel.counter_add("failover.faults", 1);
+        match impact {
+            FaultImpact::None => {}
+            FaultImpact::JobKilled { job } => {
+                self.pod.set.get_mut(device).health.observe_error(now);
+                self.requeue(job);
+                if let Some(slot) = self.device_replica[device as usize] {
+                    self.dispatch_shard(slot.shard, now);
+                }
+            }
+            FaultImpact::LinkLost { job, recovers_at } => {
+                self.pod.set.get_mut(device).health.set_offline(now);
+                if let Some(job) = job {
+                    self.requeue(job);
+                }
+                self.replica_lost(device, now);
+                self.pod.at(recovers_at, Ev::HostRestored { device });
+            }
+            FaultImpact::Partitioned { heals_at } => {
+                // In-flight work survives; only the replica's serving
+                // capability is lost until the heal.
+                self.replica_lost(device, now);
+                self.pod.at(heals_at, Ev::PartitionHealed { device });
+            }
         }
     }
 
-    fn run(
-        mut self,
-        domains: &dyn FaultDomains,
-        arrivals: &mut dyn ArrivalProcess,
-        plan: &FaultPlan,
-        horizon: SimTime,
-    ) -> FailoverReport {
-        for (index, fault) in plan.events().iter().enumerate() {
-            self.des.schedule(fault.at, Ev::FaultAt { index });
-        }
-        if self.config.failover {
-            self.des
-                .schedule(self.config.checkpoint_every, Ev::Checkpoint);
-        }
-        if let Some(first) = arrivals.next_arrival(SimTime::ZERO) {
-            self.des.schedule(first, Ev::Arrival);
-        }
-
-        self.tel
-            .begin_span("serving.failover", "failover", SimTime::ZERO);
-        self.tel
-            .span_attr("placement", Json::Str(self.report.placement.to_string()));
-        self.tel
-            .span_attr("failover", Json::Bool(self.config.failover));
-        self.tel
-            .span_attr("shards", Json::UInt(self.config.shards as u64));
-        self.tel.span_attr(
-            "replicas_per_shard",
-            Json::UInt(self.config.replicas_per_shard as u64),
+    fn run(mut self, domains: &dyn FaultDomains, horizon: SimTime) -> FailoverReport {
+        let config = self.config;
+        self.pod.open(
+            config
+                .failover
+                .then_some((config.checkpoint_every, Ev::Checkpoint)),
+            "serving.failover",
+            "failover",
+            [
+                ("placement", Json::Str(self.report.placement.to_string())),
+                ("failover", Json::Bool(config.failover)),
+                ("shards", Json::UInt(config.shards.into())),
+                (
+                    "replicas_per_shard",
+                    Json::UInt(config.replicas_per_shard.into()),
+                ),
+                ("devices", Json::UInt(domains.devices().into())),
+                ("seed", Json::UInt(config.seed)),
+            ],
         );
-        self.tel
-            .span_attr("devices", Json::UInt(domains.devices() as u64));
-        self.tel.span_attr("seed", Json::UInt(self.config.seed));
 
-        let mut next_request = 0u64;
-        while let Some(event) = self.des.next_until(horizon) {
-            let now = self.des.now();
-            match event {
-                Ev::Arrival => {
-                    let request = next_request;
-                    next_request += 1;
-                    self.report.offered += 1;
-                    let admitted = match &mut self.controller {
-                        Some(c) => c.admit(request),
-                        None => true,
-                    };
-                    if admitted {
-                        let s = (request % self.config.shards as u64) as u32;
-                        let incident = self.live_count(s) < self.config.replicas_per_shard;
+        while let Some((now, step)) = self.pod.next(horizon) {
+            match step {
+                Step::Arrival => {
+                    if let Some(id) = self.pod.admit() {
+                        let s = (id % config.shards as u64) as u32;
+                        let incident = self.live_count(s) < config.replicas_per_shard;
                         self.shards[s as usize].queue.push_back(QueuedRequest {
-                            id: request,
+                            id,
                             arrived: now,
                             incident,
                         });
                         self.dispatch_shard(s, now);
-                    } else {
-                        self.report.shed += 1;
                     }
-                    if let Some(next) = arrivals.next_arrival(now) {
-                        self.des.schedule(next, Ev::Arrival);
-                    }
+                    self.pod.next_arrival();
                 }
-                Ev::JobDone { device, epoch } => {
-                    if !self.set.finish_job(device, epoch, now) {
-                        continue; // stale: killed by a fault
-                    }
-                    let job = self.take_inflight(device, epoch).expect("inflight job");
-                    self.set.get_mut(device).health.observe_success(now);
-                    self.report.completed += 1;
-                    let latency = now - job.arrived;
+                Step::Done { device, job } => {
+                    self.pod.set.get_mut(device).health.observe_success(now);
+                    let latency = now - job.request.arrived;
+                    self.pod.complete(latency);
                     if now >= self.warmup {
-                        self.report.request_latency.record(latency);
-                        self.tel.hist_record("failover.request_latency", latency);
-                        if job.incident {
-                            self.report.incident_latency.record(latency);
-                            self.tel.hist_record("failover.incident_latency", latency);
+                        let (report, tel) = (&mut self.report, &mut self.pod.tel);
+                        report.request_latency.record(latency);
+                        tel.hist_record("failover.request_latency", latency);
+                        if job.request.incident {
+                            report.incident_latency.record(latency);
+                            tel.hist_record("failover.incident_latency", latency);
                         }
-                    }
-                    if let Some(c) = &mut self.controller {
-                        c.observe(latency);
                     }
                     self.dispatch_shard(job.shard, now);
                 }
-                Ev::Promote { shard } => {
+                Step::Fault { fault, impact } => self.fault(fault, impact, now),
+                Step::Engine(Ev::Promote { shard }) => {
                     self.shards[shard as usize].promote_pending = false;
                     if self.shards[shard as usize].primary.is_some() {
                         continue;
@@ -549,115 +515,61 @@ impl<'a> Engine<'a> {
                     self.shards[shard as usize].primary = Some(p);
                     self.report.promotions += 1;
                     let device = self.shards[shard as usize].replicas[p].device;
-                    self.instant(
-                        "failover.promotion",
-                        now,
-                        vec![
-                            ("shard".into(), Json::UInt(shard as u64)),
-                            ("device".into(), Json::UInt(device as u64)),
-                        ],
-                    );
+                    self.instant("failover.promotion", shard, &[("device", device)]);
                     self.update_outage(shard, now);
                     self.dispatch_shard(shard, now);
                 }
-                Ev::Checkpoint => {
+                Step::Engine(Ev::Checkpoint) => {
                     self.checkpoint_all(now);
-                    self.des
-                        .schedule(now + self.config.checkpoint_every, Ev::Checkpoint);
+                    self.pod.at(now + config.checkpoint_every, Ev::Checkpoint);
                 }
-                Ev::HostRestored { device } => {
-                    self.set.tick(now);
-                    self.set.get_mut(device).faults.expire(now);
-                    self.set.get_mut(device).health.begin_recovery(now);
-                    let Some((s, r)) = self.device_replica[device as usize] else {
-                        continue; // re-replicated away: the device is a spare now
-                    };
-                    if !matches!(
-                        self.shards[s as usize].replicas[r as usize].state,
-                        ReplicaState::Down { .. }
-                    ) {
+                Step::Engine(Ev::HostRestored { device }) => {
+                    self.pod.set.tick(now);
+                    let d = self.pod.set.get_mut(device);
+                    d.faults.expire(now);
+                    d.health.begin_recovery(now);
+                    // A device re-replicated away is a spare now.
+                    let Some(slot) = self.down_replica(device) else {
                         continue;
-                    }
+                    };
                     // Warm restart from the shard's last checkpoint; the
                     // baseline never checkpointed, so it replays the epoch.
-                    let age = now.saturating_sub(self.shards[s as usize].last_checkpoint);
-                    let cost = self.config.restore_floor + age.scale(self.config.catchup_rate);
-                    let token = self.token();
-                    self.shards[s as usize].replicas[r as usize].state = ReplicaState::Restoring {
-                        token,
-                        ready_at: now + cost,
-                    };
+                    let last = self.shards[slot.shard as usize].last_checkpoint;
+                    let cost =
+                        config.restore_floor + now.saturating_sub(last).scale(config.catchup_rate);
                     self.report.restores += 1;
-                    self.des.schedule(
-                        now + cost,
-                        Ev::RestoreDone {
-                            shard: s,
-                            replica: r,
-                            token,
-                        },
-                    );
+                    self.begin_restore(slot, now + cost);
                 }
-                Ev::PartitionHealed { device } => {
-                    self.set.tick(now);
-                    self.set.get_mut(device).faults.expire(now);
-                    if !self.set.get(device).faults.reachable(now) {
+                Step::Engine(Ev::PartitionHealed { device }) => {
+                    self.pod.set.tick(now);
+                    self.pod.set.get_mut(device).faults.expire(now);
+                    if !self.pod.set.get(device).faults.reachable(now) {
                         continue; // also crashed: HostRestored path owns it
                     }
-                    let Some((s, r)) = self.device_replica[device as usize] else {
-                        continue;
-                    };
-                    if !matches!(
-                        self.shards[s as usize].replicas[r as usize].state,
-                        ReplicaState::Down { .. }
-                    ) {
-                        continue;
-                    }
                     // Partition healed: state was never lost, no restore.
-                    self.shards[s as usize].replicas[r as usize].state = ReplicaState::Live;
-                    self.maybe_elect(s, now);
-                    self.update_outage(s, now);
-                    self.dispatch_shard(s, now);
+                    if let Some(slot) = self.down_replica(device) {
+                        self.replica_live(slot, now);
+                    }
                 }
-                Ev::RestoreDone {
-                    shard,
-                    replica,
-                    token,
-                } => {
-                    let state = self.shards[shard as usize].replicas[replica as usize].state;
-                    if !matches!(state, ReplicaState::Restoring { token: t, .. } if t == token) {
+                Step::Engine(Ev::RestoreDone { slot, token }) => {
+                    let r = *self.replica(slot);
+                    if !matches!(r.state, ReplicaState::Restoring { token: t, .. } if t == token) {
                         continue; // superseded (e.g. crashed again mid-restore)
                     }
-                    self.shards[shard as usize].replicas[replica as usize].state =
-                        ReplicaState::Live;
-                    let device = self.shards[shard as usize].replicas[replica as usize].device;
-                    self.instant(
-                        "failover.restore",
-                        now,
-                        vec![
-                            ("shard".into(), Json::UInt(shard as u64)),
-                            ("device".into(), Json::UInt(device as u64)),
-                        ],
-                    );
-                    self.maybe_elect(shard, now);
-                    self.update_outage(shard, now);
-                    self.dispatch_shard(shard, now);
+                    self.instant("failover.restore", slot.shard, &[("device", r.device)]);
+                    self.replica_live(slot, now);
                 }
-                Ev::Rereplicate {
-                    shard,
-                    replica,
-                    since,
-                } => {
-                    let r = self.shards[shard as usize].replicas[replica as usize];
+                Step::Engine(Ev::Rereplicate { slot, since }) => {
+                    let r = *self.replica(slot);
                     if r.state != (ReplicaState::Down { since }) {
                         continue; // restored or already rebuilt meanwhile
                     }
-                    let occupied: Vec<bool> = (0..self.device_replica.len())
-                        .map(|d| self.device_replica[d].is_some())
-                        .collect();
+                    let occupied: Vec<bool> =
+                        self.device_replica.iter().map(Option::is_some).collect();
                     let excluded: Vec<bool> = (0..self.device_replica.len())
-                        .map(|d| !self.set.get(d as DeviceId).faults.reachable(now))
+                        .map(|d| !self.pod.set.get(d as DeviceId).faults.reachable(now))
                         .collect();
-                    let survivors: Vec<DeviceId> = self.shards[shard as usize]
+                    let survivors: Vec<DeviceId> = self.shards[slot.shard as usize]
                         .replicas
                         .iter()
                         .filter(|x| x.state == ReplicaState::Live)
@@ -667,124 +579,61 @@ impl<'a> Engine<'a> {
                         continue; // no spare capacity left
                     };
                     self.report.rereplications += 1;
-                    self.instant(
-                        "failover.rereplicate",
-                        now,
-                        vec![
-                            ("shard".into(), Json::UInt(shard as u64)),
-                            ("from".into(), Json::UInt(r.device as u64)),
-                            ("to".into(), Json::UInt(spare as u64)),
-                        ],
-                    );
+                    let devices = [("from", r.device), ("to", spare)];
+                    self.instant("failover.rereplicate", slot.shard, &devices);
                     self.device_replica[r.device as usize] = None;
-                    self.device_replica[spare as usize] = Some((shard, replica));
-                    let token = self.token();
-                    let ready_at = now + self.config.rereplicate_time;
-                    self.shards[shard as usize].replicas[replica as usize] = Replica {
-                        device: spare,
-                        state: ReplicaState::Restoring { token, ready_at },
-                    };
-                    self.des.schedule(
-                        ready_at,
-                        Ev::RestoreDone {
-                            shard,
-                            replica,
-                            token,
-                        },
-                    );
-                }
-                Ev::FaultAt { index } => {
-                    let fault = plan.events()[index];
-                    if self.tel.is_enabled() {
-                        self.tel.instant(
-                            "failover.fault",
-                            "failover",
-                            now,
-                            vec![
-                                ("device".into(), Json::UInt(fault.device as u64)),
-                                ("kind".into(), Json::Str(format!("{:?}", fault.kind))),
-                            ],
-                        );
-                        self.tel.counter_add("failover.faults", 1);
-                    }
-                    match self.set.apply_fault(&fault, now) {
-                        FaultImpact::None => {}
-                        FaultImpact::JobKilled { epoch } => {
-                            self.set.get_mut(fault.device).health.observe_error(now);
-                            self.kill_inflight(fault.device, epoch);
-                            if let Some((s, _)) = self.device_replica[fault.device as usize] {
-                                self.dispatch_shard(s, now);
-                            }
-                        }
-                        FaultImpact::LinkLost { epoch, recovers_at } => {
-                            self.set.get_mut(fault.device).health.set_offline(now);
-                            self.kill_inflight(fault.device, epoch);
-                            self.replica_lost(fault.device, now);
-                            self.des.schedule(
-                                recovers_at,
-                                Ev::HostRestored {
-                                    device: fault.device,
-                                },
-                            );
-                        }
-                        FaultImpact::Partitioned { heals_at } => {
-                            // In-flight work survives; only the replica's
-                            // serving capability is lost until the heal.
-                            self.replica_lost(fault.device, now);
-                            self.des.schedule(
-                                heals_at,
-                                Ev::PartitionHealed {
-                                    device: fault.device,
-                                },
-                            );
-                        }
-                    }
+                    self.device_replica[spare as usize] = Some(slot);
+                    self.replica(slot).device = spare;
+                    self.begin_restore(slot, now + config.rereplicate_time);
                 }
             }
         }
+        self.finish(horizon)
+    }
 
-        mtia_core::perfcount::add_events(self.des.popped());
-        let end = self.des.now();
-        // Close open outage windows at the horizon.
-        for s in 0..self.config.shards {
-            if let Some(since) = self.shards[s as usize].down_since.take() {
+    /// Closes the run at the last event before `horizon`: open outage
+    /// windows end there, and requests still queued or in flight are
+    /// lost or leave the offered pool.
+    fn finish(mut self, horizon: SimTime) -> FailoverReport {
+        let (end, availability) = self.pod.close();
+        let r = &mut self.report;
+        for shard in &mut self.shards {
+            if let Some(since) = shard.down_since.take() {
                 let outage = end.saturating_sub(since);
-                self.report.unavailable += outage;
-                self.report.recovery_time = self.report.recovery_time.max(outage);
+                r.unavailable += outage;
+                r.recovery_time = r.recovery_time.max(outage);
             }
         }
+        r.offered = self.pod.offered;
+        r.shed = self.pod.shed;
+        r.completed = self.pod.completed;
         // Queued requests that had their full deadline are lost forever;
         // younger ones (and in-flight jobs) are horizon truncation, not a
         // policy failure, and leave the offered pool.
         let cutoff = horizon.saturating_sub(self.config.request_deadline);
-        for shard in &self.shards {
-            for req in &shard.queue {
-                if req.arrived <= cutoff {
-                    self.report.lost += 1;
-                } else {
-                    self.report.offered -= 1;
-                }
+        for req in self.shards.iter().flat_map(|shard| &shard.queue) {
+            if req.arrived <= cutoff {
+                r.lost += 1;
+            } else {
+                r.offered -= 1;
             }
         }
-        self.report.offered -= self.inflight.iter().flatten().count() as u64;
-        self.set.tick(end);
-        self.report.device_availability = self.set.availability(end.max(SimTime::from_picos(1)));
-        self.tel.end_span(end);
-        if self.tel.is_enabled() {
-            for (name, value) in [
-                ("failover.offered", self.report.offered),
-                ("failover.completed", self.report.completed),
-                ("failover.shed", self.report.shed),
-                ("failover.lost", self.report.lost),
-                ("failover.requeued", self.report.requeued),
-                ("failover.promotions", self.report.promotions),
-                ("failover.restores", self.report.restores),
-                ("failover.rereplications", self.report.rereplications),
-                ("failover.checkpoints", self.report.checkpoints),
-            ] {
-                self.tel.counter_add(name, value);
-            }
-        }
+        r.offered -= self.pod.set.jobs().count() as u64;
+        r.device_availability = availability;
+        self.pod.end(
+            end,
+            [
+                ("failover.offered", r.offered),
+                ("failover.completed", r.completed),
+                ("failover.shed", r.shed),
+                ("failover.lost", r.lost),
+                ("failover.requeued", r.requeued),
+                ("failover.promotions", r.promotions),
+                ("failover.restores", r.restores),
+                ("failover.rereplications", r.rereplications),
+                ("failover.checkpoints", r.checkpoints),
+            ],
+        );
         self.report
     }
 }
@@ -829,7 +678,7 @@ pub fn simulate_cell_failover_traced(
 ) -> FailoverReport {
     config.validate().expect("a valid failover config");
     let assignment = place_replicas(placement, domains, config.shards, config.replicas_per_shard);
-    let mut device_replica: Vec<Option<(u32, u32)>> = vec![None; domains.devices() as usize];
+    let mut device_replica: Vec<Option<Slot>> = vec![None; domains.devices() as usize];
     let shards: Vec<Shard> = assignment
         .iter()
         .enumerate()
@@ -840,7 +689,10 @@ pub fn simulate_cell_failover_traced(
                 // scheduler would observe) — later mappings silently
                 // share the device's fate without owning it.
                 if device_replica[d as usize].is_none() {
-                    device_replica[d as usize] = Some((s as u32, r as u32));
+                    device_replica[d as usize] = Some(Slot {
+                        shard: s as u32,
+                        replica: r as u32,
+                    });
                 }
             }
             Shard {
@@ -859,19 +711,20 @@ pub fn simulate_cell_failover_traced(
             }
         })
         .collect();
+    let set = DeviceSet::new(domains.devices(), config.health, config.pcie_util_window);
+    let controller = config.degradation.filter(|_| config.failover);
     let engine = Engine {
         config,
-        set: DeviceSet::new(domains.devices(), config.health, config.pcie_util_window),
+        pod: Pod::new(
+            set,
+            controller.map(DegradationController::new),
+            plan,
+            arrivals,
+            tel,
+        ),
         shards,
         device_replica,
-        inflight: vec![None; domains.devices() as usize],
-        des: Kernel::new(),
         next_token: 0,
-        controller: if config.failover {
-            config.degradation.map(DegradationController::new)
-        } else {
-            None
-        },
         report: FailoverReport {
             placement: placement.name(),
             failover_enabled: config.failover,
@@ -881,9 +734,8 @@ pub fn simulate_cell_failover_traced(
             ..FailoverReport::default()
         },
         warmup,
-        tel,
     };
-    engine.run(domains, arrivals, plan, horizon)
+    engine.run(domains, horizon)
 }
 
 /// Runs the canonical comparison on byte-identical traces: naive

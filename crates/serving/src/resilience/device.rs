@@ -2,46 +2,48 @@
 //!
 //! A [`DeviceSet`] tracks, for every accelerator: its health machine
 //! ([`HealthMachine`]), the lingering fault conditions injected by a
-//! fault plan ([`DeviceFaultState`]), whether it is busy, and a trailing
-//! PE-utilization estimate (which is what arms the §5.5 PCIe fault).
-//! Both the resilient policy and the naive baseline dispatch through a
-//! `DeviceSet`; the difference is only *which* questions they ask it.
+//! fault plan ([`DeviceFaultState`]), the job it runs and the epoch that
+//! job started under, and a trailing PE-utilization estimate (which is
+//! what arms the §5.5 PCIe fault). Both per-pod engines dispatch through
+//! a `DeviceSet`; the pool, not the engine, answers "which job runs on
+//! this device, under which epoch".
 
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceFaultState, DeviceId, FaultEvent, FaultKind};
 
 use super::health::{HealthConfig, HealthMachine, HealthState};
 
-/// One accelerator in the pool.
+/// One accelerator in the pool, running at most one job of type `J`.
 #[derive(Debug, Clone)]
-pub struct Device {
+pub struct Device<J> {
     /// Fleet index.
     pub id: DeviceId,
     /// Health-state machine consulted by resilient dispatch.
     pub health: HealthMachine,
     /// Injected fault conditions (link state, slowdown windows).
     pub faults: DeviceFaultState,
-    busy: bool,
-    /// Generation counter: bumped whenever the in-flight job is
-    /// invalidated (fault kill, hedge win) so stale completion events can
-    /// be recognized and dropped.
+    /// The running job. A busy device without one is hung: it holds a
+    /// job whose completion nobody expects (the naive §5.5 path).
+    job: Option<J>,
+    /// Generation counter: bumped whenever a busy device frees (its job
+    /// completes, or a fault or a maintenance yank kills it), so stale
+    /// completion events can be recognized and dropped.
     epoch: u64,
-    busy_accum: SimTime,
+    /// When the device last became busy; `None` while it is idle.
     busy_since: Option<SimTime>,
     window_start: SimTime,
     window_busy: SimTime,
     util_window: SimTime,
 }
 
-impl Device {
+impl<J> Device<J> {
     fn new(id: DeviceId, health: HealthConfig, util_window: SimTime) -> Self {
         Device {
             id,
             health: HealthMachine::new(health),
             faults: DeviceFaultState::new(),
-            busy: false,
+            job: None,
             epoch: 0,
-            busy_accum: SimTime::ZERO,
             busy_since: None,
             window_start: SimTime::ZERO,
             window_busy: SimTime::ZERO,
@@ -49,68 +51,41 @@ impl Device {
         }
     }
 
-    /// Whether a job is currently running.
+    /// Whether a job is currently running (or hung).
     pub fn is_busy(&self) -> bool {
-        self.busy
+        self.busy_since.is_some()
     }
 
-    /// Current job generation; completion events carry the epoch they
-    /// were scheduled under and are dropped if it no longer matches.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Marks the device busy with no scheduled completion — models a
-    /// hung device (naive §5.5 path) holding a job that will never
-    /// finish. Freed via [`Device::invalidate_inflight`].
-    pub fn seize(&mut self, now: SimTime) {
-        debug_assert!(!self.busy, "seize requires an idle device");
-        self.busy = true;
-        self.note_busy_start(now);
-    }
-
-    /// Invalidates the in-flight job (if any) and frees the device.
-    /// Returns the old epoch so callers can cancel its completion event.
-    pub fn invalidate_inflight(&mut self, now: SimTime) -> u64 {
-        let old = self.epoch;
-        self.epoch += 1;
-        if self.busy {
-            self.note_busy_end(now);
-            self.busy = false;
-        }
-        old
-    }
-
-    fn note_busy_start(&mut self, now: SimTime) {
-        self.roll_window(now);
-        self.busy_since = Some(now);
-    }
-
-    fn note_busy_end(&mut self, now: SimTime) {
-        if let Some(since) = self.busy_since.take() {
-            let span = now.saturating_sub(since);
-            self.busy_accum += span;
-            self.window_busy += span;
-        }
-    }
-
-    fn roll_window(&mut self, now: SimTime) {
+    /// Marks the device busy with `job` (`None`: hung) from `now`.
+    fn occupy(&mut self, job: Option<J>, now: SimTime) {
+        debug_assert!(!self.is_busy(), "device {} runs one job at a time", self.id);
+        self.job = job;
         if now.saturating_sub(self.window_start) >= self.util_window {
             self.window_start = now;
             self.window_busy = SimTime::ZERO;
         }
+        self.busy_since = Some(now);
+    }
+
+    /// Ends what runs here, a hung job included, frees the device and
+    /// returns the job. An idle device is left as it is.
+    fn release(&mut self, now: SimTime) -> Option<J> {
+        let since = self.busy_since.take()?;
+        self.epoch += 1;
+        self.window_busy += now.saturating_sub(since);
+        self.job.take()
     }
 
     /// Busy fraction over (roughly) the trailing utilization window; the
     /// signal §5.5 PCIe events arm on.
-    pub fn trailing_utilization(&self, now: SimTime) -> f64 {
+    fn trailing_utilization(&self, now: SimTime) -> f64 {
         let mut busy = self.window_busy;
         if let Some(since) = self.busy_since {
             busy += now.saturating_sub(since.max(self.window_start));
         }
         let span = now.saturating_sub(self.window_start);
         if span == SimTime::ZERO {
-            if self.busy {
+            if self.is_busy() {
                 1.0
             } else {
                 0.0
@@ -123,26 +98,27 @@ impl Device {
     /// Whether resilient dispatch may send a new job here. Requires the
     /// device to be *reachable*: link up and not NIC-partitioned.
     pub fn is_dispatchable(&self, now: SimTime) -> bool {
-        !self.busy && self.health.is_dispatchable() && self.faults.reachable(now)
+        !self.is_busy() && self.health.is_dispatchable() && self.faults.reachable(now)
     }
 }
 
 /// What applying a fault event to the pool means for the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultImpact {
-    /// Nothing to do (event did not arm, or device idle for a job-killing
-    /// fault).
+pub enum FaultImpact<J> {
+    /// Nothing to do: the event did not arm, or a job-killing fault hit
+    /// a device with no running job (a hung device is freed).
     None,
-    /// The in-flight job under `epoch` failed; reschedule/fail it.
+    /// The running job failed and the device is free; reschedule or
+    /// fail `job`.
     JobKilled {
-        /// Epoch of the invalidated job.
-        epoch: u64,
+        /// The killed job.
+        job: J,
     },
-    /// The device dropped off the bus (§5.5); any in-flight job under
-    /// `epoch` is lost and the device is out until `recovers_at`.
+    /// The device dropped off the bus (§5.5): the running job, if any,
+    /// is lost and the device is out until `recovers_at`.
     LinkLost {
-        /// Epoch of the invalidated job (`u64::MAX` if the device was idle).
-        epoch: u64,
+        /// The killed job; `None` if the device ran none.
+        job: Option<J>,
         /// When the host reset restores the link.
         recovers_at: SimTime,
     },
@@ -155,7 +131,6 @@ pub enum FaultImpact {
         heals_at: SimTime,
     },
 }
-
 /// Which term of the availability count a device feeds; see
 /// [`DeviceSet::tick`].
 #[derive(Debug, Clone, Copy)]
@@ -173,7 +148,13 @@ enum AvailClass {
     Dirty,
 }
 
-/// The accelerator pool.
+/// The accelerator pool, and the job (payload `J`) each device runs.
+///
+/// A job starts with [`start`](Self::start), which returns the epoch
+/// its completion event must carry. [`finish_job`](Self::finish_job)
+/// hands the job back only if that epoch still matches; a fault
+/// ([`apply_fault`](Self::apply_fault)) or [`kill_job`](Self::kill_job)
+/// ends it early and returns it instead.
 ///
 /// Besides the devices it keeps the time-weighted integral of how many
 /// are dispatchable (health dispatchable and reachable), for the
@@ -184,8 +165,8 @@ enum AvailClass {
 /// by [`apply_fault`](Self::apply_fault) is marked dirty in O(1) and
 /// reclassified at the next tick.
 #[derive(Debug, Clone)]
-pub struct DeviceSet {
-    devices: Vec<Device>,
+pub struct DeviceSet<J> {
+    devices: Vec<Device<J>>,
     /// Time-weighted integral of the dispatchable-device count, for the
     /// availability metric.
     avail_accum: f64,
@@ -200,7 +181,7 @@ pub struct DeviceSet {
     dirty: Vec<DeviceId>,
 }
 
-impl DeviceSet {
+impl<J> DeviceSet<J> {
     /// `n` healthy devices under `health`, with `util_window` as the
     /// trailing-utilization horizon.
     pub fn new(n: u32, health: HealthConfig, util_window: SimTime) -> Self {
@@ -217,31 +198,16 @@ impl DeviceSet {
         }
     }
 
-    /// Pool size.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
     /// Immutable device access.
-    pub fn get(&self, id: DeviceId) -> &Device {
+    pub fn get(&self, id: DeviceId) -> &Device<J> {
         &self.devices[id as usize]
     }
 
     /// Mutable device access. Marks the device dirty: its availability
     /// class is recomputed at the next [`tick`](Self::tick).
-    pub fn get_mut(&mut self, id: DeviceId) -> &mut Device {
+    pub fn get_mut(&mut self, id: DeviceId) -> &mut Device<J> {
         self.mark_dirty(id);
         &mut self.devices[id as usize]
-    }
-
-    /// All devices.
-    pub fn iter(&self) -> impl Iterator<Item = &Device> {
-        self.devices.iter()
     }
 
     fn mark_dirty(&mut self, id: DeviceId) {
@@ -262,7 +228,7 @@ impl DeviceSet {
     /// Whether `d` counts as dispatchable at `at`: health dispatchable
     /// and reachable. Busy devices count; availability is about the
     /// pool, not its load.
-    fn counts_at(d: &Device, at: SimTime) -> bool {
+    fn counts_at(d: &Device<J>, at: SimTime) -> bool {
         d.health.is_dispatchable() && d.faults.reachable(at)
     }
 
@@ -351,79 +317,91 @@ impl DeviceSet {
         accum / (span * self.devices.len() as f64)
     }
 
-    /// Picks a device for a new job under the *resilient* policy:
+    /// Ticks the pool to `now`, as every dispatch does, and picks a
+    /// device for a new job under the *resilient* policy:
     /// health-dispatchable, link up, idle — preferring `Healthy` over
     /// `Recovering` over `Degraded`, lowest id within a class (so the
-    /// choice is deterministic). Marks it busy.
-    pub fn acquire_resilient(&mut self, now: SimTime) -> Option<DeviceId> {
+    /// choice is deterministic).
+    pub fn pick_resilient(&mut self, now: SimTime) -> Option<DeviceId> {
         self.tick(now);
-        let rank = |d: &Device| match d.health.state() {
+        let rank = |d: &Device<J>| match d.health.state() {
             HealthState::Healthy => 0u8,
             HealthState::Recovering => 1,
             HealthState::Degraded => 2,
             _ => 3,
         };
-        let id = self
-            .devices
+        self.devices
             .iter()
             .filter(|d| d.is_dispatchable(now))
             .min_by_key(|d| (rank(d), d.id))
-            .map(|d| d.id)?;
-        self.start_job(id, now);
-        Some(id)
+            .map(|d| d.id)
     }
 
-    /// Picks a device under the *naive* baseline: first idle device whose
-    /// completion the scheduler still expects — it knows nothing of
-    /// health or link state, so it will happily dispatch into a dead
-    /// device (where the job is lost, as in §5.5 before the health
-    /// tooling existed).
-    pub fn acquire_naive(&mut self, now: SimTime) -> Option<DeviceId> {
+    /// Ticks the pool to `now` and picks a device under the *naive*
+    /// baseline: the first idle one. It knows nothing of health or link
+    /// state, so it will happily dispatch into a dead device (where the
+    /// job is lost, as in §5.5 before the health tooling existed).
+    pub fn pick_naive(&mut self, now: SimTime) -> Option<DeviceId> {
         self.tick(now);
-        let id = self.devices.iter().find(|d| !d.busy).map(|d| d.id)?;
-        self.start_job(id, now);
-        Some(id)
+        self.devices.iter().find(|d| !d.is_busy()).map(|d| d.id)
     }
 
-    fn start_job(&mut self, id: DeviceId, now: SimTime) {
+    /// Starts `job` on the idle device `id` and returns the epoch its
+    /// completion must carry. `None` hangs the device: it stays busy
+    /// with no completion expected until a fault, a maintenance yank or
+    /// [`kill_job`](Self::kill_job) frees it. Does not tick: occupying a
+    /// device does not change the availability count.
+    pub fn start(&mut self, id: DeviceId, job: Option<J>, now: SimTime) -> u64 {
         let d = &mut self.devices[id as usize];
-        debug_assert!(!d.busy);
-        d.busy = true;
-        d.note_busy_start(now);
+        d.occupy(job, now);
+        d.epoch
     }
 
-    /// Completes the job on `id` if `epoch` still matches (stale
-    /// completions from killed/hedged jobs return `false` and change
-    /// nothing).
-    pub fn finish_job(&mut self, id: DeviceId, epoch: u64, now: SimTime) -> bool {
+    /// Completes the job on `id` and hands it back if `epoch` still
+    /// matches; a stale completion (the job was killed, or the device
+    /// hung) returns `None` and changes nothing.
+    pub fn finish_job(&mut self, id: DeviceId, epoch: u64, now: SimTime) -> Option<J> {
         self.tick(now);
         let d = &mut self.devices[id as usize];
-        if d.epoch != epoch || !d.busy {
-            return false;
+        if d.epoch != epoch || d.job.is_none() {
+            return None;
         }
-        d.note_busy_end(now);
-        d.busy = false;
-        d.epoch += 1;
-        true
+        d.release(now)
+    }
+
+    /// Ends whatever runs on `id`, a hung job included, and frees it;
+    /// returns the running job. Does not tick: freeing a device does not
+    /// change the availability count.
+    pub fn kill_job(&mut self, id: DeviceId, now: SimTime) -> Option<J> {
+        self.devices[id as usize].release(now)
+    }
+
+    /// The job `id` runs under `epoch`, if it still does.
+    pub fn running(&self, id: DeviceId, epoch: u64) -> Option<&J> {
+        let d = &self.devices[id as usize];
+        d.job.as_ref().filter(|_| d.epoch == epoch)
+    }
+
+    /// Every running job with its device and epoch, by device id.
+    pub fn jobs(&self) -> impl Iterator<Item = (DeviceId, u64, &J)> {
+        self.devices
+            .iter()
+            .filter_map(|d| d.job.as_ref().map(|job| (d.id, d.epoch, job)))
     }
 
     /// Applies one injected fault event and reports its scheduler-visible
     /// impact. Windowed conditions land in the device's
-    /// [`DeviceFaultState`]; job-killing kinds invalidate the in-flight
-    /// job.
-    pub fn apply_fault(&mut self, event: &FaultEvent, now: SimTime) -> FaultImpact {
+    /// [`DeviceFaultState`]; job-killing kinds end what runs on a busy
+    /// device and return its job.
+    pub fn apply_fault(&mut self, event: &FaultEvent, now: SimTime) -> FaultImpact<J> {
         self.tick(now);
         let util = self.devices[event.device as usize].trailing_utilization(now);
         let d = self.get_mut(event.device);
         match event.kind {
-            FaultKind::EccDoubleBit | FaultKind::TransientJobFailure => {
-                if d.busy {
-                    let epoch = d.invalidate_inflight(now);
-                    FaultImpact::JobKilled { epoch }
-                } else {
-                    FaultImpact::None
-                }
-            }
+            FaultKind::EccDoubleBit | FaultKind::TransientJobFailure => match d.release(now) {
+                Some(job) => FaultImpact::JobKilled { job },
+                None => FaultImpact::None,
+            },
             FaultKind::PcieLinkLoss { .. }
             | FaultKind::HostCrash
             | FaultKind::RackPowerLoss
@@ -433,13 +411,8 @@ impl DeviceSet {
                 // utilization. Either way an armed event downs the link and
                 // kills whatever was running.
                 if d.faults.apply(event, util) {
-                    let epoch = if d.busy {
-                        d.invalidate_inflight(now)
-                    } else {
-                        u64::MAX
-                    };
                     FaultImpact::LinkLost {
-                        epoch,
+                        job: d.release(now),
                         recovers_at: d.faults.link_recovers_at().unwrap_or(event.until()),
                     }
                 } else {
@@ -473,8 +446,15 @@ mod tests {
     use super::*;
     use mtia_sim::faults::FaultEvent;
 
-    fn pool(n: u32) -> DeviceSet {
+    fn pool(n: u32) -> DeviceSet<()> {
         DeviceSet::new(n, HealthConfig::default(), SimTime::from_secs(1))
+    }
+
+    /// Picks a device the resilient way and starts a job on it.
+    fn acquire(set: &mut DeviceSet<()>, now: SimTime) -> Option<DeviceId> {
+        let id = set.pick_resilient(now)?;
+        set.start(id, Some(()), now);
+        Some(id)
     }
 
     #[test]
@@ -485,11 +465,11 @@ mod tests {
         for _ in 0..3 {
             set.get_mut(0).health.observe_error(now);
         }
-        assert_eq!(set.acquire_resilient(now), Some(1));
-        assert_eq!(set.acquire_resilient(now), Some(2));
+        assert_eq!(acquire(&mut set, now), Some(1));
+        assert_eq!(acquire(&mut set, now), Some(2));
         // Only the degraded device remains — still dispatchable.
-        assert_eq!(set.acquire_resilient(now), Some(0));
-        assert_eq!(set.acquire_resilient(now), None);
+        assert_eq!(acquire(&mut set, now), Some(0));
+        assert_eq!(acquire(&mut set, now), None);
     }
 
     #[test]
@@ -509,19 +489,18 @@ mod tests {
             FaultImpact::LinkLost { .. }
         ));
         assert_eq!(
-            set.acquire_resilient(now),
+            set.pick_resilient(now),
             None,
             "resilient sees the dead link"
         );
-        assert_eq!(set.acquire_naive(now), Some(0), "naive does not");
+        assert_eq!(set.pick_naive(now), Some(0), "naive does not");
     }
 
     #[test]
     fn stale_epoch_completions_are_dropped() {
         let mut set = pool(1);
         let t0 = SimTime::from_millis(1);
-        set.acquire_resilient(t0).expect("device free");
-        let epoch = set.get(0).epoch();
+        let epoch = set.start(0, Some(()), t0);
         // A DBE kills the in-flight job.
         let dbe = FaultEvent {
             at: SimTime::from_millis(2),
@@ -529,23 +508,45 @@ mod tests {
             kind: FaultKind::EccDoubleBit,
             duration: SimTime::ZERO,
         };
-        match set.apply_fault(&dbe, SimTime::from_millis(2)) {
-            FaultImpact::JobKilled { epoch: killed } => assert_eq!(killed, epoch),
-            other => panic!("expected JobKilled, got {other:?}"),
-        }
+        assert_eq!(
+            set.apply_fault(&dbe, SimTime::from_millis(2)),
+            FaultImpact::JobKilled { job: () }
+        );
         assert!(!set.get(0).is_busy());
-        assert!(
-            !set.finish_job(0, epoch, SimTime::from_millis(3)),
+        assert_eq!(
+            set.finish_job(0, epoch, SimTime::from_millis(3)),
+            None,
             "stale completion must be ignored"
         );
     }
 
     #[test]
+    fn a_hung_device_completes_nothing_until_a_kill_frees_it() {
+        let mut set = pool(1);
+        let epoch = set.start(0, None, SimTime::from_millis(1));
+        assert!(set.get(0).is_busy());
+        assert_eq!(set.running(0, epoch), None);
+        assert_eq!(set.finish_job(0, epoch, SimTime::from_millis(2)), None);
+        assert!(
+            set.get(0).is_busy(),
+            "nobody expects a hung job's completion"
+        );
+        assert_eq!(set.kill_job(0, SimTime::from_millis(3)), None);
+        assert!(!set.get(0).is_busy());
+        let epoch = set.start(0, Some(()), SimTime::from_millis(4));
+        assert_eq!(set.jobs().collect::<Vec<_>>(), [(0, epoch, &())]);
+        assert_eq!(set.kill_job(0, SimTime::from_millis(5)), Some(()));
+        assert_eq!(set.jobs().count(), 0);
+    }
+
+    #[test]
     fn utilization_tracks_busy_fraction() {
         let mut set = pool(1);
-        let id = set.acquire_resilient(SimTime::ZERO).unwrap();
-        let epoch = set.get(0).epoch();
-        set.finish_job(id, epoch, SimTime::from_millis(500));
+        let epoch = set.start(0, Some(()), SimTime::ZERO);
+        assert_eq!(
+            set.finish_job(0, epoch, SimTime::from_millis(500)),
+            Some(())
+        );
         let util = set.get(0).trailing_utilization(SimTime::from_millis(1000));
         assert!(
             (util - 0.5).abs() < 0.05,

@@ -22,8 +22,11 @@
 //!   service-time EWMAs scored against the pod median, driving
 //!   demotion of gray-failing devices that still pass liveness probes.
 //! * [`device`] — the [`DeviceSet`] pool every dispatch goes through:
-//!   health + injected fault state + busy/epoch tracking + the trailing
-//!   PE-utilization estimate that arms §5.5 faults.
+//!   health + injected fault state + the running job and its epoch +
+//!   the trailing PE-utilization estimate that arms §5.5 faults.
+//! * `pod` (crate-private) — the chassis both per-pod engines run on:
+//!   the kernel, the pool, fault and arrival events, admission and the
+//!   request ledger.
 //! * [`controller`] — SLO-aware load shedding keyed off a rolling P99.
 //! * [`sim`] — the remote/merge serving engine comparing a naive FIFO
 //!   baseline against the resilient policy under byte-identical
@@ -38,6 +41,7 @@ pub mod controller;
 pub mod device;
 pub mod health;
 pub mod outlier;
+pub(crate) mod pod;
 pub mod report;
 pub mod retry;
 pub mod sim;

@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-use mtia_core::des::Kernel;
+use mtia_core::error::ConfigError;
 use mtia_core::eventq::{Arena, ArenaRef};
 use mtia_core::telemetry::{Json, Telemetry};
 use mtia_core::SimTime;
@@ -35,6 +35,7 @@ use crate::traffic::ArrivalProcess;
 use super::controller::{DegradationConfig, DegradationController};
 use super::device::{DeviceSet, FaultImpact};
 use super::health::{HealthConfig, HealthMachine, HealthState};
+use super::pod::{Pod, Step};
 use super::report::{PolicyComparison, ResilienceReport};
 use super::retry::{HedgePolicy, RetryPolicy};
 
@@ -108,6 +109,28 @@ impl ResilienceConfig {
             seed,
         }
     }
+
+    /// Checks what every run of this configuration needs.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`RemoteMergeConfig::validate`] rejects in the workload,
+    /// and [`ConfigError::OutOfRange`] on a maintenance window whose
+    /// device is outside the pool.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.workload.validate()?;
+        if self
+            .maintenance
+            .iter()
+            .any(|w| w.device >= self.workload.devices)
+        {
+            return Err(ConfigError::OutOfRange {
+                what: "maintenance window device",
+                valid: "a device inside the pool",
+            });
+        }
+        Ok(())
+    }
 }
 
 /// A unit of work bound for a device. `req` is its request's handle,
@@ -123,17 +146,28 @@ struct Ticket {
     hedges: u32,
 }
 
+impl Ticket {
+    fn new(req: ArenaRef, is_merge: bool, index: u32) -> Self {
+        Ticket {
+            req,
+            is_merge,
+            index,
+            attempts: 0,
+            hedges: 0,
+        }
+    }
+}
+
+/// The engine's own events; arrivals, completions and faults are the
+/// chassis's ([`Pod`]).
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    Arrival,
-    JobDone { device: DeviceId, epoch: u64 },
     JobReady { ticket: Ticket },
     HedgeCheck { device: DeviceId, epoch: u64 },
     LinkRestored { device: DeviceId },
     Reenable { device: DeviceId },
     MaintenanceStart { window: usize },
     MaintenanceDone { device: DeviceId },
-    FaultAt { index: usize },
 }
 
 #[derive(Debug)]
@@ -146,12 +180,9 @@ struct RequestState {
 struct Engine<'a> {
     policy: DispatchPolicy,
     config: &'a ResilienceConfig,
-    set: DeviceSet,
-    des: Kernel<Ev>,
+    pod: Pod<'a, Ticket, Ev>,
     /// Tickets waiting for a device, each with the time it was queued.
     queue: VecDeque<(SimTime, Ticket)>,
-    /// Per device (one job at a time): the running job's epoch and ticket.
-    inflight: Vec<Option<(u64, Ticket)>>,
     /// Per device: a naive-mode job swallowed by a dead link.
     doomed: Vec<Option<Ticket>>,
     /// Live requests only: a request stranded for the rest of the run
@@ -159,41 +190,35 @@ struct Engine<'a> {
     requests: Arena<RequestState>,
     /// Per device: the hold time of a maintenance not yet begun.
     pending_maintenance: Vec<Option<SimTime>>,
-    controller: Option<DegradationController>,
     /// Device-time of every job scheduled to run.
     busy: SimTime,
     report: ResilienceReport,
     warmup: SimTime,
-    tel: &'a mut Telemetry,
 }
 
 impl<'a> Engine<'a> {
     fn new(
         config: &'a ResilienceConfig,
         policy: DispatchPolicy,
-        plan: &FaultPlan,
+        plan: &'a FaultPlan,
+        arrivals: &'a mut dyn ArrivalProcess,
         warmup: SimTime,
         tel: &'a mut Telemetry,
     ) -> Self {
-        let devices = config.workload.devices as usize;
+        let devices = config.workload.devices;
+        let set = DeviceSet::new(devices, config.health, config.pcie_util_window);
+        let controller = match policy {
+            DispatchPolicy::Resilient => config.degradation.map(DegradationController::new),
+            DispatchPolicy::Naive => None,
+        };
         Engine {
             policy,
             config,
-            set: DeviceSet::new(
-                config.workload.devices,
-                config.health,
-                config.pcie_util_window,
-            ),
-            des: Kernel::new(),
+            pod: Pod::new(set, controller, plan, arrivals, tel),
             queue: VecDeque::new(),
-            inflight: vec![None; devices],
-            doomed: vec![None; devices],
+            doomed: vec![None; devices as usize],
             requests: Arena::new(),
-            pending_maintenance: vec![None; devices],
-            controller: match policy {
-                DispatchPolicy::Resilient => config.degradation.map(DegradationController::new),
-                DispatchPolicy::Naive => None,
-            },
+            pending_maintenance: vec![None; devices as usize],
             busy: SimTime::ZERO,
             report: ResilienceReport {
                 policy: policy.name(),
@@ -203,15 +228,7 @@ impl<'a> Engine<'a> {
                 ..ResilienceReport::default()
             },
             warmup,
-            tel,
         }
-    }
-
-    /// Takes `device`'s running ticket if it runs under `epoch`.
-    fn take_inflight(&mut self, device: DeviceId, epoch: u64) -> Option<Ticket> {
-        let slot = &mut self.inflight[device as usize];
-        slot.take_if(|(running, _)| *running == epoch)
-            .map(|(_, ticket)| ticket)
     }
 
     fn fail_request(&mut self, req: ArenaRef) {
@@ -224,32 +241,24 @@ impl<'a> Engine<'a> {
     /// `health.transition` instant event when its state actually changed
     /// (per-device health transitions are the fleet operator's primary
     /// signal; see §5.5).
-    fn transition(
-        &mut self,
-        device: DeviceId,
-        now: SimTime,
-        change: impl FnOnce(&mut HealthMachine),
-    ) {
+    fn transition(&mut self, device: DeviceId, change: impl FnOnce(&mut HealthMachine)) {
         let before = self.health_state(device);
-        change(&mut self.set.get_mut(device).health);
+        change(&mut self.pod.set.get_mut(device).health);
         let after = self.health_state(device);
-        if before != after && self.tel.is_enabled() {
-            self.tel.instant(
-                "health.transition",
-                "serving",
-                now,
-                vec![
-                    ("device".into(), Json::UInt(device as u64)),
-                    ("from".into(), Json::Str(format!("{before:?}"))),
-                    ("to".into(), Json::Str(format!("{after:?}"))),
-                ],
-            );
-            self.tel.counter_add("serving.health_transitions", 1);
+        if before != after {
+            self.pod.instant("health.transition", "serving", || {
+                [
+                    ("device", Json::UInt(device.into())),
+                    ("from", Json::Str(format!("{before:?}"))),
+                    ("to", Json::Str(format!("{after:?}"))),
+                ]
+            });
+            self.pod.tel.counter_add("serving.health_transitions", 1);
         }
     }
 
     fn health_state(&self, device: DeviceId) -> HealthState {
-        self.set.get(device).health.state()
+        self.pod.set.get(device).health.state()
     }
 
     /// Dispatches queued tickets onto devices while both are available.
@@ -266,21 +275,24 @@ impl<'a> Engine<'a> {
                 return;
             };
             let device = match self.policy {
-                DispatchPolicy::Naive => self.set.acquire_naive(now),
-                DispatchPolicy::Resilient => self.set.acquire_resilient(now),
+                DispatchPolicy::Naive => self.pod.set.pick_naive(now),
+                DispatchPolicy::Resilient => self.pod.set.pick_resilient(now),
             };
             let Some(device) = device else { return };
             self.queue.pop_front();
             ticket.attempts += 1;
-            self.tel.counter_add("serving.jobs_dispatched", 1);
+            self.pod.tel.counter_add("serving.jobs_dispatched", 1);
             if ticket.is_merge && now >= self.warmup {
-                self.report.merge_wait.record(now - queued_at);
-                self.tel.hist_record("serving.merge_wait", now - queued_at);
+                let wait = now - queued_at;
+                self.report.merge_wait.record(wait);
+                self.pod.tel.hist_record("serving.merge_wait", wait);
             }
 
-            if self.policy == DispatchPolicy::Naive && !self.set.get(device).faults.link_up(now) {
+            if self.policy == DispatchPolicy::Naive && !self.pod.set.get(device).faults.link_up(now)
+            {
                 // §5.5 as lived without tooling: the job is swallowed by a
                 // hung device. It frees only when the host resets the card.
+                self.pod.set.start(device, None, now);
                 self.doomed[device as usize] = Some(ticket);
                 continue;
             }
@@ -290,20 +302,15 @@ impl<'a> Engine<'a> {
             } else {
                 self.config.workload.remote_job_time_for(ticket.index)
             };
-            let factor = self.set.get(device).faults.service_time_factor(now);
+            let factor = self.pod.set.get(device).faults.service_time_factor(now);
             let occupancy = base.scale(factor) + self.config.workload.dispatch_overhead;
             self.busy += occupancy;
-            let epoch = self.set.get(device).epoch();
-            let slot = &mut self.inflight[device as usize];
-            debug_assert!(slot.is_none(), "device {device} runs one job at a time");
-            *slot = Some((epoch, ticket));
-            self.des
-                .schedule(now + occupancy, Ev::JobDone { device, epoch });
+            let epoch = self.pod.run_job(device, ticket, occupancy);
             if self.policy == DispatchPolicy::Resilient && ticket.is_merge {
                 if let Some(hedge) = self.config.hedge {
                     if ticket.hedges < hedge.max_hedges {
-                        self.des
-                            .schedule(now + hedge.delay, Ev::HedgeCheck { device, epoch });
+                        self.pod
+                            .at(now + hedge.delay, Ev::HedgeCheck { device, epoch });
                     }
                 }
             }
@@ -317,37 +324,25 @@ impl<'a> Engine<'a> {
         let Some(req) = self.requests.get(ticket.req) else {
             return;
         };
-        let (id, deadline) = (req.id, req.arrived + self.config.retry.deadline);
-        if self.policy == DispatchPolicy::Naive {
+        let (id, retry) = (req.id, &self.config.retry);
+        let retries =
+            self.policy == DispatchPolicy::Resilient && retry.allows_retry(ticket.attempts);
+        let delay = retries
+            .then(|| retry.backoff_delay(ticket.attempts, self.config.seed, id))
+            .filter(|&delay| now + delay <= req.arrived + retry.deadline);
+        let Some(delay) = delay else {
             self.fail_request(ticket.req);
             return;
-        }
-        if !self.config.retry.allows_retry(ticket.attempts) {
-            self.fail_request(ticket.req);
-            return;
-        }
-        let delay = self
-            .config
-            .retry
-            .backoff_delay(ticket.attempts, self.config.seed, id);
-        if now + delay > deadline {
-            self.fail_request(ticket.req);
-            return;
-        }
+        };
         self.report.retries += 1;
-        if self.tel.is_enabled() {
-            self.tel.instant(
-                "serving.retry",
-                "serving",
-                now,
-                vec![
-                    ("request".into(), Json::UInt(id)),
-                    ("attempt".into(), Json::UInt(ticket.attempts as u64)),
-                    ("delay_ps".into(), Json::UInt(delay.as_picos())),
-                ],
-            );
-        }
-        self.des.schedule(now + delay, Ev::JobReady { ticket });
+        self.pod.instant("serving.retry", "serving", || {
+            [
+                ("request", Json::UInt(id)),
+                ("attempt", Json::UInt(ticket.attempts.into())),
+                ("delay_ps", Json::UInt(delay.as_picos())),
+            ]
+        });
+        self.pod.at(now + delay, Ev::JobReady { ticket });
     }
 
     /// Applies resilient-mode health bookkeeping after a job error, and
@@ -357,219 +352,215 @@ impl<'a> Engine<'a> {
             return;
         }
         let before = self.health_state(device);
-        self.transition(device, now, |m| m.observe_error(now));
+        self.transition(device, |m| m.observe_error(now));
         if before != HealthState::Offline && self.health_state(device) == HealthState::Offline {
-            self.des
-                .schedule(now + self.config.offline_cooldown, Ev::Reenable { device });
+            self.pod
+                .at(now + self.config.offline_cooldown, Ev::Reenable { device });
         }
     }
 
     fn start_maintenance_hold(&mut self, device: DeviceId, now: SimTime) {
         if let Some(duration) = self.pending_maintenance[device as usize].take() {
-            self.transition(device, now, |m| {
+            self.transition(device, |m| {
                 m.begin_drain(now);
                 m.set_offline(now);
             });
-            self.des
-                .schedule(now + duration, Ev::MaintenanceDone { device });
+            self.pod.at(now + duration, Ev::MaintenanceDone { device });
+        }
+    }
+
+    /// Queues a duplicate of the merge `device` still runs under `epoch`
+    /// for another device, if its request is live.
+    fn hedge(&mut self, device: DeviceId, epoch: u64, now: SimTime) {
+        let Some(&ticket) = self.pod.set.running(device, epoch) else {
+            return;
+        };
+        let Some(id) = self.requests.get(ticket.req).map(|r| r.id) else {
+            return;
+        };
+        self.report.hedges += 1;
+        self.pod.instant("serving.hedge", "serving", || {
+            [
+                ("request", Json::UInt(id)),
+                ("device", Json::UInt(device.into())),
+            ]
+        });
+        let twin = Ticket {
+            hedges: ticket.hedges + 1,
+            ..ticket
+        };
+        self.queue.push_back((now, twin));
+    }
+
+    /// A completed job: health bookkeeping, then the request's progress
+    /// (the last remote job queues the merge; the merge completes it).
+    fn job_done(&mut self, device: DeviceId, ticket: Ticket, now: SimTime) {
+        if self.policy == DispatchPolicy::Resilient {
+            self.transition(device, |m| m.observe_success(now));
+            if self.health_state(device) == HealthState::Draining {
+                self.start_maintenance_hold(device, now);
+            }
+        }
+        // A hedge twin or sibling of a dead request is wasted work.
+        let Some(req) = self.requests.get_mut(ticket.req) else {
+            return;
+        };
+        if !ticket.is_merge {
+            req.remotes_left -= 1;
+            if req.remotes_left == 0 {
+                if now >= self.warmup {
+                    self.report.remote_latency.record(now - req.arrived);
+                }
+                self.queue
+                    .push_back((now, Ticket::new(ticket.req, true, 0)));
+            }
+            return;
+        }
+        let (id, arrived) = (req.id, req.arrived);
+        self.requests.remove(ticket.req);
+        let latency = now - arrived;
+        self.pod.complete(latency);
+        if self.pod.tel.is_enabled() {
+            self.pod.tel.complete_span(
+                format!("req{id}"),
+                "serving",
+                arrived,
+                now,
+                vec![
+                    ("latency_ps".into(), Json::UInt(latency.as_picos())),
+                    ("merge_attempts".into(), Json::UInt(ticket.attempts.into())),
+                ],
+            );
+            if let Some(d) = &self.config.degradation {
+                if now >= self.warmup && latency > d.slo_p99 {
+                    self.pod.tel.counter_add("serving.slo_violations", 1);
+                }
+            }
+        }
+        if now >= self.warmup {
+            self.report.request_latency.record(latency);
+            self.pod.tel.hist_record("serving.request_latency", latency);
+        }
+    }
+
+    /// A fault the pool applied: fail or retry the job it killed, take
+    /// the device out of resilient dispatch until it returns.
+    fn fault(&mut self, device: DeviceId, impact: FaultImpact<Ticket>, now: SimTime) {
+        let resilient = self.policy == DispatchPolicy::Resilient;
+        match impact {
+            FaultImpact::None => {}
+            FaultImpact::JobKilled { job } => {
+                self.observe_device_error(device, now);
+                self.handle_job_failure(job, now);
+            }
+            FaultImpact::LinkLost { job, recovers_at } => {
+                if resilient {
+                    self.transition(device, |m| m.set_offline(now));
+                }
+                if let Some(ticket) = job {
+                    if resilient {
+                        self.handle_job_failure(ticket, now);
+                    } else {
+                        // The job hangs inside the dead card.
+                        self.pod.set.start(device, None, now);
+                        self.doomed[device as usize] = Some(ticket);
+                    }
+                }
+                self.pod.at(recovers_at, Ev::LinkRestored { device });
+            }
+            // In-flight work survives a partition; only new dispatch is
+            // blocked. Resilient dispatch sees it through `reachable`;
+            // the naive baseline keeps dispatching (its link check still
+            // passes).
+            FaultImpact::Partitioned { heals_at } => {
+                if resilient {
+                    self.transition(device, |m| m.set_offline(now));
+                    self.pod.at(heals_at, Ev::LinkRestored { device });
+                }
+            }
         }
     }
 
     /// Runs every event due by `horizon`.
-    fn run(&mut self, arrivals: &mut dyn ArrivalProcess, plan: &FaultPlan, horizon: SimTime) {
-        // Pre-load every injected fault and maintenance window.
-        for (index, fault) in plan.events().iter().enumerate() {
-            self.des.schedule(fault.at, Ev::FaultAt { index });
-        }
-        for (i, w) in self.config.maintenance.iter().enumerate() {
-            self.des
-                .schedule(w.start, Ev::MaintenanceStart { window: i });
-        }
-        if let Some(first) = arrivals.next_arrival(SimTime::ZERO) {
-            self.des.schedule(first, Ev::Arrival);
-        }
-
-        self.tel
-            .begin_span("serving.resilient", "serving", SimTime::ZERO);
-        let policy_name = self.policy.name();
-        self.tel
-            .span_attr("policy", Json::Str(policy_name.to_string()));
-        self.tel
-            .span_attr("devices", Json::UInt(self.config.workload.devices as u64));
-        self.tel.span_attr(
-            "remote_jobs_per_request",
-            Json::UInt(self.config.workload.remote_jobs_per_request as u64),
+    fn run(&mut self, horizon: SimTime) {
+        let config = self.config;
+        let windows = config.maintenance.iter().enumerate();
+        self.pod.open(
+            windows.map(|(window, w)| (w.start, Ev::MaintenanceStart { window })),
+            "serving.resilient",
+            "serving",
+            [
+                ("policy", Json::Str(self.policy.name().to_string())),
+                ("devices", Json::UInt(config.workload.devices.into())),
+                (
+                    "remote_jobs_per_request",
+                    Json::UInt(config.workload.remote_jobs_per_request.into()),
+                ),
+                ("seed", Json::UInt(config.seed)),
+            ],
         );
-        self.tel.span_attr("seed", Json::UInt(self.config.seed));
 
-        let mut next_request = 0u64;
-        while let Some(event) = self.des.next_until(horizon) {
-            let now = self.des.now();
-            match event {
-                Ev::Arrival => {
-                    let request = next_request;
-                    next_request += 1;
-                    self.report.offered += 1;
-                    let admitted = match &mut self.controller {
-                        Some(c) => c.admit(request),
-                        None => true,
-                    };
-                    if admitted {
+        while let Some((now, step)) = self.pod.next(horizon) {
+            match step {
+                Step::Arrival => {
+                    if let Some(id) = self.pod.admit() {
+                        let remotes = config.workload.remote_jobs_per_request;
                         let req = self.requests.insert(RequestState {
-                            id: request,
+                            id,
                             arrived: now,
-                            remotes_left: self.config.workload.remote_jobs_per_request,
+                            remotes_left: remotes,
                         });
-                        for index in 0..self.config.workload.remote_jobs_per_request {
-                            let ticket = Ticket {
-                                req,
-                                is_merge: false,
-                                index,
-                                attempts: 0,
-                                hedges: 0,
-                            };
-                            self.queue.push_back((now, ticket));
+                        for index in 0..remotes {
+                            self.queue.push_back((now, Ticket::new(req, false, index)));
                         }
-                    } else {
-                        self.report.shed += 1;
                     }
-                    if let Some(next) = arrivals.next_arrival(now) {
-                        self.des.schedule(next, Ev::Arrival);
-                    }
+                    self.pod.next_arrival();
                 }
-                Ev::JobDone { device, epoch } => {
-                    if !self.set.finish_job(device, epoch, now) {
-                        continue; // stale: job was killed or superseded
-                    }
-                    let ticket = self.take_inflight(device, epoch).expect("inflight ticket");
-                    if self.policy == DispatchPolicy::Resilient {
-                        self.transition(device, now, |m| m.observe_success(now));
-                        if self.set.get(device).health.state() == HealthState::Draining {
-                            self.start_maintenance_hold(device, now);
-                        }
-                    }
-                    if let Some(req) = self.requests.get_mut(ticket.req) {
-                        if ticket.is_merge {
-                            let (id, arrived) = (req.id, req.arrived);
-                            self.requests.remove(ticket.req);
-                            self.report.completed += 1;
-                            let latency = now - arrived;
-                            if self.tel.is_enabled() {
-                                self.tel.complete_span(
-                                    format!("req{id}"),
-                                    "serving",
-                                    arrived,
-                                    now,
-                                    vec![
-                                        ("latency_ps".into(), Json::UInt(latency.as_picos())),
-                                        (
-                                            "merge_attempts".into(),
-                                            Json::UInt(ticket.attempts as u64),
-                                        ),
-                                    ],
-                                );
-                                if let Some(d) = &self.config.degradation {
-                                    if now >= self.warmup && latency > d.slo_p99 {
-                                        self.tel.counter_add("serving.slo_violations", 1);
-                                    }
-                                }
-                            }
-                            if now >= self.warmup {
-                                self.report.request_latency.record(latency);
-                                self.tel.hist_record("serving.request_latency", latency);
-                            }
-                            if let Some(c) = &mut self.controller {
-                                c.observe(latency);
-                            }
-                        } else {
-                            req.remotes_left -= 1;
-                            if req.remotes_left == 0 {
-                                if now >= self.warmup {
-                                    self.report.remote_latency.record(now - req.arrived);
-                                }
-                                let merge = Ticket {
-                                    req: ticket.req,
-                                    is_merge: true,
-                                    index: 0,
-                                    attempts: 0,
-                                    hedges: 0,
-                                };
-                                self.queue.push_back((now, merge));
-                            }
-                        }
-                    }
-                    // else: hedge twin or sibling of a dead request — wasted work.
-                }
-                Ev::JobReady { ticket } => {
+                Step::Done { device, job } => self.job_done(device, job, now),
+                Step::Fault { fault, impact } => self.fault(fault.device, impact, now),
+                Step::Engine(Ev::JobReady { ticket }) => {
                     if self.requests.get(ticket.req).is_some() {
                         self.queue.push_back((now, ticket));
                     }
                 }
-                Ev::HedgeCheck { device, epoch } => {
-                    let running = self.inflight[device as usize].filter(|&(e, _)| e == epoch);
-                    if let Some((_, ticket)) = running {
-                        // Still running: issue a duplicate merge elsewhere.
-                        if let Some(id) = self.requests.get(ticket.req).map(|r| r.id) {
-                            self.report.hedges += 1;
-                            if self.tel.is_enabled() {
-                                self.tel.instant(
-                                    "serving.hedge",
-                                    "serving",
-                                    now,
-                                    vec![
-                                        ("request".into(), Json::UInt(id)),
-                                        ("device".into(), Json::UInt(device as u64)),
-                                    ],
-                                );
-                            }
-                            let twin = Ticket {
-                                hedges: ticket.hedges + 1,
-                                ..ticket
-                            };
-                            self.queue.push_back((now, twin));
-                        }
-                    }
-                }
-                Ev::LinkRestored { device } => {
-                    self.set.tick(now);
-                    self.set.get_mut(device).faults.expire(now);
+                Step::Engine(Ev::HedgeCheck { device, epoch }) => self.hedge(device, epoch, now),
+                Step::Engine(Ev::LinkRestored { device }) => {
+                    self.pod.set.tick(now);
+                    self.pod.set.get_mut(device).faults.expire(now);
                     if let Some(ticket) = self.doomed[device as usize].take() {
-                        self.set.get_mut(device).invalidate_inflight(now);
+                        // The host reset frees the hung card.
+                        self.pod.set.kill_job(device, now);
                         self.report.job_failures += 1;
                         self.fail_request(ticket.req);
                     }
                     if self.policy == DispatchPolicy::Resilient {
-                        self.transition(device, now, |m| m.begin_recovery(now));
+                        self.transition(device, |m| m.begin_recovery(now));
                     }
                 }
-                Ev::Reenable { device } => {
-                    if self.set.get(device).faults.link_up(now) {
-                        self.set.tick(now);
-                        self.transition(device, now, |m| m.begin_recovery(now));
+                Step::Engine(Ev::Reenable { device }) => {
+                    if self.pod.set.get(device).faults.link_up(now) {
+                        self.pod.set.tick(now);
+                        self.transition(device, |m| m.begin_recovery(now));
                     }
                 }
-                Ev::MaintenanceStart { window } => {
-                    let w = self.config.maintenance[window];
+                Step::Engine(Ev::MaintenanceStart { window }) => {
+                    let w = config.maintenance[window];
                     self.pending_maintenance[w.device as usize] = Some(w.duration);
                     match self.policy {
                         DispatchPolicy::Resilient => {
-                            if self.set.get(w.device).is_busy() {
+                            if self.pod.set.get(w.device).is_busy() {
                                 // Drain: stop new work, wait for in-flight.
-                                self.transition(w.device, now, |m| m.begin_drain(now));
+                                self.transition(w.device, |m| m.begin_drain(now));
                             } else {
                                 self.start_maintenance_hold(w.device, now);
                             }
                         }
                         DispatchPolicy::Naive => {
                             // No drain tooling: the update yanks the device,
-                            // killing whatever runs on it.
-                            let d = self.set.get_mut(w.device);
-                            let epoch = d.invalidate_inflight(now);
-                            if let Some(ticket) = self.take_inflight(w.device, epoch) {
-                                self.report.job_failures += 1;
-                                self.fail_request(ticket.req);
-                            }
-                            if let Some(ticket) = self.doomed[w.device as usize].take() {
+                            // killing whatever runs on it, a hung job too.
+                            let running = self.pod.set.kill_job(w.device, now);
+                            let hung = self.doomed[w.device as usize].take();
+                            for ticket in running.into_iter().chain(hung) {
                                 self.report.job_failures += 1;
                                 self.fail_request(ticket.req);
                             }
@@ -577,104 +568,51 @@ impl<'a> Engine<'a> {
                         }
                     }
                 }
-                Ev::MaintenanceDone { device } => {
-                    self.set.tick(now);
-                    self.transition(device, now, |m| m.begin_recovery(now));
-                }
-                Ev::FaultAt { index } => {
-                    let fault = plan.events()[index];
-                    match self.set.apply_fault(&fault, now) {
-                        FaultImpact::None => {}
-                        FaultImpact::JobKilled { epoch } => {
-                            self.observe_device_error(fault.device, now);
-                            if let Some(ticket) = self.take_inflight(fault.device, epoch) {
-                                self.handle_job_failure(ticket, now);
-                            }
-                        }
-                        FaultImpact::LinkLost { epoch, recovers_at } => {
-                            if self.policy == DispatchPolicy::Resilient {
-                                self.transition(fault.device, now, |m| m.set_offline(now));
-                            }
-                            if let Some(ticket) = self.take_inflight(fault.device, epoch) {
-                                match self.policy {
-                                    DispatchPolicy::Resilient => {
-                                        self.handle_job_failure(ticket, now)
-                                    }
-                                    DispatchPolicy::Naive => {
-                                        // The job hangs inside the dead card.
-                                        self.set.get_mut(fault.device).seize(now);
-                                        self.doomed[fault.device as usize] = Some(ticket);
-                                    }
-                                }
-                            }
-                            self.des.schedule(
-                                recovers_at,
-                                Ev::LinkRestored {
-                                    device: fault.device,
-                                },
-                            );
-                        }
-                        FaultImpact::Partitioned { heals_at } => {
-                            // In-flight work survives a partition; only new
-                            // dispatch is blocked. Resilient dispatch sees it
-                            // through `reachable`; the naive baseline keeps
-                            // dispatching (its link check still passes).
-                            if self.policy == DispatchPolicy::Resilient {
-                                self.transition(fault.device, now, |m| m.set_offline(now));
-                                self.des.schedule(
-                                    heals_at,
-                                    Ev::LinkRestored {
-                                        device: fault.device,
-                                    },
-                                );
-                            }
-                        }
-                    }
+                Step::Engine(Ev::MaintenanceDone { device }) => {
+                    self.pod.set.tick(now);
+                    self.transition(device, |m| m.begin_recovery(now));
                 }
             }
             self.dispatch(now);
         }
     }
 
-    /// Closes the run at the last event before `horizon`, adds the
-    /// kernel's pops to the perf counter, and derives the report's
-    /// end-of-run figures.
+    /// Closes the run at the last event before `horizon` and derives the
+    /// report's end-of-run figures.
     fn finish(mut self, horizon: SimTime) -> ResilienceReport {
-        mtia_core::perfcount::add_events(self.des.popped());
-        let end = self.des.now();
-        self.set.tick(end);
+        let (end, availability) = self.pod.close();
         // Requests still in flight at the end: the ones that had their full
         // deadline budget before the horizon are genuinely stuck (e.g. lost
         // inside a hung device); younger ones are horizon truncation, not a
         // policy failure, and leave the offered pool.
         let cutoff = horizon.saturating_sub(self.config.retry.deadline);
         let live = self.requests.len() as u64;
-        self.report.stuck = self.requests.iter().filter(|r| r.arrived <= cutoff).count() as u64;
-        self.report.offered -= live - self.report.stuck;
+        let r = &mut self.report;
+        r.stuck = self.requests.iter().filter(|q| q.arrived <= cutoff).count() as u64;
+        r.offered = self.pod.offered - (live - r.stuck);
+        r.shed = self.pod.shed;
+        r.completed = self.pod.completed;
         let measured = end.saturating_sub(self.warmup);
         if measured > SimTime::ZERO {
-            self.report.throughput_per_s =
-                self.report.request_latency.count() as f64 / measured.as_secs_f64();
+            r.throughput_per_s = r.request_latency.count() as f64 / measured.as_secs_f64();
         }
         let span = end.max(SimTime::from_picos(1));
         let capacity = self.config.workload.devices as f64 * span.as_secs_f64();
-        self.report.utilization = (self.busy.as_secs_f64() / capacity).min(1.0);
-        self.report.availability = self.set.availability(span);
-        self.tel.end_span(end);
-        if self.tel.is_enabled() {
-            for (name, value) in [
-                ("serving.offered", self.report.offered),
-                ("serving.completed", self.report.completed),
-                ("serving.shed", self.report.shed),
-                ("serving.dropped", self.report.dropped),
-                ("serving.stuck", self.report.stuck),
-                ("serving.retries", self.report.retries),
-                ("serving.hedges", self.report.hedges),
-                ("serving.job_failures", self.report.job_failures),
-            ] {
-                self.tel.counter_add(name, value);
-            }
-        }
+        r.utilization = (self.busy.as_secs_f64() / capacity).min(1.0);
+        r.availability = availability;
+        self.pod.end(
+            end,
+            [
+                ("serving.offered", r.offered),
+                ("serving.completed", r.completed),
+                ("serving.shed", r.shed),
+                ("serving.dropped", r.dropped),
+                ("serving.stuck", r.stuck),
+                ("serving.retries", r.retries),
+                ("serving.hedges", r.hedges),
+                ("serving.job_failures", r.job_failures),
+            ],
+        );
         self.report
     }
 }
@@ -710,7 +648,7 @@ pub fn simulate_resilient_remote_merge(
 ///
 /// # Panics
 ///
-/// Panics if [`RemoteMergeConfig::validate`] rejects the workload.
+/// Panics if [`ResilienceConfig::validate`] rejects the configuration.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_resilient_remote_merge_traced(
     config: &ResilienceConfig,
@@ -721,10 +659,9 @@ pub fn simulate_resilient_remote_merge_traced(
     warmup: SimTime,
     tel: &mut Telemetry,
 ) -> ResilienceReport {
-    let workload = config.workload;
-    workload.validate().expect("a valid remote/merge workload");
-    let mut engine = Engine::new(config, policy, plan, warmup, tel);
-    engine.run(arrivals, plan, horizon);
+    config.validate().expect("a valid resilience config");
+    let mut engine = Engine::new(config, policy, plan, arrivals, warmup, tel);
+    engine.run(horizon);
     engine.finish(horizon)
 }
 
@@ -767,6 +704,36 @@ mod tests {
 
     fn config(seed: u64) -> ResilienceConfig {
         ResilienceConfig::production(workload(), seed)
+    }
+
+    /// The parameter a rejected resilience config names.
+    fn rejected(config: &ResilienceConfig) -> &'static str {
+        match config.validate() {
+            Err(ConfigError::OutOfRange { what, .. }) => what,
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_malformed_workload_is_rejected() {
+        assert_eq!(config(1).validate(), Ok(()));
+        let mut cfg = config(1);
+        cfg.workload.devices = 0;
+        assert_eq!(rejected(&cfg), "remote/merge devices");
+    }
+
+    #[test]
+    fn a_maintenance_window_outside_the_pool_is_rejected() {
+        let mut cfg = config(1);
+        let window = |device| MaintenanceWindow {
+            device,
+            start: SimTime::from_secs(1),
+            duration: SimTime::from_secs(1),
+        };
+        cfg.maintenance = vec![window(3)];
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.maintenance.push(window(4));
+        assert_eq!(rejected(&cfg), "maintenance window device");
     }
 
     #[test]
@@ -894,8 +861,15 @@ mod tests {
         let mut arrivals = crate::traffic::PoissonArrivals::new(60.0, StdRng::seed_from_u64(3));
         let mut tel = Telemetry::disabled();
         let horizon = SimTime::from_secs(60);
-        let mut engine = Engine::new(&cfg, DispatchPolicy::Naive, &plan, SimTime::ZERO, &mut tel);
-        engine.run(&mut arrivals, &plan, horizon);
+        let mut engine = Engine::new(
+            &cfg,
+            DispatchPolicy::Naive,
+            &plan,
+            &mut arrivals,
+            SimTime::ZERO,
+            &mut tel,
+        );
+        engine.run(horizon);
         // The table holds the live requests, not every id since the
         // stranded one: that would be ~3,300 slots here and ~72 k in the
         // `pod` benchmark's 600 s naive run.

@@ -129,11 +129,6 @@ impl SdcReport {
         Some(sum / self.detection_latencies.len() as u64)
     }
 
-    /// Worst injection-to-detection latency.
-    pub fn max_detection_latency(&self) -> Option<SimTime> {
-        self.detection_latencies.iter().copied().max()
-    }
-
     /// Incident count for one method.
     pub fn incidents_for(&self, method: DetectionMethod) -> u32 {
         self.incidents_by_method.get(&method).copied().unwrap_or(0)
@@ -243,6 +238,5 @@ mod tests {
             SimTime::from_millis(20),
         ];
         assert_eq!(r.mean_detection_latency(), Some(SimTime::from_millis(20)));
-        assert_eq!(r.max_detection_latency(), Some(SimTime::from_millis(30)));
     }
 }

@@ -22,39 +22,42 @@ fn policy(base_ms: u64, multiplier: f64, max_ms: u64, jitter: f64, attempts: u32
     }
 }
 
-/// The availability integral as a full scan through `iter()` at every
-/// tick computes it: the reference for the pool's maintained count.
+/// The availability integral as a full scan over all `n` devices at
+/// every tick computes it: the reference for the pool's maintained
+/// count.
 struct ScanIntegral {
+    n: u32,
     accum: f64,
     last: SimTime,
 }
 
 impl ScanIntegral {
-    fn count(set: &DeviceSet, at: SimTime) -> usize {
-        set.iter()
+    fn count(&self, set: &DeviceSet<()>, at: SimTime) -> usize {
+        (0..self.n)
+            .map(|id| set.get(id))
             .filter(|d| d.health.is_dispatchable() && d.faults.reachable(at))
             .count()
     }
 
-    fn tick(&mut self, set: &DeviceSet, now: SimTime) {
+    fn tick(&mut self, set: &DeviceSet<()>, now: SimTime) {
         let span = now.saturating_sub(self.last).as_secs_f64();
         if span > 0.0 {
-            self.accum += span * Self::count(set, self.last) as f64;
+            self.accum += span * self.count(set, self.last) as f64;
             self.last = now;
         }
     }
 
-    fn availability(&self, set: &DeviceSet, now: SimTime) -> f64 {
+    fn availability(&self, set: &DeviceSet<()>, now: SimTime) -> f64 {
         let span = now.as_secs_f64();
-        if span <= 0.0 || set.is_empty() {
+        if span <= 0.0 || self.n == 0 {
             return 1.0;
         }
         let mut accum = self.accum;
         let tail = now.saturating_sub(self.last).as_secs_f64();
         if tail > 0.0 {
-            accum += tail * Self::count(set, self.last) as f64;
+            accum += tail * self.count(set, self.last) as f64;
         }
-        accum / (span * set.len() as f64)
+        accum / (span * self.n as f64)
     }
 }
 
@@ -183,7 +186,7 @@ proptest! {
         n in 1u32..8,
         raw in vec(any::<u64>(), 1..24),
     ) {
-        let mut set = DeviceSet::new(n, HealthConfig::default(), SimTime::from_secs(1));
+        let mut set = DeviceSet::<()>::new(n, HealthConfig::default(), SimTime::from_secs(1));
         // Decompose each word into (device, kind, at, duration) fields.
         let mut events: Vec<FaultEvent> = raw
             .into_iter()
@@ -228,7 +231,7 @@ proptest! {
     /// integral a full scan computes — under random interleavings of
     /// faults of every windowed kind (NIC flaps change reachability with
     /// no event), health transitions and fault expiry through `get_mut`,
-    /// acquires and completions, at random non-decreasing times, with
+    /// acquires, completions and kills, at random non-decreasing times, with
     /// and without an explicit tick before a `get_mut` change.
     #[test]
     fn maintained_availability_matches_a_full_scan(
@@ -236,7 +239,9 @@ proptest! {
         words in vec(any::<u64>(), 0..320),
     ) {
         let mut set = DeviceSet::new(n, HealthConfig::default(), SimTime::from_millis(200));
-        let mut scan = ScanIntegral { accum: 0.0, last: SimTime::ZERO };
+        let mut scan = ScanIntegral { n, accum: 0.0, last: SimTime::ZERO };
+        // The epoch each device's latest job started under.
+        let mut started = vec![0u64; n as usize];
         let mut now = SimTime::ZERO;
         for pair in words.chunks_exact(2) {
             // `w` picks the step, device and time; `v` a fault's shape.
@@ -265,15 +270,19 @@ proptest! {
                     };
                     set.apply_fault(&event, now);
                 }
-                4 => {
-                    set.acquire_resilient(now);
-                }
-                5 => {
-                    set.acquire_naive(now);
+                4 | 5 => {
+                    let picked = if step == 4 {
+                        set.pick_resilient(now)
+                    } else {
+                        set.pick_naive(now)
+                    };
+                    if let Some(id) = picked {
+                        started[id as usize] = set.start(id, Some(()), now);
+                    }
                 }
                 6 => {
                     // Sometimes a stale epoch, which changes nothing.
-                    let epoch = set.get(device).epoch().saturating_sub(v % 2);
+                    let epoch = started[device as usize].saturating_sub(v % 2);
                     set.finish_job(device, epoch, now);
                 }
                 // Changes through `get_mut`, which does not tick.
@@ -289,7 +298,7 @@ proptest! {
                     }
                 }
                 _ => {
-                    set.get_mut(device).invalidate_inflight(now);
+                    set.kill_job(device, now);
                 }
             }
             if (w >> 24) % 4 == 0 {
