@@ -25,7 +25,7 @@ pub fn table1() -> ExperimentReport {
     for m in zoo::table1_models() {
         let g = m.graph();
         let stats = g.stats();
-        let total = stats.table_bytes + stats.weight_bytes;
+        let total = stats.model_bytes();
         let emb_share = stats.table_bytes.as_f64() / total.as_f64();
         t.row(&[
             m.name.clone(),

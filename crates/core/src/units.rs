@@ -27,6 +27,27 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64` without the software `round`: baseline x86-64 has
+/// no rounding instruction, so `f64::round` is a library call, while a
+/// truncating conversion is one instruction.
+///
+/// For `0 <= x < 2^63` the result is `t + (x - t >= 0.5)` with
+/// `t = x as i64`. Below 2^52 the fraction `x - t` is exact, and from 2^52
+/// up every double is an integer, so the fraction is zero; ties round up,
+/// as `round` rounds them away from zero. Every other input (negative,
+/// NaN, >= 2^63) takes `x.round() as u64`. The result is bit-identical to
+/// `x.round() as u64` for every `f64`.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if (0.0..TWO_POW_63).contains(&x) {
+        let t = x as i64;
+        t as u64 + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as u64
+    }
+}
+
 /// A byte count (capacity or traffic volume).
 ///
 /// ```
@@ -88,7 +109,7 @@ impl Bytes {
     /// Returns `self` scaled by a dimensionless factor, rounding to nearest.
     pub fn scale(self, factor: f64) -> Bytes {
         debug_assert!(factor >= 0.0, "byte scale factor must be non-negative");
-        Bytes((self.0 as f64 * factor).round() as u64)
+        Bytes(round_u64(self.0 as f64 * factor))
     }
 
     /// The smaller of two byte counts.
@@ -212,7 +233,7 @@ impl Bandwidth {
 
     /// Bytes movable in `time` at this bandwidth.
     pub fn bytes_in(self, time: SimTime) -> Bytes {
-        Bytes::new((self.0 * time.as_secs_f64()).round() as u64)
+        Bytes::new(round_u64(self.0 * time.as_secs_f64()))
     }
 
     /// Returns `self` scaled by a dimensionless factor (e.g. an efficiency).
@@ -311,7 +332,7 @@ impl SimTime {
             secs.is_finite() && secs >= 0.0,
             "SimTime must be finite and non-negative, got {secs}"
         );
-        SimTime((secs * 1e12).round() as u64)
+        SimTime(round_u64(secs * 1e12))
     }
 
     /// Raw picosecond count.
@@ -353,7 +374,7 @@ impl SimTime {
     #[inline]
     pub fn scale(self, factor: f64) -> SimTime {
         debug_assert!(factor >= 0.0, "time scale factor must be non-negative");
-        SimTime((self.0 as f64 * factor).round() as u64)
+        SimTime(round_u64(self.0 as f64 * factor))
     }
 
     /// The smaller of two times.
@@ -961,5 +982,83 @@ mod tests {
     fn scale_rounds() {
         assert_eq!(Bytes::new(10).scale(0.55), Bytes::new(6));
         assert_eq!(SimTime::from_picos(10).scale(1.5), SimTime::from_picos(15));
+    }
+
+    /// `round_u64` must agree with `x.round() as u64` bit for bit.
+    fn assert_rounds_like_std(x: f64) {
+        assert_eq!(
+            round_u64(x),
+            x.round() as u64,
+            "x = {x:e} (bits {:#018x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn integer_rounding_matches_std_round() {
+        const P52: f64 = 4_503_599_627_370_496.0;
+        const P63: f64 = 9_223_372_036_854_775_808.0;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            1e12 + 0.5,
+            0.499_999_999_999_999_94,
+            P52 - 0.5,
+            P52 - 1.5,
+            P52,
+            P52 + 1.0,
+            2.0 * P52 + 2.0,
+            P63,
+            2.0 * P63,
+            4.0 * P63,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -0.5,
+            -0.49,
+            -1.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::EPSILON,
+        ];
+        // The neighbours of every edge (ties, the subnormal floor, 2^52,
+        // 2^63 and 2^64) sit on either side of a branch or a rounding step.
+        for x in edges.clone() {
+            edges.push(f64::from_bits(x.to_bits().wrapping_add(1)));
+            edges.push(f64::from_bits(x.to_bits().wrapping_sub(1)));
+        }
+        for x in edges {
+            assert_rounds_like_std(x);
+        }
+        // Exact ties k + 0.5 and their neighbours across every binade
+        // that still has a half.
+        for e in 0..52 {
+            let x = (1u64 << e) as f64 + 0.5;
+            for bits in [x.to_bits() - 1, x.to_bits(), x.to_bits() + 1] {
+                assert_rounds_like_std(f64::from_bits(bits));
+            }
+        }
+        // Random non-negative bit patterns (every exponent, so subnormals,
+        // fractions, huge values, infinity and NaN payloads), from a fixed
+        // splitmix64 stream.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            assert_rounds_like_std(f64::from_bits(z >> 1));
+            // And a 53-bit integer shifted down into a random binade, so
+            // most samples carry a fraction in the range the fast path
+            // serves.
+            assert_rounds_like_std((z >> 11) as f64 / (1u64 << (z % 53)) as f64);
+        }
     }
 }

@@ -145,6 +145,13 @@ pub struct GraphStats {
     pub sparse_nodes: usize,
 }
 
+impl GraphStats {
+    /// Total parameter footprint (weights + embedding tables).
+    pub fn model_bytes(&self) -> Bytes {
+        self.weight_bytes + self.table_bytes
+    }
+}
+
 /// A model compute graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
@@ -323,8 +330,7 @@ impl Graph {
 
     /// Total parameter footprint (weights + embedding tables).
     pub fn model_bytes(&self) -> Bytes {
-        let s = self.stats();
-        s.weight_bytes + s.table_bytes
+        self.stats().model_bytes()
     }
 
     /// The element dtype a node computes in (taken from its first output,
@@ -348,6 +354,25 @@ impl Graph {
         self.peak_activation_bytes_for_order(&order)
     }
 
+    /// Each node's position in the execution `order` (the inverse
+    /// permutation).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of node indices.
+    pub fn order_positions(&self, order: &[usize]) -> Vec<usize> {
+        assert_eq!(order.len(), self.nodes.len(), "order must cover every node");
+        let mut position = vec![usize::MAX; self.nodes.len()];
+        for (pos, &n) in order.iter().enumerate() {
+            assert!(
+                n < self.nodes.len() && position[n] == usize::MAX,
+                "order must be a permutation"
+            );
+            position[n] = pos;
+        }
+        position
+    }
+
     /// Peak live activation bytes under an explicit execution `order`
     /// (indices into [`Graph::nodes`]). Used by the §4.2 operator-scheduling
     /// search that minimizes liveness.
@@ -356,15 +381,7 @@ impl Graph {
     ///
     /// Panics if `order` is not a permutation of node indices.
     pub fn peak_activation_bytes_for_order(&self, order: &[usize]) -> Bytes {
-        assert_eq!(order.len(), self.nodes.len(), "order must cover every node");
-        let mut position = vec![usize::MAX; self.nodes.len()];
-        for (pos, &n) in order.iter().enumerate() {
-            assert!(
-                position[n] == usize::MAX && n < self.nodes.len(),
-                "order must be a permutation"
-            );
-            position[n] = pos;
-        }
+        let position = self.order_positions(order);
 
         // For each activation-like tensor: birth = producer position (or 0
         // for inputs), death = max consumer position.
@@ -586,6 +603,13 @@ mod tests {
     fn bad_order_panics() {
         let g = two_layer();
         let _ = g.peak_activation_bytes_for_order(&[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn an_out_of_range_order_index_is_not_a_permutation() {
+        let g = two_layer();
+        let _ = g.order_positions(&[0, 2]);
     }
 
     #[test]

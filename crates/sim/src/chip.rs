@@ -52,8 +52,11 @@ pub struct Plan {
     /// Fraction of the LLC budgeted to FC weights (§4.2: LLC is primarily
     /// for weights).
     pub weight_llc_fraction: f64,
-    /// Override of the activation-buffer size used for placement (the
-    /// autotuner sets this after fusion/scheduling shrink liveness).
+    /// Override of the activation-buffer size used for placement. `None`
+    /// (what [`Plan::default_for`] and the compiler produce) sweeps the
+    /// liveness of [`Plan::order`]; an override forces a buffer size, as
+    /// the fig4 spill study and the memory-hints test do to make
+    /// activations spill.
     pub activation_bytes: Option<Bytes>,
     /// Job-launch mode.
     pub launch_mode: LaunchMode,
@@ -189,9 +192,14 @@ impl ChipSim {
             "plan order must cover every node"
         );
         let stats = graph.stats();
-        let activation_bytes = plan
-            .activation_bytes
-            .unwrap_or_else(|| graph.peak_activation_bytes_for_order(&plan.order));
+        let activation_bytes = match plan.activation_bytes {
+            // An override skips the liveness sweep, not the order check.
+            Some(bytes) => {
+                graph.order_positions(&plan.order);
+                bytes
+            }
+            None => graph.peak_activation_bytes_for_order(&plan.order),
+        };
         let placement = place_model(
             &self.spec.sram,
             activation_bytes,
@@ -224,9 +232,11 @@ impl ChipSim {
         };
 
         tel.begin_span("chip.run", "sim", SimTime::ZERO);
-        tel.span_attr("model", Json::Str(graph.name().to_string()));
-        tel.span_attr("batch", Json::UInt(graph.batch()));
-        tel.span_attr("nodes", Json::UInt(plan.order.len() as u64));
+        if tel.is_enabled() {
+            tel.span_attr("model", Json::Str(graph.name().to_string()));
+            tel.span_attr("batch", Json::UInt(graph.batch()));
+            tel.span_attr("nodes", Json::UInt(plan.order.len() as u64));
+        }
 
         // Cumulative sim-time cursor: nodes execute serially on the chip,
         // so span `i` starts where span `i-1` ended.
@@ -283,7 +293,6 @@ impl ChipSim {
             }
             nodes.push(NodeCost {
                 node: idx,
-                name: node.name.clone(),
                 category,
                 cost,
                 launch_overhead,
@@ -297,7 +306,7 @@ impl ChipSim {
 
         // Sharding check (§4.1): model + runtime buffers vs device DRAM.
         let runtime_buffers = activation_bytes * 2;
-        let needs_sharding = graph.model_bytes() + runtime_buffers > self.spec.dram.capacity;
+        let needs_sharding = stats.model_bytes() + runtime_buffers > self.spec.dram.capacity;
 
         ExecutionReport {
             model: graph.name().to_string(),
@@ -488,6 +497,16 @@ mod tests {
         let g = DlrmConfig::small(8).build();
         let mut plan = Plan::default_for(&g);
         plan.order.pop();
+        let _ = sim().run(&g, &plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "order must be a permutation")]
+    fn an_activation_override_does_not_skip_the_order_check() {
+        let g = DlrmConfig::small(8).build();
+        let mut plan = Plan::default_for(&g);
+        plan.activation_bytes = Some(mtia_core::units::Bytes::from_gib(1));
+        plan.order[1] = plan.order[0];
         let _ = sim().run(&g, &plan);
     }
 

@@ -12,13 +12,12 @@ use mtia_core::DType;
 use mtia_model::graph::Graph;
 use mtia_model::ops::{OpCategory, OpKind};
 
-/// Per-node time on the GPU.
+/// Per-node time on the GPU. Its name is the graph's:
+/// `graph.nodes()[cost.node].name`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuNodeCost {
     /// Node index.
     pub node: usize,
-    /// Node name.
-    pub name: String,
     /// Execution time including launch share.
     pub time: SimTime,
 }
@@ -127,11 +126,7 @@ impl GpuSim {
                     self.spec.hbm_bw.time_to_move(bytes) + launch / 2
                 }
             };
-            nodes.push(GpuNodeCost {
-                node: i,
-                name: node.name.clone(),
-                time,
-            });
+            nodes.push(GpuNodeCost { node: i, time });
         }
         GpuReport {
             model: graph.name().to_string(),

@@ -774,6 +774,26 @@ mod tests {
     }
 
     #[test]
+    fn broadcast_weights_need_broadcast_read_hardware() {
+        // §4.2: with NoC broadcast reads one weight stream feeds every PE
+        // column; without the hardware (MTIA 1's NoC) each column pulls
+        // its own copy, even under the broadcast kernel variant.
+        let chip = chips::mtia2i();
+        let mut gen1_noc = chip.clone();
+        gen1_noc.noc = chips::mtia1().noc;
+        let op = OpKind::Fc {
+            batch: 512,
+            in_features: 1024,
+            out_features: 1024,
+        };
+        let v = FcVariant::optimized_for(512, 1024, 1024);
+        let weights = op.weight_bytes(DType::Fp16);
+        let with = cost_op(&env(&chip), &op, DType::Fp16, Some(v)).sram_bytes;
+        let without = cost_op(&env(&gen1_noc), &op, DType::Fp16, Some(v)).sram_bytes;
+        assert_eq!(without - with, weights * (chip.pe_cols as u64 - 1));
+    }
+
+    #[test]
     fn int8_doubles_dpe_throughput() {
         let chip = chips::mtia2i();
         let e = env(&chip);

@@ -92,12 +92,6 @@ impl MemoryErrorModel {
     pub fn sample_error_cards<R: Rng + ?Sized>(&self, cards: u32, rng: &mut R) -> u32 {
         (0..cards).filter(|_| self.card_is_error_prone(rng)).count() as u32
     }
-
-    /// Probability that a server with `cards` cards shows at least one
-    /// error-prone card.
-    pub fn server_error_probability(&self, cards: u32) -> f64 {
-        1.0 - (1.0 - self.per_card_rate).powi(cards as i32)
-    }
 }
 
 #[cfg(test)]
@@ -158,9 +152,10 @@ mod tests {
 
     #[test]
     fn server_error_rate_matches_survey() {
-        // §5.1: 24 % of servers with 24 cards showed errors.
+        // §5.1: 24 % of servers with 24 cards showed errors, the rate
+        // the per-card calibration is backed out of.
         let m = MemoryErrorModel::production();
-        let p = m.server_error_probability(24);
+        let p = 1.0 - (1.0 - m.per_card_rate).powi(24);
         assert!((p - 0.24).abs() < 0.01, "server rate {p}");
     }
 

@@ -115,17 +115,6 @@ impl NocModel {
         }
         self.effective_bandwidth(initiators).time_to_move(wire)
     }
-
-    /// Wire traffic for distributing one weight stream to all `columns` PE
-    /// columns: with broadcast-read support it is sent once; without, each
-    /// column issues its own read (§4.2's contention elimination).
-    pub fn weight_distribution_bytes(&self, bytes: Bytes, columns: u32) -> Bytes {
-        if self.spec.broadcast_read {
-            bytes
-        } else {
-            bytes * columns as u64
-        }
-    }
 }
 
 /// The §5.5 deadlock: a cyclic wait between the Control Core, the PCIe
@@ -316,20 +305,6 @@ mod tests {
         // 64 initiators share the full bisection fairly.
         let expected = chips::mtia2i().noc.bisection_bw.as_bytes_per_s() / 64.0;
         assert!((crowded.as_bytes_per_s() - expected).abs() / expected < 1e-9);
-    }
-
-    #[test]
-    fn broadcast_read_eliminates_duplicate_weight_traffic() {
-        let n = noc();
-        assert_eq!(
-            n.weight_distribution_bytes(Bytes::from_mib(100), 8),
-            Bytes::from_mib(100)
-        );
-        let gen1 = NocModel::new(chips::mtia1().noc);
-        assert_eq!(
-            gen1.weight_distribution_bytes(Bytes::from_mib(100), 8),
-            Bytes::from_mib(800)
-        );
     }
 
     #[test]

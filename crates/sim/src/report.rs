@@ -9,13 +9,12 @@ use mtia_model::ops::OpCategory;
 use crate::kernels::{Bottleneck, OpCost};
 use crate::mem::sram::DataPlacement;
 
-/// Cost of one executed node, with identification.
+/// Cost of one executed node. Its name is the graph's:
+/// `graph.nodes()[cost.node].name`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeCost {
     /// Node index in the graph.
     pub node: usize,
-    /// Node name.
-    pub name: String,
     /// Operator category.
     pub category: OpCategory,
     /// The kernel cost.
@@ -166,7 +165,6 @@ mod tests {
     fn node(i: usize, time_us: u64, bottleneck: Bottleneck, category: OpCategory) -> NodeCost {
         NodeCost {
             node: i,
-            name: format!("n{i}"),
             category,
             cost: crate::kernels::OpCost {
                 time: SimTime::from_micros(time_us),

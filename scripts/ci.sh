@@ -94,6 +94,14 @@ echo "==> global DES unit tests in release"
 # release-only slot check.
 cargo test -q --release -p mtia-serving --lib global
 
+echo "==> allocation guard in release"
+# A ChipSim run and a GPU baseline run must allocate per run, not per
+# node: a counting allocator pins the exact allocation count of runs of
+# two zoo models with different node counts, in the optimized build the
+# co-design search uses. The count is exact, so it cannot drift with the
+# host.
+cargo test -q --release -p mtia-sim --test alloc_guard
+
 echo "==> perfbench self-tests"
 # The benchmark package (perfbench/, its own workspace) builds against
 # the crates' public API; a crate API change that breaks it fails here.
