@@ -9,7 +9,6 @@
 //! the dense **merge network** runs on one device. NUMA-aware placement
 //! keeps all shards under one PCIe switch (§3.4).
 
-use mtia_core::units::Bytes;
 use mtia_model::graph::Graph;
 use mtia_model::ops::OpKind;
 use mtia_sim::chip::ChipSim;
@@ -26,12 +25,6 @@ impl ShardingPlan {
     pub fn single() -> Self {
         ShardingPlan { shards: 1 }
     }
-}
-
-/// Total bytes a device must hold for `graph`: parameters plus runtime
-/// buffers (double-buffered activations).
-pub fn device_footprint(graph: &Graph) -> Bytes {
-    graph.model_bytes() + graph.peak_activation_bytes() * 2
 }
 
 /// Decides the shard count: the smallest `s` such that each device's slice
@@ -190,11 +183,5 @@ mod tests {
             "sharded {sharded} !> single {single} at {} shards",
             plan.shards
         );
-    }
-
-    #[test]
-    fn footprint_includes_buffers() {
-        let g = DlrmConfig::small(128).build();
-        assert!(device_footprint(&g) > g.model_bytes());
     }
 }

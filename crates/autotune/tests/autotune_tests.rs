@@ -5,9 +5,7 @@
 
 use mtia_autotune::batch::{tune_batch_size, DEFAULT_CANDIDATES};
 use mtia_autotune::coalescing::{max_rate, predict, tune_coalescing, CoalescingConfig};
-use mtia_autotune::sharding::{
-    device_footprint, sharded_throughput, split_for_shards, tune_sharding, ShardingPlan,
-};
+use mtia_autotune::sharding::{sharded_throughput, split_for_shards, tune_sharding, ShardingPlan};
 use mtia_core::spec::chips;
 use mtia_core::units::SimTime;
 use mtia_model::models::dlrm::DlrmConfig;
@@ -151,16 +149,6 @@ fn sharded_throughput_single_matches_unsharded_run() {
         .run(&s)
         .throughput_samples_per_s();
     assert_eq!(via_plan, direct);
-}
-
-#[test]
-fn footprint_is_monotone_in_batch() {
-    let small = device_footprint(&DlrmConfig::small(128).build());
-    let large = device_footprint(&DlrmConfig::small(1024).build());
-    assert!(
-        large > small,
-        "activations grow with batch: {small} vs {large}"
-    );
 }
 
 #[test]

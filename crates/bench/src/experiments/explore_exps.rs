@@ -181,8 +181,9 @@ fn run_search(space: &ChipSpecSpace, config: &ExploreConfig) -> ExploreRun {
     }
 }
 
-/// Debug hook for calibration sweeps (hidden; used by the scratch
-/// example only).
+/// Runs the search on any space and configuration (hidden; its caller
+/// is `tests/golden_frontier.rs`, which searches a perturbed space to
+/// show that the frontier golden catches a moved axis).
 #[doc(hidden)]
 pub fn debug_exhaustive(space: &ChipSpecSpace, config: &ExploreConfig) -> ExploreRun {
     run_search(space, config)

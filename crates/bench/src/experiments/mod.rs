@@ -285,11 +285,6 @@ pub fn run_entries(entries: Vec<ExperimentEntry>) -> Vec<ExperimentReport> {
     pool::parallel_map(entries, |_, e| (e.run)())
 }
 
-/// Runs every experiment in paper order.
-pub fn run_all() -> Vec<ExperimentReport> {
-    run_entries(registry())
-}
-
 #[cfg(test)]
 mod registry_tests {
     use super::*;

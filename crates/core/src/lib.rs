@@ -45,4 +45,4 @@ pub use error::ConfigError;
 pub use incident::{DetectionMethod, SdcIncident};
 pub use spec::{ChipFeature, ChipSpec, EccMode, GpuSpec, ServerSpec};
 pub use telemetry::{LatencyHistogram, Telemetry};
-pub use units::{Bandwidth, Bytes, CostUnits, FlopCount, FlopRate, Hertz, Joules, SimTime, Watts};
+pub use units::{Bandwidth, Bytes, CostUnits, FlopCount, FlopRate, Hertz, SimTime, Watts};

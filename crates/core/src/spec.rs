@@ -429,20 +429,10 @@ pub struct ServerSpec {
 }
 
 impl ServerSpec {
-    /// CPU cores available per accelerator.
-    pub fn cores_per_accel(&self) -> f64 {
-        (self.cpu_sockets * self.cores_per_socket) as f64 / self.accelerators as f64
-    }
-
     /// Host DRAM bandwidth available per accelerator when all accelerators
     /// are drawing on it simultaneously — the §3.4 bottleneck.
     pub fn host_dram_bw_per_accel(&self) -> Bandwidth {
         (self.host_dram_bw_per_socket * self.cpu_sockets as f64) / self.accelerators as f64
-    }
-
-    /// NIC bandwidth available per accelerator.
-    pub fn nic_bw_per_accel(&self) -> Bandwidth {
-        (self.nic_bw_per_socket * self.cpu_sockets as f64) / self.accelerators as f64
     }
 }
 
@@ -867,13 +857,21 @@ mod tests {
         // §3.4: 8 cores, 96 GB host DRAM at 38 GB/s, 4.17 GB/s NIC per
         // accelerator.
         let server = mtia_server();
-        assert!(close(server.cores_per_accel(), 8.0, 1e-9));
+        let per_accel = |total: f64| total / server.accelerators as f64;
+        assert_eq!(
+            per_accel((server.cpu_sockets * server.cores_per_socket) as f64),
+            8.0
+        );
         assert!(close(
             server.host_dram_bw_per_accel().as_gb_per_s(),
             38.3,
             0.01
         ));
-        assert!(close(server.nic_bw_per_accel().as_gb_per_s(), 4.17, 0.01));
+        assert!(close(
+            per_accel(server.nic_bw_per_socket.as_gb_per_s() * server.cpu_sockets as f64),
+            4.17,
+            0.01
+        ));
         assert_eq!(server.accelerators, 24);
         assert_eq!(server.accels_per_pcie_switch, 12);
     }

@@ -57,14 +57,6 @@ impl ServerCost {
         ServerCost { capex, power }
     }
 
-    /// An MTIA server whose accelerators draw `per_chip_power` (used by the
-    /// §5.3 provisioned-power study and the §5.2 overclocking study).
-    pub fn mtia_server_at_power(per_chip_power: Watts) -> Self {
-        let capex = CostUnits::new(calib::SERVER_BASE_COST + 24.0 * calib::MTIA_MODULE_COST);
-        let power = Watts::new(calib::MTIA_SERVER_HOST_POWER_W) + per_chip_power.scale(24.0);
-        ServerCost { capex, power }
-    }
-
     /// Total cost of ownership: capex plus lifetime energy.
     pub fn tco(&self) -> CostUnits {
         self.capex + CostUnits::new(self.power.as_f64() * calib::POWER_COST_PER_WATT)
@@ -217,13 +209,5 @@ mod tests {
     #[should_panic(expected = "throughput")]
     fn negative_throughput_panics() {
         let _ = PlatformMetrics::new(ServerCost::gpu_server(), -1.0);
-    }
-
-    #[test]
-    fn power_study_server_cost() {
-        let low = ServerCost::mtia_server_at_power(Watts::new(50.0));
-        let high = ServerCost::mtia_server_at_power(Watts::new(85.0));
-        assert!(low.tco().as_f64() < high.tco().as_f64());
-        assert_eq!(low.capex, high.capex);
     }
 }

@@ -3,7 +3,7 @@
 //! Simulation results are only as trustworthy as their unit discipline, so
 //! every quantity that crosses a module boundary is a newtype
 //! ([`Bytes`], [`Bandwidth`], [`SimTime`], [`FlopCount`], [`FlopRate`],
-//! [`Hertz`], [`Watts`], [`Joules`], [`CostUnits`]) rather than a bare
+//! [`Hertz`], [`Watts`], [`CostUnits`]) rather than a bare
 //! number. Conversions between them are explicit methods such as
 //! [`Bandwidth::time_to_move`] so that dimensional errors are caught at
 //! compile time.
@@ -229,11 +229,6 @@ impl Bandwidth {
     pub fn time_to_move(self, bytes: Bytes) -> SimTime {
         assert!(self.0 > 0.0, "cannot move data over zero bandwidth");
         SimTime::from_secs_f64(bytes.as_f64() / self.0)
-    }
-
-    /// Bytes movable in `time` at this bandwidth.
-    pub fn bytes_in(self, time: SimTime) -> Bytes {
-        Bytes::new(round_u64(self.0 * time.as_secs_f64()))
     }
 
     /// Returns `self` scaled by a dimensionless factor (e.g. an efficiency).
@@ -490,11 +485,6 @@ impl FlopCount {
         FlopCount(m * 1e6)
     }
 
-    /// Creates an operation count from gigaflops (1e9).
-    pub const fn from_gflops(g: f64) -> Self {
-        FlopCount(g * 1e9)
-    }
-
     /// Raw operation count.
     pub fn as_f64(self) -> f64 {
         self.0
@@ -645,16 +635,6 @@ impl Hertz {
         self.0 / 1e9
     }
 
-    /// Duration of one clock cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is zero.
-    pub fn cycle_time(self) -> SimTime {
-        assert!(self.0 > 0.0, "zero frequency has no cycle time");
-        SimTime::from_secs_f64(1.0 / self.0)
-    }
-
     /// Time to execute `cycles` clock cycles.
     pub fn time_for_cycles(self, cycles: f64) -> SimTime {
         assert!(self.0 > 0.0, "zero frequency has no cycle time");
@@ -690,11 +670,6 @@ impl Watts {
     /// Power in watts.
     pub fn as_f64(self) -> f64 {
         self.0
-    }
-
-    /// Energy consumed at this power over `time`.
-    pub fn energy_over(self, time: SimTime) -> Joules {
-        Joules::new(self.0 * time.as_secs_f64())
     }
 
     /// Returns `self` scaled by a dimensionless factor (e.g. utilization).
@@ -748,50 +723,6 @@ impl fmt::Display for Watts {
         } else {
             write!(f, "{:.1} W", self.0)
         }
-    }
-}
-
-/// Energy in joules.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Joules(f64);
-
-impl Joules {
-    /// Zero energy.
-    pub const ZERO: Joules = Joules(0.0);
-
-    /// Creates an energy value.
-    pub const fn new(j: f64) -> Self {
-        Joules(j)
-    }
-
-    /// Energy in joules.
-    pub fn as_f64(self) -> f64 {
-        self.0
-    }
-}
-
-impl Add for Joules {
-    type Output = Joules;
-    fn add(self, rhs: Joules) -> Joules {
-        Joules(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Joules {
-    fn add_assign(&mut self, rhs: Joules) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sum for Joules {
-    fn sum<I: Iterator<Item = Joules>>(iter: I) -> Joules {
-        iter.fold(Joules::ZERO, |a, b| a + b)
-    }
-}
-
-impl fmt::Display for Joules {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} J", self.0)
     }
 }
 
@@ -903,10 +834,6 @@ mod tests {
         let bw = Bandwidth::from_gb_per_s(100.0);
         let t = bw.time_to_move(Bytes::new(1_000_000_000));
         assert_eq!(t, SimTime::from_millis(10));
-        assert_eq!(
-            bw.bytes_in(SimTime::from_millis(10)).as_u64(),
-            1_000_000_000
-        );
     }
 
     #[test]
@@ -939,24 +866,17 @@ mod tests {
     fn floprate_computes_time() {
         // 177 TFLOPS executing 177 GFLOP takes 1 ms.
         let rate = FlopRate::from_tflops(177.0);
-        let t = rate.time_to_compute(FlopCount::from_gflops(177.0));
+        let t = rate.time_to_compute(FlopCount::new(177e9));
         assert_eq!(t, SimTime::from_millis(1));
     }
 
     #[test]
     fn hertz_cycle_time() {
         let f = Hertz::from_ghz(1.0);
-        assert_eq!(f.cycle_time(), SimTime::from_nanos(1));
+        assert_eq!(f.time_for_cycles(1.0), SimTime::from_nanos(1));
         assert_eq!(Hertz::from_ghz(1.35).ratio(Hertz::from_ghz(1.35)), 1.0);
         // One 1.35 GHz cycle rounds to 741 ps.
-        assert_eq!(Hertz::from_ghz(1.35).cycle_time().as_picos(), 741);
-    }
-
-    #[test]
-    fn watts_energy() {
-        let p = Watts::new(85.0);
-        let e = p.energy_over(SimTime::from_secs(2));
-        assert!((e.as_f64() - 170.0).abs() < 1e-9);
+        assert_eq!(Hertz::from_ghz(1.35).time_for_cycles(1.0).as_picos(), 741);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! builds are deployed to production. A typical rollout takes 18 days ...
 //! In 2024, we deployed 23 firmware-bundle releases fleet-wide."
 
-use mtia_core::SimTime;
 use rand::Rng;
 
 use crate::firmware::{simulate_rollout, FirmwareBundle, Rollout};
@@ -137,17 +136,10 @@ pub fn simulate_year<R: Rng + ?Sized>(config: CdConfig, rng: &mut R) -> YearRepo
     report
 }
 
-/// Emergency deployment timing check: the 3-hour and 1-hour paths.
-pub fn emergency_paths() -> (SimTime, SimTime) {
-    (
-        Rollout::emergency().duration(),
-        Rollout::extreme().duration(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtia_core::SimTime;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -211,8 +203,10 @@ mod tests {
 
     #[test]
     fn emergency_paths_match_the_paper() {
-        let (emergency, extreme) = emergency_paths();
-        assert_eq!(emergency, SimTime::from_secs(3 * 3600));
-        assert_eq!(extreme, SimTime::from_secs(3600));
+        assert_eq!(
+            Rollout::emergency().duration(),
+            SimTime::from_secs(3 * 3600)
+        );
+        assert_eq!(Rollout::extreme().duration(), SimTime::from_secs(3600));
     }
 }

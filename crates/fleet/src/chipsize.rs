@@ -75,10 +75,6 @@ pub fn sample_portfolio<R: Rng + ?Sized>(models: u32, rng: &mut R) -> Vec<ModelD
 pub struct ProvisionReport {
     /// Total devices provisioned.
     pub devices: u32,
-    /// Total provisioned throughput (devices × per-device).
-    pub provisioned: f64,
-    /// Sum of average demands actually served.
-    pub served_avg: f64,
     /// Mean utilization of the provisioned capacity.
     pub utilization: f64,
 }
@@ -96,8 +92,6 @@ pub fn provision(option: DeviceOption, portfolio: &[ModelDemand]) -> ProvisionRe
     let provisioned = devices as f64 * option.device_throughput;
     ProvisionReport {
         devices,
-        provisioned,
-        served_avg,
         utilization: served_avg / provisioned,
     }
 }

@@ -346,11 +346,6 @@ impl GlobalTopology {
         device / self.devices_per_pod()
     }
 
-    /// Region index of `device`.
-    pub fn region_of(&self, device: DeviceId) -> u32 {
-        device / self.devices_per_region()
-    }
-
     /// Region homing pod `pod`.
     pub fn region_of_pod(&self, pod: u32) -> u32 {
         pod / self.config.pods_per_region
@@ -542,7 +537,10 @@ mod tests {
             // Pods nest inside regions, and hosts inside pods: any two
             // devices sharing a host share the pod and the region.
             let pod = global.pod_of(device);
-            assert_eq!(global.region_of(device), global.region_of_pod(pod));
+            assert_eq!(
+                global.domain_of(GlobalLevel::Region, device),
+                global.region_of_pod(pod)
+            );
             for other in global.devices_in(GlobalLevel::Pod, pod) {
                 if global.host_of(other) == global.host_of(device) {
                     assert!(global.shares_domain(GlobalLevel::Pod, device, other));
@@ -602,7 +600,7 @@ mod tests {
             assert_eq!(spec.pod_of_device(device), global.pod_of(device));
             assert_eq!(
                 spec.region_of_pod(spec.pod_of_device(device)),
-                global.region_of(device)
+                global.domain_of(GlobalLevel::Region, device)
             );
         }
         assert_eq!(spec.wan_latency(1, 2), global.wan_latency(1, 2));

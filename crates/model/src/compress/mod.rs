@@ -20,11 +20,6 @@ pub fn ratio(original_len: usize, compressed_len: usize) -> f64 {
     compressed_len as f64 / original_len as f64
 }
 
-/// Serializes quantized INT8 weights to bytes for compression studies.
-pub fn int8_weight_bytes(weights: &[i8]) -> Vec<u8> {
-    weights.iter().map(|&v| v as u8).collect()
-}
-
 /// Serializes FP16-rounded weights to their little-endian byte stream.
 pub fn fp16_weight_bytes(weights: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(weights.len() * 2);
@@ -84,11 +79,5 @@ mod tests {
         assert_eq!(f32_to_f16_bits(1.0), 0x3c00);
         assert_eq!(f32_to_f16_bits(-2.0), 0xc000);
         assert_eq!(f32_to_f16_bits(f32::INFINITY), 0x7c00);
-    }
-
-    #[test]
-    fn int8_bytes_are_two_complement() {
-        let bytes = int8_weight_bytes(&[-1, 0, 1]);
-        assert_eq!(bytes, vec![0xff, 0x00, 0x01]);
     }
 }

@@ -172,24 +172,6 @@ impl DlrmConfig {
     }
 }
 
-/// Appends `quantize → fc(int8) → dequantize` in place of a plain FC — used
-/// by the §4.4 quantization experiments when comparing execution plans.
-pub fn quantized_fc_ops(batch: u64, in_features: u64, out_features: u64) -> Vec<OpKind> {
-    vec![
-        OpKind::Quantize {
-            elems: batch * in_features,
-        },
-        OpKind::Fc {
-            batch,
-            in_features,
-            out_features,
-        },
-        OpKind::Dequantize {
-            elems: batch * out_features,
-        },
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,13 +214,5 @@ mod tests {
         let mut cfg = DlrmConfig::small(8);
         cfg.bottom_mlp = vec![128, 32]; // != embedding_dim 64
         let _ = cfg.build();
-    }
-
-    #[test]
-    fn quantized_fc_op_sequence() {
-        let ops = quantized_fc_ops(4, 8, 16);
-        assert_eq!(ops.len(), 3);
-        assert!(matches!(ops[0], OpKind::Quantize { elems: 32 }));
-        assert!(matches!(ops[2], OpKind::Dequantize { elems: 64 }));
     }
 }

@@ -170,12 +170,6 @@ impl HstuConfig {
         self.dtype
             .bytes_for(self.num_tables * self.rows_per_table * self.embedding_dim)
     }
-
-    /// Arithmetic work per request in GFLOPS.
-    pub fn gflops_per_request(&self) -> f64 {
-        let g = self.build();
-        g.stats().flops.as_gflops()
-    }
 }
 
 #[cfg(test)]
@@ -199,8 +193,8 @@ mod tests {
         let base = HstuConfig::small(8);
         let mut long = base.clone();
         long.mean_seq = 256;
-        let f_base = base.gflops_per_request();
-        let f_long = long.gflops_per_request();
+        let f_base = base.build().stats().flops.as_f64();
+        let f_long = long.build().stats().flops.as_f64();
         // Attention is quadratic, projections linear → more than 2×.
         assert!(f_long > 2.0 * f_base, "{f_long} vs {f_base}");
     }

@@ -78,16 +78,6 @@ impl Shape {
     pub fn inner(&self) -> u64 {
         *self.0.last().expect("shapes are non-empty")
     }
-
-    /// The same shape with the outer dimension replaced (used for batch-size
-    /// re-snapshotting during autotuning).
-    #[must_use]
-    pub fn with_outer(&self, outer: u64) -> Shape {
-        assert!(outer > 0, "zero-sized outer dimension");
-        let mut dims = self.0.clone();
-        dims[0] = outer;
-        Shape(dims)
-    }
 }
 
 impl fmt::Display for Shape {
@@ -361,7 +351,6 @@ mod tests {
         assert_eq!(s.inner(), 4);
         assert_eq!(s.bytes(DType::Fp16), Bytes::new(48));
         assert_eq!(s.to_string(), "[2x3x4]");
-        assert_eq!(s.with_outer(8).elems(), 96);
     }
 
     #[test]

@@ -17,24 +17,21 @@
 //!   fleet crate by owning only the trait.
 //! * [`placement`] — naive (contiguous, blast-radius-blind) vs
 //!   domain-aware (anti-affinity) replica placement for a sharded cell.
-//! * [`checkpoint`] — deterministic [`CellCheckpoint`]s of shard state
-//!   (queues, in-flight epochs, replica/health states) with FNV-1a
-//!   fingerprints, so warm restarts and their cost model are exactly
-//!   reproducible.
 //! * [`sim`] — the failover event loop: replica promotion on domain
 //!   loss, warm restore from checkpoint, re-replication onto spares,
 //!   integrated with the
 //!   [`DegradationController`](crate::resilience::DegradationController)
-//!   admission path.
+//!   admission path. Every shard checkpoint is hashed straight from the
+//!   shard's queue, in-flight epoch, replica and health states into the
+//!   report's `checkpoint_fingerprint`, so two runs of one seed provably
+//!   checkpoint the same state and their warm restarts cost the same.
 //! * [`report`] — the availability scorecard: goodput,
 //!   unavailable-seconds, incident-window P99, recovery time.
 
-pub mod checkpoint;
 pub mod placement;
 pub mod report;
 pub mod sim;
 
-pub use checkpoint::CellCheckpoint;
 pub use placement::{place_replicas, PlacementPolicy};
 pub use report::{FailoverComparison, FailoverReport};
 pub use sim::{

@@ -35,8 +35,9 @@ pub struct FailoverReport {
     pub rereplications: u64,
     /// Checkpoints taken across all shards.
     pub checkpoints: u64,
-    /// Order-sensitive fold of every checkpoint fingerprint: a single
-    /// word witnessing that two runs checkpointed identical state.
+    /// FNV-1a over every shard checkpoint's digest in checkpoint order
+    /// (0 when none was taken): a single word witnessing that two runs
+    /// checkpointed identical state at identical instants.
     pub checkpoint_fingerprint: u64,
     /// Total shard-outage time summed over shards (a shard counts as
     /// out while it has no serving-capable replica).

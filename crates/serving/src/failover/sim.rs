@@ -11,8 +11,9 @@
 //! * **Promotion**: when a primary's domain is lost, a surviving
 //!   standby is elected after `promotion_delay` (leader election /
 //!   routing update cost).
-//! * **Warm restart**: shards checkpoint every `checkpoint_every`
-//!   ([`CellCheckpoint`], deterministic fingerprints); a replica whose
+//! * **Warm restart**: shards checkpoint every `checkpoint_every`, and
+//!   the run's digest absorbs each checkpoint's shard state (queue,
+//!   in-flight epoch, replica and health states); a replica whose
 //!   host returns restores in `restore_floor + age · catchup_rate`
 //!   where `age` is the time since its shard's last checkpoint.
 //!   Without checkpoints the replay runs from the epoch start — that
@@ -33,17 +34,17 @@
 use std::collections::VecDeque;
 
 use mtia_core::error::ConfigError;
+use mtia_core::fnv::Fnv1a;
 use mtia_core::telemetry::{Json, Telemetry};
 use mtia_core::SimTime;
 use mtia_sim::faults::{DeviceId, FaultEvent, FaultPlan};
 
 use crate::resilience::controller::{DegradationConfig, DegradationController};
 use crate::resilience::device::{DeviceSet, FaultImpact};
-use crate::resilience::health::HealthConfig;
+use crate::resilience::health::{HealthConfig, HealthState};
 use crate::resilience::pod::{Pod, Step};
 use crate::traffic::ArrivalProcess;
 
-use super::checkpoint::{fold_fingerprint, CellCheckpoint, ReplicaSnapshot};
 use super::placement::{pick_spare, place_replicas, PlacementPolicy};
 use super::report::{FailoverComparison, FailoverReport};
 use super::FaultDomains;
@@ -207,8 +208,65 @@ struct Engine<'a> {
     /// The slot of the replica each device hosts, if any.
     device_replica: Vec<Option<Slot>>,
     next_token: u64,
+    /// Running FNV-1a over every checkpoint's [`shard_digest`], in
+    /// checkpoint order; the report's `checkpoint_fingerprint`.
+    checkpoint_digest: Fnv1a,
     report: FailoverReport,
     warmup: SimTime,
+}
+
+/// The digest of one shard's §5.5 warm-restart checkpoint at `at`: the
+/// scheduler-visible shard state (queued requests, the in-flight job's
+/// `(device, epoch)`, replica states, their devices' health, the
+/// primary) fed word by word through FNV-1a's xor-multiply step. Equal
+/// state at the same instant hashes equal; any divergence in queue
+/// contents, epochs, placement or health shows up here.
+fn shard_digest(
+    at: SimTime,
+    s: u32,
+    shard: &Shard,
+    inflight: Option<(DeviceId, u64)>,
+    health: impl Fn(DeviceId) -> HealthState,
+) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |word: u64| {
+        hash ^= word;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    mix(at.as_picos());
+    mix(s.into());
+    mix(shard.queue.len() as u64);
+    for q in &shard.queue {
+        mix(q.id);
+        mix(q.arrived.as_picos());
+    }
+    match inflight {
+        Some((device, epoch)) => {
+            mix(1);
+            mix(device.into());
+            mix(epoch);
+        }
+        None => mix(0),
+    }
+    for r in &shard.replicas {
+        let (tag, since) = match r.state {
+            ReplicaState::Live => (1, None),
+            ReplicaState::Down { since } => (2, Some(since)),
+            ReplicaState::Restoring { ready_at, .. } => (3, Some(ready_at)),
+        };
+        mix(tag);
+        mix(r.device.into());
+        if let Some(t) = since {
+            mix(t.as_picos());
+        }
+    }
+    for r in &shard.replicas {
+        // Declaration order: Healthy 0, Degraded 1, Draining 2,
+        // Offline 3, Recovering 4.
+        mix(health(r.device) as u64);
+    }
+    mix(shard.primary.map_or(u64::MAX, |p| p as u64));
+    hash
 }
 
 impl<'a> Engine<'a> {
@@ -357,47 +415,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Takes one deterministic checkpoint of every shard.
+    /// Takes one deterministic checkpoint of every shard and folds its
+    /// digest into the run's.
     fn checkpoint_all(&mut self, now: SimTime) {
         for s in 0..self.config.shards {
-            let shard = &self.shards[s as usize];
+            let set = &self.pod.set;
             // A partitioned primary keeps its job while a promoted
             // standby starts another, so a shard can have two; record the
             // lowest-indexed device's.
-            let inflight = self
-                .pod
-                .set
+            let inflight = set
                 .jobs()
                 .find_map(|(device, epoch, job)| (job.shard == s).then_some((device, epoch)));
-            let checkpoint = CellCheckpoint {
-                at: now,
-                shard: s,
-                queued: shard.queue.iter().map(|q| (q.id, q.arrived)).collect(),
-                inflight,
-                replicas: shard
-                    .replicas
-                    .iter()
-                    .map(|r| match r.state {
-                        ReplicaState::Live => ReplicaSnapshot::Live { device: r.device },
-                        ReplicaState::Down { since } => ReplicaSnapshot::Down {
-                            device: r.device,
-                            since,
-                        },
-                        ReplicaState::Restoring { ready_at, .. } => ReplicaSnapshot::Restoring {
-                            device: r.device,
-                            ready_at,
-                        },
-                    })
-                    .collect(),
-                health: shard
-                    .replicas
-                    .iter()
-                    .map(|r| self.pod.set.get(r.device).health.state())
-                    .collect(),
-                primary: shard.primary.map(|p| p as u32),
-            };
-            self.report.checkpoint_fingerprint =
-                fold_fingerprint(self.report.checkpoint_fingerprint, checkpoint.fingerprint());
+            let shard = &self.shards[s as usize];
+            let digest = shard_digest(now, s, shard, inflight, |d| set.get(d).health.state());
+            self.checkpoint_digest.word(digest);
             self.report.checkpoints += 1;
             self.shards[s as usize].last_checkpoint = now;
         }
@@ -620,6 +651,9 @@ impl<'a> Engine<'a> {
         }
         r.offered -= self.pod.set.jobs().count() as u64;
         r.device_availability = availability;
+        if r.checkpoints > 0 {
+            r.checkpoint_fingerprint = self.checkpoint_digest.finish();
+        }
         self.pod.end(
             end,
             [
@@ -725,6 +759,7 @@ pub fn simulate_cell_failover_traced(
         shards,
         device_replica,
         next_token: 0,
+        checkpoint_digest: Fnv1a::default(),
         report: FailoverReport {
             placement: placement.name(),
             failover_enabled: config.failover,
@@ -776,6 +811,144 @@ mod tests {
     use super::*;
     use crate::failover::FaultDomains;
     use mtia_sim::faults::FaultKind;
+
+    /// A shard at a 10 s checkpoint: two queued requests, primary on
+    /// healthy device 3, standby on device 9 down since 8 s.
+    fn checkpointed_shard() -> Shard {
+        let queued = |id, secs| QueuedRequest {
+            id,
+            arrived: SimTime::from_secs(secs),
+            incident: false,
+        };
+        Shard {
+            replicas: vec![
+                Replica {
+                    device: 3,
+                    state: ReplicaState::Live,
+                },
+                Replica {
+                    device: 9,
+                    state: ReplicaState::Down {
+                        since: SimTime::from_secs(8),
+                    },
+                },
+            ],
+            primary: Some(0),
+            queue: VecDeque::from([queued(7, 9), queued(8, 10)]),
+            down_since: None,
+            last_checkpoint: SimTime::ZERO,
+            promote_pending: false,
+        }
+    }
+
+    fn checkpoint_health(device: DeviceId) -> HealthState {
+        match device {
+            9 => HealthState::Offline,
+            11 => HealthState::Degraded,
+            _ => HealthState::Healthy,
+        }
+    }
+
+    fn digest_at_10s(shard: &Shard, inflight: Option<(DeviceId, u64)>) -> u64 {
+        shard_digest(
+            SimTime::from_secs(10),
+            2,
+            shard,
+            inflight,
+            checkpoint_health,
+        )
+    }
+
+    /// [`checkpointed_shard`] without a primary and with a third replica
+    /// restoring onto degraded device 11 until 12 s.
+    fn restoring_shard() -> Shard {
+        let mut shard = checkpointed_shard();
+        shard.primary = None;
+        shard.replicas.push(Replica {
+            device: 11,
+            state: ReplicaState::Restoring {
+                token: 5,
+                ready_at: SimTime::from_secs(12),
+            },
+        });
+        shard
+    }
+
+    #[test]
+    fn equal_shard_state_hashes_equal() {
+        let shard = checkpointed_shard();
+        let digest = digest_at_10s(&shard, Some((3, 41)));
+        assert_eq!(digest, digest_at_10s(&checkpointed_shard(), Some((3, 41))));
+        // The words and their order are pinned: changing them changes
+        // every recorded `checkpoint_fingerprint` (the failover trace
+        // golden's `ckpt_fp`, the benchmark's `pod` digest).
+        assert_eq!(digest, 0x0950_5ac2_b4dd_8439);
+        assert_eq!(
+            digest_at_10s(&restoring_shard(), None),
+            0xbaa0_3950_77b6_89ca
+        );
+        // A restore's token is engine bookkeeping, not checkpointed state.
+        let mut retokened = restoring_shard();
+        retokened.replicas[2].state = ReplicaState::Restoring {
+            token: 6,
+            ready_at: SimTime::from_secs(12),
+        };
+        assert_eq!(
+            digest_at_10s(&retokened, None),
+            digest_at_10s(&restoring_shard(), None)
+        );
+    }
+
+    #[test]
+    fn every_checkpointed_field_perturbs_the_digest() {
+        let base = digest_at_10s(&checkpointed_shard(), Some((3, 41)));
+        let mut shard = checkpointed_shard();
+        shard.queue.pop_back();
+        assert_ne!(digest_at_10s(&shard, Some((3, 41))), base, "queue contents");
+        let shard = checkpointed_shard();
+        assert_ne!(
+            digest_at_10s(&shard, Some((3, 42))),
+            base,
+            "in-flight epoch"
+        );
+        assert_ne!(digest_at_10s(&shard, None), base, "no job in flight");
+        let mut moved = checkpointed_shard();
+        moved.replicas[0].device = 4;
+        assert_ne!(digest_at_10s(&moved, Some((3, 41))), base, "replica device");
+        let recovering = |d| match d {
+            9 => HealthState::Recovering,
+            _ => HealthState::Healthy,
+        };
+        let at = SimTime::from_secs(10);
+        assert_ne!(
+            shard_digest(at, 2, &shard, Some((3, 41)), recovering),
+            base,
+            "health state"
+        );
+        let mut promoted = checkpointed_shard();
+        promoted.primary = Some(1);
+        assert_ne!(
+            digest_at_10s(&promoted, Some((3, 41))),
+            base,
+            "primary index"
+        );
+    }
+
+    #[test]
+    fn checkpoint_fold_is_order_sensitive() {
+        let a = digest_at_10s(&checkpointed_shard(), Some((3, 41)));
+        let b = digest_at_10s(&restoring_shard(), None);
+        let fold = |first, second| {
+            let mut run = Fnv1a::default();
+            run.word(first);
+            run.word(second);
+            run.finish()
+        };
+        // The report's `checkpoint_fingerprint` after these two
+        // checkpoints, pinned like the digests above.
+        assert_eq!(fold(a, b), 0x642d_b31d_bbd4_4255);
+        assert_ne!(fold(a, b), fold(b, a));
+    }
 
     /// 4 devices per host, 2 hosts per rack, 2 racks: 16 devices.
     struct MiniTopo;

@@ -40,8 +40,7 @@ pub mod traffic;
 pub use ab::{normalized_entropy, run_ab_test, AbReport, PlatformArm};
 pub use failover::{
     compare_failover, place_replicas, simulate_cell_failover, simulate_cell_failover_traced,
-    CellCheckpoint, FailoverComparison, FailoverConfig, FailoverReport, FaultDomains,
-    PlacementPolicy,
+    FailoverComparison, FailoverConfig, FailoverReport, FaultDomains, PlacementPolicy,
 };
 pub use global::{
     build_regional_trace, simulate_global, simulate_global_traced, GlobalArrival, GlobalComparison,

@@ -201,20 +201,6 @@ impl FaultKind {
         )
     }
 
-    /// Whether the fault is a correlated-domain kind (host/rack/network
-    /// blast radius rather than an independent per-device process).
-    pub fn is_correlated(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::HostCrash
-                | FaultKind::RackPowerLoss
-                | FaultKind::NicPartition
-                | FaultKind::PodLoss
-                | FaultKind::RegionOutage
-                | FaultKind::WanPartition
-        )
-    }
-
     /// Whether the fault is fail-slow: the device keeps passing
     /// liveness probes (it is up, reachable at least intermittently,
     /// and serving) while its effective performance degrades. These
@@ -518,22 +504,6 @@ impl FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut events = Vec::new();
         let span = horizon.as_secs_f64();
-        let sample_count = |rng: &mut StdRng, mean: f64| -> u32 {
-            // Poisson via inversion; means here are small (< 20).
-            if mean <= 0.0 {
-                return 0;
-            }
-            let limit = (-mean).exp();
-            let mut product: f64 = 1.0;
-            let mut count = 0u32;
-            loop {
-                product *= rng.gen::<f64>();
-                if product <= limit {
-                    return count;
-                }
-                count += 1;
-            }
-        };
         for device in 0..devices {
             let prone = rng.gen_bool(config.error_prone_card_rate.clamp(0.0, 1.0));
             let push_windows =
@@ -561,7 +531,7 @@ impl FaultPlan {
                     &mut events,
                     config.sbe_bursts_per_prone_device,
                     &move |rng| {
-                        let flips = 1 + sample_count_free(rng, mean_flips - 1.0);
+                        let flips = 1 + sample_count(rng, mean_flips - 1.0);
                         (
                             FaultKind::EccSingleBitBurst { flips },
                             exp_window(rng, mean_window),
@@ -753,7 +723,9 @@ fn exp_window(rng: &mut StdRng, mean: SimTime) -> SimTime {
     mean.scale(-u.ln())
 }
 
-fn sample_count_free(rng: &mut StdRng, mean: f64) -> u32 {
+/// A Poisson count with the given mean, by inversion (the means here are
+/// small, under 20).
+fn sample_count(rng: &mut StdRng, mean: f64) -> u32 {
     if mean <= 0.0 {
         return 0;
     }
@@ -1399,8 +1371,6 @@ mod tests {
                 assert_ne!(fps[i], fps[j], "kinds {i} and {j} collide");
             }
         }
-        assert!(FaultKind::HostCrash.is_correlated());
-        assert!(!FaultKind::EccDoubleBit.is_correlated());
         assert!(!FaultKind::HostCrash.is_instantaneous());
     }
 
@@ -1411,7 +1381,6 @@ mod tests {
             FaultKind::RegionOutage,
             FaultKind::WanPartition,
         ] {
-            assert!(kind.is_correlated());
             assert!(!kind.is_instantaneous());
         }
         // Pod/region losses take the link down regardless of load.
@@ -1638,11 +1607,6 @@ mod tests {
         }
         .is_fail_slow());
         assert!(!FaultKind::HostCrash.is_fail_slow());
-        assert!(!FaultKind::ThermalThrottle {
-            ramp_s: 1.0,
-            floor: 0.5
-        }
-        .is_correlated());
     }
 
     #[test]

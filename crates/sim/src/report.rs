@@ -108,17 +108,6 @@ impl ExecutionReport {
         map
     }
 
-    /// Summed time of an arbitrary subset of nodes (used to split remote /
-    /// merge jobs for the serving scheduler).
-    pub fn time_of(&self, nodes: impl IntoIterator<Item = usize>) -> SimTime {
-        let set: std::collections::HashSet<usize> = nodes.into_iter().collect();
-        self.nodes
-            .iter()
-            .filter(|n| set.contains(&n.node))
-            .map(|n| n.cost.time + n.launch_overhead)
-            .sum()
-    }
-
     /// The single most time-consuming bottleneck class.
     pub fn dominant_bottleneck(&self) -> Option<Bottleneck> {
         let mut totals: BTreeMap<u8, (SimTime, Bottleneck)> = BTreeMap::new();
@@ -205,15 +194,6 @@ mod tests {
             SimTime::from_micros(45) + SimTime::from_nanos(1200)
         );
         assert!(r.throughput_samples_per_s() > 0.0);
-    }
-
-    #[test]
-    fn subset_timing() {
-        let r = report();
-        let t01 = r.time_of([0, 1]);
-        let t2 = r.time_of([2]);
-        assert_eq!(t01 + t2, r.total_time());
-        assert_eq!(r.time_of([]), SimTime::ZERO);
     }
 
     #[test]

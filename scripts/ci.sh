@@ -29,6 +29,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> examples in release"
+# The examples are the non-test callers of much of the public API (the
+# autotuner, rollout_serving, the SDC incident timeline), and each one
+# asserts its own acceptance criteria, so each must exit 0. Once built,
+# all ten run in well under a second together.
+cargo build --release --examples
+time for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> reproduce smoke: determinism + perf (--filter quick)"
 # The fast experiment subset (fig5, e19_rung, e21_rung, e22_rung,
 # e23_rung, e24_rung, e25_rung, e26_rung), run at one thread and at all

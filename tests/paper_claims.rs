@@ -128,7 +128,7 @@ fn spec_peaks_match_table2() {
 /// The complete experiment suite runs and every table is non-empty.
 #[test]
 fn all_experiments_produce_tables() {
-    let reports = mtia_bench::experiments::run_all();
+    let reports = mtia_bench::experiments::run_entries(mtia_bench::experiments::registry());
     assert_eq!(reports.len(), 30);
     for r in &reports {
         assert!(!r.tables.is_empty(), "{} has no tables", r.id);
