@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the simulator's hot paths: the cache
 //! simulator, the Che/Zipf analytic model, the rANS and LZSS codecs, the
-//! DES kernel, one full chip-level model execution, the regional
+//! DES kernel, one full chip-level model execution, the co-design setup
+//! path (zoo construction and compiling the E25 models), the regional
 //! arrival generator, and the regional trace's replay.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -11,6 +12,7 @@ use mtia_core::spec::chips;
 use mtia_core::SimTime;
 use mtia_model::compress::{ans, lzss};
 use mtia_model::models::dlrm::DlrmConfig;
+use mtia_model::models::zoo;
 use mtia_serving::global::{build_regional_trace, RegionalTrafficConfig};
 use mtia_serving::traffic::{ArrivalProcess, FlashCrowd, RegionalArrivals};
 use mtia_sim::chip::ChipSim;
@@ -87,6 +89,29 @@ fn bench_chip(c: &mut Criterion) {
     });
 }
 
+/// The co-design setup path: building the Fig. 6 zoo, and compiling the
+/// five E25 objective models with every optimization on.
+fn bench_codesign_setup(c: &mut Criterion) {
+    c.bench_function("zoo_fig6_models", |b| {
+        b.iter(|| black_box(zoo::fig6_models()));
+    });
+    let graphs: Vec<_> = zoo::fig6_models()
+        .into_iter()
+        .filter(|m| ["LC3", "LC5", "HC1", "HC3", "HC4"].contains(&m.name.as_str()))
+        .map(|m| m.graph())
+        .collect();
+    c.bench_function("compile_codesign_models", |b| {
+        b.iter(|| {
+            for graph in &graphs {
+                black_box(mtia_compiler::compile(
+                    graph,
+                    mtia_compiler::CompilerOptions::all(),
+                ));
+            }
+        });
+    });
+}
+
 /// One region of the E24 production shape (600 req/s base, 600 s
 /// period and horizon, one flash crowd): divide ns/iter by the printed
 /// arrival count for ns per arrival.
@@ -144,7 +169,7 @@ fn bench_trace_replay(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache, bench_codecs, bench_engine, bench_chip, bench_arrivals,
-        bench_trace_replay
+    targets = bench_cache, bench_codecs, bench_engine, bench_chip, bench_codesign_setup,
+        bench_arrivals, bench_trace_replay
 }
 criterion_main!(benches);

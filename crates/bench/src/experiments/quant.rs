@@ -124,14 +124,14 @@ pub fn e8_quantization() -> ExperimentReport {
         ("every FC (quality-risky)", Some(Bytes::ZERO)),
     ];
     let quant_runs = mtia_core::pool::parallel_map(thresholds, |_, (label, threshold)| {
-        let (graph, rewrites) = match threshold {
-            None => (g.clone(), 0),
+        let mut graph = g.clone();
+        let rewrites = match threshold {
+            None => 0,
             Some(min_weight_bytes) => {
                 let pass =
                     mtia_compiler::passes::quantize::SelectiveQuantization { min_weight_bytes };
                 use mtia_compiler::Pass;
-                let r = pass.run(&g);
-                (r.graph, r.rewrites)
+                pass.run(&mut graph)
             }
         };
         let report = mtia_compiler::compile(&graph, CompilerOptions::all()).run(&sim);

@@ -31,7 +31,7 @@ pub mod perfdb;
 pub mod plan;
 pub mod scheduling;
 
-pub use pass::{Pass, PassManager, PassResult};
+pub use pass::{Pass, PassManager};
 pub use perfdb::{exhaustive_tune, FcShape, PerfDb, TuneOutcome};
 pub use plan::{compile, Compiled, CompilerOptions};
 pub use scheduling::min_liveness_order;

@@ -1,71 +1,117 @@
-//! The pass framework: graph-to-graph rewrites with a shared analysis.
+//! The pass framework: in-place graph rewrites with a shared analysis.
 
-use std::collections::HashMap;
-
-use mtia_model::graph::{Graph, TensorId};
-
-/// Result of running one pass.
-#[derive(Debug, Clone)]
-pub struct PassResult {
-    /// The rewritten graph (unchanged if `rewrites == 0`).
-    pub graph: Graph,
-    /// Number of pattern rewrites applied.
-    pub rewrites: usize,
-}
+use mtia_model::graph::{Graph, Node, TensorId};
 
 /// A graph-rewriting pass.
+///
+/// A pass rewrites the graph in place and returns how many pattern
+/// rewrites it applied. A run that finds nothing to rewrite must leave the
+/// graph untouched, and should copy nothing: the [`PassManager`] reruns
+/// every pass until a run rewrites nothing, so that final run happens for
+/// every pass on every compile.
 pub trait Pass {
     /// Short pass name for logs.
     fn name(&self) -> &'static str;
 
-    /// Runs the pass.
-    fn run(&self, graph: &Graph) -> PassResult;
+    /// Runs the pass over `graph`; returns the number of rewrites applied.
+    fn run(&self, graph: &mut Graph) -> usize;
 }
 
 /// Producer/consumer indices over a graph, shared by the pattern matchers.
+///
+/// Dense and indexed by [`TensorId`]: one producer slot per tensor, and
+/// the consumers of every tensor in one compressed (CSR) list — the
+/// consumers of tensor `t` are `consumers[offsets[t]..offsets[t + 1]]`,
+/// in node order, one entry per input occurrence.
 #[derive(Debug, Clone)]
 pub struct GraphAnalysis {
-    /// Producing node index per tensor.
-    pub producer: HashMap<TensorId, usize>,
-    /// Consuming node indices per tensor, in node order.
-    pub consumers: HashMap<TensorId, Vec<usize>>,
+    /// Producing node per tensor (the last one, if several write it).
+    producer: Vec<Option<usize>>,
+    /// Per-tensor start of its run in `consumers`, plus a final end.
+    offsets: Vec<usize>,
+    /// Consuming node indices, grouped by tensor.
+    consumers: Vec<usize>,
 }
 
 impl GraphAnalysis {
     /// Builds the analysis.
     pub fn of(graph: &Graph) -> Self {
-        let mut producer = HashMap::new();
-        let mut consumers: HashMap<TensorId, Vec<usize>> = HashMap::new();
+        let tensors = graph.tensors().len();
+        let mut producer = vec![None; tensors];
+        // Count each tensor's consumers into the slot after its own, so
+        // the prefix sum leaves `offsets[t + 1]` at the end of t's run.
+        let mut offsets = vec![0; tensors + 1];
         for (i, node) in graph.nodes().iter().enumerate() {
             for &t in &node.outputs {
-                producer.insert(t, i);
+                producer[t.index()] = Some(i);
             }
             for &t in &node.inputs {
-                consumers.entry(t).or_default().push(i);
+                offsets[t.index() + 1] += 1;
             }
         }
+        for t in 0..tensors {
+            offsets[t + 1] += offsets[t];
+        }
+        // Fill each run from its start, advancing `offsets[t]` to t's end
+        // (the old `offsets[t + 1]`), then shift the starts back.
+        let mut consumers = vec![0; offsets[tensors]];
+        for (i, node) in graph.nodes().iter().enumerate() {
+            for &t in &node.inputs {
+                consumers[offsets[t.index()]] = i;
+                offsets[t.index()] += 1;
+            }
+        }
+        offsets.copy_within(..tensors, 1);
+        offsets[0] = 0;
         GraphAnalysis {
             producer,
+            offsets,
             consumers,
         }
     }
 
+    /// The node that produces `t`, if any.
+    pub fn producer_of(&self, t: TensorId) -> Option<usize> {
+        self.producer[t.index()]
+    }
+
+    /// All consumers of `t`, in node order.
+    pub fn consumers_of(&self, t: TensorId) -> &[usize] {
+        &self.consumers[self.offsets[t.index()]..self.offsets[t.index() + 1]]
+    }
+
     /// The single consumer of `t`, if exactly one node consumes it.
     pub fn sole_consumer(&self, t: TensorId) -> Option<usize> {
-        match self.consumers.get(&t).map(|v| v.as_slice()) {
-            Some([one]) => Some(*one),
+        match self.consumers_of(t) {
+            [one] => Some(*one),
             _ => None,
         }
     }
-
-    /// All consumers of `t`.
-    pub fn consumers_of(&self, t: TensorId) -> &[usize] {
-        self.consumers.get(&t).map(|v| v.as_slice()).unwrap_or(&[])
-    }
 }
 
-/// Runs passes in order until each has been applied once, collecting a log
-/// of `(pass name, rewrites)`.
+/// Moves `graph`'s node list out into per-node slots, so that a rewriting
+/// run builds its new list by moving each kept node instead of cloning it.
+pub(crate) fn node_slots(graph: &mut Graph) -> Vec<Option<Node>> {
+    std::mem::take(graph.nodes_mut())
+        .into_iter()
+        .map(Some)
+        .collect()
+}
+
+/// Runs `pass` once on a copy of `graph`: the copy as rewritten, and the
+/// number of rewrites.
+#[cfg(test)]
+pub(crate) fn run_once(pass: &dyn Pass, graph: &Graph) -> (Graph, usize) {
+    let mut out = graph.clone();
+    let rewrites = pass.run(&mut out);
+    (out, rewrites)
+}
+
+/// Most runs of one pass before the manager gives up on its fixpoint.
+pub const MAX_RUNS: usize = 32;
+
+/// Runs passes in order, each to its fixpoint, collecting a log of
+/// `(pass name, rewrites)`.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
 }
@@ -82,26 +128,40 @@ impl PassManager {
         self
     }
 
-    /// Runs all passes, each repeatedly until it reaches a fixpoint (bounded
-    /// to avoid pathological loops). Returns the final graph and the log.
+    /// Runs all passes on a copy of `graph`, each repeatedly until a run
+    /// rewrites nothing, for at most [`MAX_RUNS`] runs. Returns the final
+    /// graph and the log. Debug builds assert that every pass reached its
+    /// fixpoint within the bound and left a valid graph.
     pub fn run(&self, graph: &Graph) -> (Graph, Vec<(String, usize)>) {
         let mut g = graph.clone();
-        let mut log = Vec::new();
+        let mut log = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
-            let mut total = 0;
-            for _ in 0..32 {
-                let result = pass.run(&g);
-                total += result.rewrites;
-                g = result.graph;
-                if result.rewrites == 0 {
-                    break;
-                }
-            }
+            let (total, runs) = run_to_fixpoint(pass.as_ref(), &mut g);
+            debug_assert!(
+                runs.is_some(),
+                "pass {} still rewrote on its run {MAX_RUNS}",
+                pass.name()
+            );
             debug_assert_eq!(g.validate(), Ok(()), "pass {} broke the graph", pass.name());
             log.push((pass.name().to_string(), total));
         }
         (g, log)
     }
+}
+
+/// Runs `pass` until a run rewrites nothing, at most [`MAX_RUNS`] times.
+/// Returns the total rewrites and, if the pass reached its fixpoint, the
+/// number of runs it took (the final, rewrite-free run included).
+fn run_to_fixpoint(pass: &dyn Pass, graph: &mut Graph) -> (usize, Option<usize>) {
+    let mut total = 0;
+    for run in 1..=MAX_RUNS {
+        let rewrites = pass.run(graph);
+        if rewrites == 0 {
+            return (total, Some(run));
+        }
+        total += rewrites;
+    }
+    (total, None)
 }
 
 impl Default for PassManager {
@@ -123,11 +183,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "null"
         }
-        fn run(&self, graph: &Graph) -> PassResult {
-            PassResult {
-                graph: graph.clone(),
-                rewrites: 0,
-            }
+        fn run(&self, _: &mut Graph) -> usize {
+            0
         }
     }
 
@@ -146,11 +203,70 @@ mod tests {
         let g = tiny();
         let a = GraphAnalysis::of(&g);
         let b = g.nodes()[0].outputs[0];
-        assert_eq!(a.producer[&b], 0);
+        assert_eq!(a.producer_of(b), Some(0));
         assert_eq!(a.sole_consumer(b), Some(1));
         let input = g.nodes()[0].inputs[0];
         assert_eq!(a.consumers_of(input), &[0]);
-        assert!(!a.producer.contains_key(&input));
+        assert_eq!(a.producer_of(input), None);
+    }
+
+    /// Every pass of the pipeline, on every zoo model, ends on a run that
+    /// rewrites nothing well within [`MAX_RUNS`].
+    #[test]
+    fn every_pass_reaches_its_fixpoint_on_the_zoo() {
+        use crate::plan::{pass_manager, CompilerOptions};
+        use mtia_model::models::zoo;
+
+        let mut models = zoo::fig6_models();
+        models.extend(zoo::table1_models());
+        models.push(zoo::case_study_initial());
+        let quantized = CompilerOptions {
+            quantize_large_fcs: true,
+            ..CompilerOptions::all()
+        };
+        let mut most = (0, "", String::new());
+        for m in &models {
+            for options in [CompilerOptions::all(), quantized] {
+                let mut g = m.graph();
+                for pass in &pass_manager(options).passes {
+                    let (_, runs) = run_to_fixpoint(pass.as_ref(), &mut g);
+                    let Some(runs) = runs else {
+                        panic!(
+                            "{}: {} still rewrote on run {MAX_RUNS}",
+                            m.name,
+                            pass.name()
+                        );
+                    };
+                    if runs > most.0 {
+                        most = (runs, pass.name(), m.name.clone());
+                    }
+                }
+            }
+        }
+        // No zoo model needs more than one rewriting run of any pass.
+        println!("most runs: {} ({} on {})", most.0, most.1, most.2);
+        assert_eq!(
+            most.0, 2,
+            "most runs: {} ({} on {})",
+            most.0, most.1, most.2
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "endless still rewrote on its run 32")]
+    fn a_pass_cut_off_before_its_fixpoint_fails_in_debug() {
+        /// A pass that rewrites on every run.
+        struct Endless;
+        impl Pass for Endless {
+            fn name(&self) -> &'static str {
+                "endless"
+            }
+            fn run(&self, _: &mut Graph) -> usize {
+                1
+            }
+        }
+        PassManager::new().add(Endless).run(&tiny());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use mtia_model::graph::{Graph, Node, TensorKind};
 use mtia_model::ops::OpKind;
 use mtia_model::tensor::Shape;
 
-use crate::pass::{GraphAnalysis, Pass, PassResult};
+use crate::pass::{GraphAnalysis, Pass};
 
 /// Rewrites a row-wise op from `rows_out` rows down to `rows_in` rows.
 /// Returns `None` when the op is not row-wise (the broadcast cannot sink
@@ -64,8 +64,9 @@ fn shrink_rows(op: &OpKind, rows_out: u64, rows_in: u64) -> Option<(OpKind, u64)
     }
 }
 
-/// The delayed-broadcast pass. Each run sinks every eligible broadcast one
-/// step; the pass manager iterates it to a fixpoint.
+/// The delayed-broadcast pass. Each run sinks the first eligible broadcast
+/// one step, past its row-wise consumer; the pass manager reruns it until
+/// no broadcast can sink further.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DelayedBroadcast;
 
@@ -74,81 +75,79 @@ impl Pass for DelayedBroadcast {
         "delayed-broadcast"
     }
 
-    fn run(&self, graph: &Graph) -> PassResult {
+    fn run(&self, graph: &mut Graph) -> usize {
         let analysis = GraphAnalysis::of(graph);
-        let nodes = graph.nodes().to_vec();
+        let nodes = graph.nodes();
 
         // Find the first sinkable broadcast.
-        for (i, node) in nodes.iter().enumerate() {
+        let sinkable = nodes.iter().enumerate().find_map(|(i, node)| {
             let OpKind::Broadcast {
                 rows_in, rows_out, ..
             } = node.op
             else {
-                continue;
+                return None;
             };
-            if node.outputs.len() != 1 || rows_in >= rows_out {
-                continue;
+            let [t] = node.outputs[..] else {
+                return None;
+            };
+            if rows_in >= rows_out {
+                return None;
             }
-            let t = node.outputs[0];
-            let Some(j) = analysis.sole_consumer(t) else {
-                continue;
-            };
+            let j = analysis.sole_consumer(t)?;
             let consumer = &nodes[j];
             // The broadcast output must be the consumer's row input.
             if consumer.inputs.first() != Some(&t) {
-                continue;
+                return None;
             }
-            let Some((shrunk_op, out_cols)) = shrink_rows(&consumer.op, rows_out, rows_in) else {
-                continue;
-            };
+            let (shrunk_op, out_cols) = shrink_rows(&consumer.op, rows_out, rows_in)?;
+            Some((i, j, rows_in, rows_out, shrunk_op, out_cols))
+        });
+        let Some((i, j, rows_in, rows_out, shrunk_op, out_cols)) = sinkable else {
+            return 0;
+        };
 
-            // Rewrite: consumer first (at rows_in), broadcast after.
-            let mut out = graph.clone();
-            let dtype = out.tensor(consumer.outputs[0]).dtype;
-            let small = out.add_tensor(
-                format!("{}_pre_broadcast", consumer.name),
-                Shape::matrix(rows_in, out_cols),
-                dtype,
-                TensorKind::Activation,
-            );
-            let mut new_nodes = nodes.clone();
-            // The shrunk consumer takes the broadcast's input.
-            let mut shrunk_inputs = consumer.inputs.clone();
-            shrunk_inputs[0] = node.inputs[0];
-            new_nodes[i] = Node {
-                name: format!("{}_early", consumer.name),
-                op: shrunk_op,
-                inputs: shrunk_inputs,
-                outputs: vec![small],
-            };
-            // The broadcast moves to the consumer's slot and widens.
-            new_nodes[j] = Node {
-                name: format!("{}_delayed", node.name),
-                op: OpKind::Broadcast {
-                    rows_in,
-                    rows_out,
-                    cols: out_cols,
-                },
-                inputs: vec![small],
-                outputs: consumer.outputs.clone(),
-            };
-            out.set_nodes(new_nodes);
-            debug_assert_eq!(out.validate(), Ok(()));
-            return PassResult {
-                graph: out,
-                rewrites: 1,
-            };
-        }
-        PassResult {
-            graph: graph.clone(),
-            rewrites: 0,
-        }
+        // Rewrite: consumer first (at rows_in), broadcast after.
+        let small_name = format!("{}_pre_broadcast", nodes[j].name);
+        let dtype = graph.tensor(nodes[j].outputs[0]).dtype;
+        let small = graph.add_tensor(
+            small_name,
+            Shape::matrix(rows_in, out_cols),
+            dtype,
+            TensorKind::Activation,
+        );
+        let (broadcast, consumer) = (&graph.nodes()[i], &graph.nodes()[j]);
+        // The shrunk consumer takes the broadcast's input.
+        let mut shrunk_inputs = consumer.inputs.clone();
+        shrunk_inputs[0] = broadcast.inputs[0];
+        let early = Node {
+            name: format!("{}_early", consumer.name),
+            op: shrunk_op,
+            inputs: shrunk_inputs,
+            outputs: vec![small],
+        };
+        // The broadcast moves to the consumer's slot and widens.
+        let delayed = Node {
+            name: format!("{}_delayed", broadcast.name),
+            op: OpKind::Broadcast {
+                rows_in,
+                rows_out,
+                cols: out_cols,
+            },
+            inputs: vec![small],
+            outputs: consumer.outputs.clone(),
+        };
+        let nodes = graph.nodes_mut();
+        nodes[i] = early;
+        nodes[j] = delayed;
+        debug_assert_eq!(graph.validate(), Ok(()));
+        1
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::run_once;
     use crate::pass::PassManager;
     use mtia_core::DType;
     use mtia_model::ops::EwKind;
@@ -265,7 +264,7 @@ mod tests {
             [wide, ads],
             [out],
         );
-        assert_eq!(DelayedBroadcast.run(&g).rewrites, 0);
+        assert_eq!(run_once(&DelayedBroadcast, &g).1, 0);
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //!   LayerNorm layers ... batched together horizontally to amortize the
 //!   kernel launch overhead".
 
-use std::collections::HashSet;
-
 use mtia_model::graph::{Graph, Node};
 use mtia_model::ops::OpKind;
 
-use crate::pass::{GraphAnalysis, Pass, PassResult};
+use crate::pass::{node_slots, GraphAnalysis, Pass};
 
 /// Whether `op` may be absorbed into its producer as a fused tail.
 fn is_fusable_tail(op: &OpKind) -> bool {
@@ -49,28 +47,24 @@ impl Pass for VerticalFusion {
         "vertical-fusion"
     }
 
-    fn run(&self, graph: &Graph) -> PassResult {
+    fn run(&self, graph: &mut Graph) -> usize {
         let analysis = GraphAnalysis::of(graph);
         let nodes = graph.nodes();
-        let mut absorbed: HashSet<usize> = HashSet::new();
-        let mut new_nodes: Vec<Node> = Vec::with_capacity(nodes.len());
+        // Each chain head greedily absorbs a chain of single-consumer
+        // fusable tails; `next[k]` is the node absorbed right after `k`.
+        let mut absorbed = vec![false; nodes.len()];
+        let mut next: Vec<Option<usize>> = vec![None; nodes.len()];
         let mut rewrites = 0;
-
-        for (i, original) in nodes.iter().enumerate() {
-            if absorbed.contains(&i) {
+        for i in 0..nodes.len() {
+            if absorbed[i] {
                 continue;
             }
-            let mut node = original.clone();
-            // Greedily absorb a chain of single-consumer fusable tails.
-            loop {
-                if node.outputs.len() != 1 {
-                    break;
-                }
-                let t = node.outputs[0];
+            let mut last = i;
+            while let [t] = nodes[last].outputs[..] {
                 let Some(j) = analysis.sole_consumer(t) else {
                     break;
                 };
-                if absorbed.contains(&j) || j <= i {
+                if absorbed[j] || j <= i {
                     break;
                 }
                 let tail = &nodes[j];
@@ -78,21 +72,35 @@ impl Pass for VerticalFusion {
                 if tail.inputs != [t] || !is_fusable_tail(&tail.op) {
                     break;
                 }
-                node.op = fuse_ops(node.op, tail.op.clone());
-                node.name = format!("{}+{}", node.name, tail.name);
-                node.outputs = tail.outputs.clone();
-                absorbed.insert(j);
+                absorbed[j] = true;
+                next[last] = Some(j);
+                last = j;
                 rewrites += 1;
+            }
+        }
+        if rewrites == 0 {
+            return 0;
+        }
+
+        let mut slots = node_slots(graph);
+        let mut new_nodes = Vec::with_capacity(slots.len() - rewrites);
+        for i in 0..slots.len() {
+            if absorbed[i] {
+                continue;
+            }
+            let mut node = slots[i].take().expect("a kept node is moved once");
+            let mut link = next[i];
+            while let Some(j) = link {
+                let tail = slots[j].take().expect("a tail is absorbed once");
+                node.op = fuse_ops(node.op, tail.op);
+                node.name = format!("{}+{}", node.name, tail.name);
+                node.outputs = tail.outputs;
+                link = next[j];
             }
             new_nodes.push(node);
         }
-
-        let mut out = graph.clone();
-        out.set_nodes(new_nodes);
-        PassResult {
-            graph: out,
-            rewrites,
-        }
+        *graph.nodes_mut() = new_nodes;
+        rewrites
     }
 }
 
@@ -105,89 +113,92 @@ impl Pass for SiblingTransposeFc {
         "sibling-transpose-fc"
     }
 
-    fn run(&self, graph: &Graph) -> PassResult {
+    fn run(&self, graph: &mut Graph) -> usize {
         let analysis = GraphAnalysis::of(graph);
         let nodes = graph.nodes();
-        let mut absorbed: HashSet<usize> = HashSet::new();
-        let mut new_nodes: Vec<Node> = Vec::with_capacity(nodes.len());
+        // A transpose fuses with its consumers when all of them, at least
+        // two, are FCs over the transposed tensor with one (batch,
+        // in_features) shape; `shape[i]` is that shape for transpose `i`.
+        let mut absorbed = vec![false; nodes.len()];
+        let mut shape: Vec<Option<(u64, u64)>> = vec![None; nodes.len()];
         let mut rewrites = 0;
-
-        for (i, original) in nodes.iter().enumerate() {
-            if absorbed.contains(&i) {
+        for (i, node) in nodes.iter().enumerate() {
+            if absorbed[i] || !matches!(node.op, OpKind::Transpose { .. }) {
                 continue;
             }
-            let OpKind::Transpose { .. } = original.op else {
-                new_nodes.push(original.clone());
+            let [t] = node.outputs[..] else {
                 continue;
             };
-            if original.outputs.len() != 1 {
-                new_nodes.push(original.clone());
-                continue;
-            }
-            let t = original.outputs[0];
-            let consumer_ids = analysis.consumers_of(t).to_vec();
-            // All consumers must be sibling FCs over the transposed tensor.
-            let mut siblings = Vec::new();
-            for &j in &consumer_ids {
-                if let OpKind::Fc {
-                    batch,
-                    in_features,
-                    out_features,
-                } = nodes[j].op
-                {
-                    if nodes[j].inputs.first() == Some(&t) && !absorbed.contains(&j) {
-                        siblings.push((j, batch, in_features, out_features));
-                        continue;
-                    }
-                }
-                siblings.clear();
-                break;
-            }
-            if siblings.len() < 2
-                || !siblings
-                    .windows(2)
-                    .all(|w| w[0].1 == w[1].1 && w[0].2 == w[1].2)
-            {
-                new_nodes.push(original.clone());
-                continue;
-            }
-
-            // Build the combined operator.
-            let (_, batch, in_features, _) = siblings[0];
-            let total_out: u64 = siblings.iter().map(|s| s.3).sum();
-            let combined = OpKind::Fused(vec![
-                original.op.clone(),
+            let siblings = analysis.consumers_of(t);
+            let fc_shape = |j: usize| match nodes[j].op {
                 OpKind::Fc {
-                    batch,
-                    in_features,
-                    out_features: total_out,
-                },
-            ]);
-            let mut inputs = original.inputs.clone();
+                    batch, in_features, ..
+                } if nodes[j].inputs.first() == Some(&t) && !absorbed[j] => {
+                    Some((batch, in_features))
+                }
+                _ => None,
+            };
+            let first = siblings.first().and_then(|&j| fc_shape(j));
+            if siblings.len() < 2
+                || first.is_none()
+                || siblings.iter().any(|&j| fc_shape(j) != first)
+            {
+                continue;
+            }
+            for &j in siblings {
+                absorbed[j] = true;
+            }
+            shape[i] = first;
+            rewrites += 1;
+        }
+        if rewrites == 0 {
+            return 0;
+        }
+
+        let mut slots = node_slots(graph);
+        let mut new_nodes = Vec::with_capacity(slots.len());
+        for i in 0..slots.len() {
+            if absorbed[i] {
+                continue;
+            }
+            let node = slots[i].take().expect("a kept node is moved once");
+            let Some((batch, in_features)) = shape[i] else {
+                new_nodes.push(node);
+                continue;
+            };
+            let siblings = analysis.consumers_of(node.outputs[0]);
+            let mut inputs = node.inputs;
             let mut outputs = Vec::new();
-            let mut name = format!("{}+fc_x{}", original.name, siblings.len());
-            for &(j, ..) in &siblings {
-                absorbed.insert(j);
+            let mut name = format!("{}+fc_x{}", node.name, siblings.len());
+            let mut total_out = 0;
+            for &j in siblings {
+                let sibling = slots[j]
+                    .as_ref()
+                    .expect("an absorbed sibling is never moved");
+                if let OpKind::Fc { out_features, .. } = sibling.op {
+                    total_out += out_features;
+                }
                 // Carry the weight inputs and all outputs forward.
-                inputs.extend(nodes[j].inputs.iter().skip(1).copied());
-                outputs.extend(nodes[j].outputs.iter().copied());
+                inputs.extend(sibling.inputs.iter().skip(1).copied());
+                outputs.extend(sibling.outputs.iter().copied());
                 name.push('_');
             }
             new_nodes.push(Node {
                 name,
-                op: combined,
+                op: OpKind::Fused(vec![
+                    node.op,
+                    OpKind::Fc {
+                        batch,
+                        in_features,
+                        out_features: total_out,
+                    },
+                ]),
                 inputs,
                 outputs,
             });
-            rewrites += 1;
         }
-
-        let mut out = graph.clone();
-        out.set_nodes(new_nodes);
-        PassResult {
-            graph: out,
-            rewrites,
-        }
+        *graph.nodes_mut() = new_nodes;
+        rewrites
     }
 }
 
@@ -200,7 +211,7 @@ impl Pass for LayerNormBatching {
         "layernorm-batching"
     }
 
-    fn run(&self, graph: &Graph) -> PassResult {
+    fn run(&self, graph: &mut Graph) -> usize {
         let analysis = GraphAnalysis::of(graph);
         let nodes = graph.nodes();
 
@@ -212,11 +223,10 @@ impl Pass for LayerNormBatching {
             _ => None,
         };
 
-        let mut merged_into: Vec<Option<usize>> = vec![None; nodes.len()];
+        let mut group_of: Vec<Option<usize>> = vec![None; nodes.len()];
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut used: HashSet<usize> = HashSet::new();
         for i in 0..nodes.len() {
-            if used.contains(&i) {
+            if group_of[i].is_some() {
                 continue;
             }
             let Some(cols) = ln_cols(&nodes[i].op) else {
@@ -224,14 +234,14 @@ impl Pass for LayerNormBatching {
             };
             let mut group = vec![i];
             for (j, node_j) in nodes.iter().enumerate().skip(i + 1) {
-                if used.contains(&j) || ln_cols(&node_j.op) != Some(cols) {
+                if group_of[j].is_some() || ln_cols(&node_j.op) != Some(cols) {
                     continue;
                 }
                 // j's inputs must be produced before i.
                 let inputs_ready = node_j
                     .inputs
                     .iter()
-                    .all(|t| analysis.producer.get(t).map(|&p| p < i).unwrap_or(true));
+                    .all(|&t| analysis.producer_of(t).is_none_or(|p| p < i));
                 if inputs_ready {
                     group.push(j);
                 }
@@ -249,8 +259,7 @@ impl Pass for LayerNormBatching {
                 });
                 if safe {
                     for &m in &group {
-                        used.insert(m);
-                        merged_into[m] = Some(i);
+                        group_of[m] = Some(groups.len());
                     }
                     groups.push(group);
                 }
@@ -258,29 +267,29 @@ impl Pass for LayerNormBatching {
         }
 
         if groups.is_empty() {
-            return PassResult {
-                graph: graph.clone(),
-                rewrites: 0,
-            };
+            return 0;
         }
 
-        let mut new_nodes = Vec::with_capacity(nodes.len());
+        let mut slots = node_slots(graph);
+        let mut new_nodes = Vec::with_capacity(slots.len());
         let mut rewrites = 0;
-        for (i, node) in nodes.iter().enumerate() {
-            match merged_into[i] {
-                Some(anchor) if anchor == i => {
-                    let group = groups.iter().find(|g| g[0] == i).expect("anchor has group");
+        for i in 0..slots.len() {
+            match group_of[i] {
+                // The anchor, a group's first member, takes the whole group.
+                Some(g) if groups[g][0] == i => {
+                    let group = &groups[g];
                     let mut rows = 0;
                     let mut cols = 0;
                     let mut inputs = Vec::new();
                     let mut outputs = Vec::new();
                     for &m in group {
-                        if let OpKind::LayerNorm { rows: r, cols: c } = nodes[m].op {
+                        let member = slots[m].take().expect("a member is merged once");
+                        if let OpKind::LayerNorm { rows: r, cols: c } = member.op {
                             rows += r;
                             cols = c;
                         }
-                        inputs.extend(nodes[m].inputs.iter().copied());
-                        outputs.extend(nodes[m].outputs.iter().copied());
+                        inputs.extend(member.inputs);
+                        outputs.extend(member.outputs);
                     }
                     new_nodes.push(Node {
                         name: format!("batched_ln_x{}", group.len()),
@@ -291,22 +300,18 @@ impl Pass for LayerNormBatching {
                     rewrites += group.len() - 1;
                 }
                 Some(_) => {} // merged into an earlier anchor
-                None => new_nodes.push(node.clone()),
+                None => new_nodes.push(slots[i].take().expect("a kept node is moved once")),
             }
         }
-
-        let mut out = graph.clone();
-        out.set_nodes(new_nodes);
-        PassResult {
-            graph: out,
-            rewrites,
-        }
+        *graph.nodes_mut() = new_nodes;
+        rewrites
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::run_once;
     use mtia_core::DType;
     use mtia_model::graph::TensorKind;
     use mtia_model::models::dlrm::DlrmConfig;
@@ -316,21 +321,18 @@ mod tests {
     fn vertical_fusion_absorbs_relu_chains() {
         let g = DlrmConfig::small(64).build();
         let before = g.nodes().len();
-        let result = VerticalFusion.run(&g);
-        assert!(result.rewrites >= 5, "rewrites {}", result.rewrites);
-        assert_eq!(result.graph.nodes().len(), before - result.rewrites);
-        assert_eq!(result.graph.validate(), Ok(()));
+        let (out, rewrites) = run_once(&VerticalFusion, &g);
+        assert!(rewrites >= 5, "rewrites {}", rewrites);
+        assert_eq!(out.nodes().len(), before - rewrites);
+        assert_eq!(out.validate(), Ok(()));
         // FLOPS are preserved by fusion.
-        assert_eq!(
-            result.graph.stats().flops.as_f64(),
-            g.stats().flops.as_f64()
-        );
+        assert_eq!(out.stats().flops.as_f64(), g.stats().flops.as_f64());
     }
 
     #[test]
     fn vertical_fusion_reduces_liveness() {
         let g = DlrmConfig::small(256).build();
-        let fused = VerticalFusion.run(&g).graph;
+        let fused = run_once(&VerticalFusion, &g).0;
         assert!(fused.peak_activation_bytes() <= g.peak_activation_bytes());
     }
 
@@ -345,8 +347,7 @@ mod tests {
         g.add_node("p", OpKind::Cast { elems: 8 }, [a], [b]);
         g.add_node("c1", OpKind::Cast { elems: 8 }, [b], [c]);
         g.add_node("c2", OpKind::Cast { elems: 8 }, [b], [d]);
-        let result = VerticalFusion.run(&g);
-        assert_eq!(result.rewrites, 0);
+        assert_eq!(run_once(&VerticalFusion, &g).1, 0);
     }
 
     fn sibling_graph() -> Graph {
@@ -394,11 +395,11 @@ mod tests {
     #[test]
     fn sibling_transpose_fc_merges() {
         let g = sibling_graph();
-        let result = SiblingTransposeFc.run(&g);
-        assert_eq!(result.rewrites, 1);
-        assert_eq!(result.graph.nodes().len(), 1);
-        assert_eq!(result.graph.validate(), Ok(()));
-        let node = &result.graph.nodes()[0];
+        let (out, rewrites) = run_once(&SiblingTransposeFc, &g);
+        assert_eq!(rewrites, 1);
+        assert_eq!(out.nodes().len(), 1);
+        assert_eq!(out.validate(), Ok(()));
+        let node = &out.nodes()[0];
         match &node.op {
             OpKind::Fused(members) => {
                 assert!(matches!(members[0], OpKind::Transpose { .. }));
@@ -438,7 +439,7 @@ mod tests {
             [xt, w],
             [o],
         );
-        assert_eq!(SiblingTransposeFc.run(&g).rewrites, 0);
+        assert_eq!(run_once(&SiblingTransposeFc, &g).1, 0);
     }
 
     #[test]
@@ -483,11 +484,10 @@ mod tests {
             [fin],
         );
 
-        let result = LayerNormBatching.run(&g);
-        assert_eq!(result.rewrites, 3);
-        assert_eq!(result.graph.validate(), Ok(()));
-        let merged = result
-            .graph
+        let (out, rewrites) = run_once(&LayerNormBatching, &g);
+        assert_eq!(rewrites, 3);
+        assert_eq!(out.validate(), Ok(()));
+        let merged = out
             .nodes()
             .iter()
             .find(|n| n.name.starts_with("batched_ln"))
@@ -496,7 +496,7 @@ mod tests {
             merged.op,
             OpKind::LayerNorm { rows: 64, cols: 64 }
         ));
-        assert_eq!(result.graph.nodes().len(), 2);
+        assert_eq!(out.nodes().len(), 2);
     }
 
     #[test]
@@ -513,6 +513,6 @@ mod tests {
         let c = g.add_tensor("c", Shape::matrix(8, 32), DType::Fp16, TensorKind::Output);
         g.add_node("ln1", OpKind::LayerNorm { rows: 8, cols: 32 }, [a], [b]);
         g.add_node("ln2", OpKind::LayerNorm { rows: 8, cols: 32 }, [b], [c]);
-        assert_eq!(LayerNormBatching.run(&g).rewrites, 0);
+        assert_eq!(run_once(&LayerNormBatching, &g).1, 0);
     }
 }

@@ -1,12 +1,10 @@
 //! The §6 MHA layout rewrite: "we replaced a sequence of operators (i.e.,
 //! Slice, Reshape, Concat) with a single custom Transpose kernel".
 
-use std::collections::HashSet;
-
 use mtia_model::graph::{Graph, Node};
 use mtia_model::ops::OpKind;
 
-use crate::pass::{GraphAnalysis, Pass, PassResult};
+use crate::pass::{node_slots, GraphAnalysis, Pass};
 
 /// Rewrites `Slice → Reshape → Concat` chains into one `Transpose`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -17,23 +15,19 @@ impl Pass for MhaLayoutRewrite {
         "mha-layout-rewrite"
     }
 
-    fn run(&self, graph: &Graph) -> PassResult {
+    fn run(&self, graph: &mut Graph) -> usize {
         let analysis = GraphAnalysis::of(graph);
         let nodes = graph.nodes();
-        let mut absorbed: HashSet<usize> = HashSet::new();
-        let mut new_nodes: Vec<Node> = Vec::with_capacity(nodes.len());
+        // `chain[i]` is the concat ending slice `i`'s chain, with its shape.
+        let mut absorbed = vec![false; nodes.len()];
+        let mut chain: Vec<Option<(usize, u64, u64)>> = vec![None; nodes.len()];
         let mut rewrites = 0;
-
         for (i, node) in nodes.iter().enumerate() {
-            if absorbed.contains(&i) {
+            if absorbed[i] || !matches!(node.op, OpKind::Slice { .. }) {
                 continue;
             }
-            let OpKind::Slice { .. } = node.op else {
-                new_nodes.push(node.clone());
-                continue;
-            };
-            // slice → reshape (sole consumer, sole input)
-            let chain = (|| {
+            // slice → reshape (sole consumer, sole input) → concat (ditto)
+            let found = (|| {
                 let t1 = *node.outputs.first()?;
                 let j = analysis.sole_consumer(t1)?;
                 let reshape = &nodes[j];
@@ -50,40 +44,47 @@ impl Pass for MhaLayoutRewrite {
                     _ => None,
                 }
             })();
-
-            match chain {
-                Some((j, k, rows, cols_total))
-                    if !absorbed.contains(&j) && !absorbed.contains(&k) =>
-                {
-                    absorbed.insert(j);
-                    absorbed.insert(k);
-                    new_nodes.push(Node {
-                        name: format!("{}_as_transpose", node.name),
-                        op: OpKind::Transpose {
-                            rows,
-                            cols: cols_total,
-                        },
-                        inputs: node.inputs.clone(),
-                        outputs: nodes[k].outputs.clone(),
-                    });
+            if let Some((j, k, rows, cols_total)) = found {
+                if !absorbed[j] && !absorbed[k] {
+                    absorbed[j] = true;
+                    absorbed[k] = true;
+                    chain[i] = Some((k, rows, cols_total));
                     rewrites += 1;
                 }
-                _ => new_nodes.push(node.clone()),
             }
         }
-
-        let mut out = graph.clone();
-        out.set_nodes(new_nodes);
-        PassResult {
-            graph: out,
-            rewrites,
+        if rewrites == 0 {
+            return 0;
         }
+
+        let mut slots = node_slots(graph);
+        let mut new_nodes = Vec::with_capacity(slots.len() - 2 * rewrites);
+        for i in 0..slots.len() {
+            if absorbed[i] {
+                continue;
+            }
+            let node = slots[i].take().expect("a kept node is moved once");
+            let Some((k, rows, cols)) = chain[i] else {
+                new_nodes.push(node);
+                continue;
+            };
+            let concat = slots[k].take().expect("a concat ends one chain");
+            new_nodes.push(Node {
+                name: format!("{}_as_transpose", node.name),
+                op: OpKind::Transpose { rows, cols },
+                inputs: node.inputs,
+                outputs: concat.outputs,
+            });
+        }
+        *graph.nodes_mut() = new_nodes;
+        rewrites
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::run_once;
     use mtia_core::DType;
     use mtia_model::graph::TensorKind;
     use mtia_model::tensor::Shape;
@@ -122,14 +123,14 @@ mod tests {
     #[test]
     fn chain_becomes_single_transpose() {
         let g = slice_reshape_concat();
-        let result = MhaLayoutRewrite.run(&g);
-        assert_eq!(result.rewrites, 1);
-        assert_eq!(result.graph.nodes().len(), 1);
+        let (out, rewrites) = run_once(&MhaLayoutRewrite, &g);
+        assert_eq!(rewrites, 1);
+        assert_eq!(out.nodes().len(), 1);
         assert!(matches!(
-            result.graph.nodes()[0].op,
+            out.nodes()[0].op,
             OpKind::Transpose { rows: 16, cols: 16 }
         ));
-        assert_eq!(result.graph.validate(), Ok(()));
+        assert_eq!(out.validate(), Ok(()));
     }
 
     #[test]
@@ -138,14 +139,14 @@ mod tests {
         let x = g.add_tensor("x", Shape::matrix(8, 64), DType::Fp16, TensorKind::Input);
         let s = g.add_tensor("s", Shape::matrix(8, 32), DType::Fp16, TensorKind::Output);
         g.add_node("slice", OpKind::Slice { rows: 8, cols: 32 }, [x], [s]);
-        assert_eq!(MhaLayoutRewrite.run(&g).rewrites, 0);
+        assert_eq!(run_once(&MhaLayoutRewrite, &g).1, 0);
     }
 
     #[test]
     fn rewrite_reduces_node_time_budget() {
         // Three layout ops collapse to one: fewer launches, less traffic.
         let g = slice_reshape_concat();
-        let rewritten = MhaLayoutRewrite.run(&g).graph;
+        let rewritten = run_once(&MhaLayoutRewrite, &g).0;
         assert!(rewritten.nodes().len() < g.nodes().len());
     }
 }

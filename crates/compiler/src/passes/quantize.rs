@@ -12,7 +12,7 @@ use mtia_core::DType;
 use mtia_model::graph::Graph;
 use mtia_model::ops::OpKind;
 
-use crate::pass::{Pass, PassResult};
+use crate::pass::Pass;
 
 /// The quantization pass with its size threshold.
 #[derive(Debug, Clone, Copy)]
@@ -35,10 +35,9 @@ impl Pass for SelectiveQuantization {
         "selective-quantization"
     }
 
-    fn run(&self, graph: &Graph) -> PassResult {
+    fn run(&self, graph: &mut Graph) -> usize {
         let mut rewrites = 0;
-        let mut nodes = graph.nodes().to_vec();
-        for node in &mut nodes {
+        for node in graph.nodes_mut() {
             if let OpKind::Fc {
                 batch,
                 in_features,
@@ -57,37 +56,33 @@ impl Pass for SelectiveQuantization {
                 }
             }
         }
-        let mut out = graph.clone();
-        out.set_nodes(nodes);
-        PassResult {
-            graph: out,
-            rewrites,
-        }
+        rewrites
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::run_once;
     use mtia_model::models::zoo;
 
     #[test]
     fn only_large_layers_are_quantized() {
         let models = zoo::fig6_models();
         let g = models.iter().find(|m| m.name == "HC1").unwrap().graph();
-        let result = SelectiveQuantization::default().run(&g);
-        assert!(result.rewrites > 0, "HC1 has multi-MiB FC layers");
+        let (out, rewrites) = run_once(&SelectiveQuantization::default(), &g);
+        assert!(rewrites > 0, "HC1 has multi-MiB FC layers");
         let total_fcs = g
             .nodes()
             .iter()
             .filter(|n| matches!(n.op, OpKind::Fc { .. }))
             .count();
         assert!(
-            result.rewrites < total_fcs,
+            rewrites < total_fcs,
             "small layers must stay FP16: {}/{total_fcs}",
-            result.rewrites
+            rewrites
         );
-        assert_eq!(result.graph.validate(), Ok(()));
+        assert_eq!(out.validate(), Ok(()));
     }
 
     #[test]
@@ -96,21 +91,21 @@ mod tests {
         let g = models.iter().find(|m| m.name == "LC2").unwrap().graph();
         let all = SelectiveQuantization {
             min_weight_bytes: Bytes::ZERO,
-        }
-        .run(&g);
+        };
+        let (_, rewrites) = run_once(&all, &g);
         let fcs = g
             .nodes()
             .iter()
             .filter(|n| matches!(n.op, OpKind::Fc { .. }))
             .count();
-        assert_eq!(all.rewrites, fcs);
+        assert_eq!(rewrites, fcs);
     }
 
     #[test]
     fn quantization_preserves_gemm_flops_plus_overhead() {
         let models = zoo::fig6_models();
         let g = models.iter().find(|m| m.name == "HC1").unwrap().graph();
-        let q = SelectiveQuantization::default().run(&g).graph;
+        let q = run_once(&SelectiveQuantization::default(), &g).0;
         // FLOPs grow only by the quant/dequant elementwise work.
         let before = g.stats().flops.as_f64();
         let after = q.stats().flops.as_f64();

@@ -102,8 +102,8 @@ impl Compiled {
     }
 }
 
-/// Compiles `graph` with `options`.
-pub fn compile(graph: &Graph, options: CompilerOptions) -> Compiled {
+/// The graph passes `options` turns on, in pipeline order.
+pub(crate) fn pass_manager(options: CompilerOptions) -> PassManager {
     let mut pm = PassManager::new();
     if options.mha_rewrite {
         pm.add(MhaLayoutRewrite);
@@ -124,7 +124,12 @@ pub fn compile(graph: &Graph, options: CompilerOptions) -> Compiled {
     if options.layernorm_batching {
         pm.add(LayerNormBatching);
     }
-    let (optimized, pass_log) = pm.run(graph);
+    pm
+}
+
+/// Compiles `graph` with `options`.
+pub fn compile(graph: &Graph, options: CompilerOptions) -> Compiled {
+    let (optimized, pass_log) = pass_manager(options).run(graph);
 
     let order = if options.memory_aware_scheduling {
         min_liveness_order(&optimized)

@@ -6,9 +6,9 @@
 //! each step, picks the ready node that minimizes the resulting live
 //! activation footprint — frees first, small allocations next.
 
-use std::collections::{HashMap, HashSet};
+use mtia_model::graph::{Graph, TensorKind};
 
-use mtia_model::graph::{Graph, TensorId, TensorKind};
+use crate::pass::GraphAnalysis;
 
 /// Computes a liveness-minimizing execution order.
 ///
@@ -34,110 +34,76 @@ pub fn min_liveness_order(graph: &Graph) -> Vec<usize> {
 fn greedy_min_liveness(graph: &Graph) -> Vec<usize> {
     let nodes = graph.nodes();
     let n = nodes.len();
+    let analysis = GraphAnalysis::of(graph);
 
-    // Producer of each activation-like tensor, and remaining-consumer
-    // counts used to detect deaths.
-    let mut producer: HashMap<TensorId, usize> = HashMap::new();
-    let mut remaining_consumers: HashMap<TensorId, usize> = HashMap::new();
-    for node in nodes {
-        for &t in &node.outputs {
-            producer.insert(t, usize::MAX); // filled below
-        }
-    }
-    for (i, node) in nodes.iter().enumerate() {
-        for &t in &node.outputs {
-            producer.insert(t, i);
-        }
-        for &t in &node.inputs {
-            *remaining_consumers.entry(t).or_insert(0) += 1;
-        }
-    }
+    // Per tensor: its bytes if it is activation-like (0 otherwise, so it
+    // never moves a score), and its consumers not yet scheduled, used to
+    // detect deaths.
+    let live_bytes: Vec<i128> = graph
+        .tensors()
+        .iter()
+        .map(|t| match t.kind {
+            TensorKind::Activation | TensorKind::Input | TensorKind::Output => {
+                t.bytes().as_u64() as i128
+            }
+            TensorKind::Weight | TensorKind::EmbeddingTable => 0,
+        })
+        .collect();
+    let mut consumers_left = vec![0usize; live_bytes.len()];
 
-    let is_activation = |g: &Graph, t: TensorId| {
-        matches!(
-            g.tensor(t).kind,
-            TensorKind::Activation | TensorKind::Input | TensorKind::Output
-        )
-    };
-
-    // Dependency counts: a node is ready when all activation inputs with a
-    // producer have been scheduled.
+    // Dependency counts: a node is ready when all inputs with a producer
+    // (other than itself) have been scheduled.
     let mut deps = vec![0usize; n];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, node) in nodes.iter().enumerate() {
         for &t in &node.inputs {
-            if let Some(&p) = producer.get(&t) {
-                if p != usize::MAX && p != i {
-                    deps[i] += 1;
-                    dependents[p].push(i);
-                }
+            consumers_left[t.index()] += 1;
+            if analysis.producer_of(t).is_some_and(|p| p != i) {
+                deps[i] += 1;
             }
         }
     }
 
     let mut ready: Vec<usize> = (0..n).filter(|&i| deps[i] == 0).collect();
     let mut scheduled: Vec<usize> = Vec::with_capacity(n);
-    let mut done: HashSet<usize> = HashSet::new();
-    let mut live: HashMap<TensorId, u64> = HashMap::new();
-    let mut consumers_left = remaining_consumers.clone();
-
-    // Inputs are live from the start.
-    for (i, node) in nodes.iter().enumerate() {
-        let _ = i;
-        for &t in &node.inputs {
-            if is_activation(graph, t) && !producer.contains_key(&t) {
-                live.entry(t)
-                    .or_insert_with(|| graph.tensor(t).bytes().as_u64());
-            }
-        }
-    }
-
     while scheduled.len() < n {
-        // Score each ready node by the net change in live bytes.
-        let mut best: Option<(i128, usize, usize)> = None; // (delta, order, node)
+        // Score each ready node by the net change in live bytes. The key
+        // `(delta, node)` is unique, so the order of `ready` never matters.
+        let mut best: Option<(i128, usize, usize)> = None; // (delta, node, pos)
         for (pos, &cand) in ready.iter().enumerate() {
             let node = &nodes[cand];
             let mut delta: i128 = 0;
             for &t in &node.outputs {
-                if is_activation(graph, t) {
-                    delta += graph.tensor(t).bytes().as_u64() as i128;
-                }
+                delta += live_bytes[t.index()];
             }
             for &t in &node.inputs {
-                if is_activation(graph, t) && consumers_left.get(&t).copied() == Some(1) {
-                    delta -= graph.tensor(t).bytes().as_u64() as i128;
+                if consumers_left[t.index()] == 1 {
+                    delta -= live_bytes[t.index()];
                 }
             }
-            let key = (delta, cand);
-            if best.map(|(d, c, _)| key < (d, c)).unwrap_or(true) {
-                best = Some((key.0, key.1, pos));
+            if best.is_none_or(|(d, c, _)| (delta, cand) < (d, c)) {
+                best = Some((delta, cand, pos));
             }
         }
         let (_, cand, pos) = best.expect("ready set must be non-empty for a DAG");
         ready.swap_remove(pos);
-        done.insert(cand);
         scheduled.push(cand);
 
-        // Update liveness.
         let node = &nodes[cand];
-        for &t in &node.outputs {
-            if is_activation(graph, t) {
-                live.insert(t, graph.tensor(t).bytes().as_u64());
-            }
-        }
         for &t in &node.inputs {
-            if let Some(c) = consumers_left.get_mut(&t) {
-                *c -= 1;
-                if *c == 0 {
-                    live.remove(&t);
-                }
-            }
+            consumers_left[t.index()] -= 1;
         }
-        // Release dependents.
-        for &d in &dependents[cand] {
-            deps[d] -= 1;
-            if deps[d] == 0 {
-                ready.push(d);
+        // Release the consumers of what `cand` produced.
+        for &t in &node.outputs {
+            if analysis.producer_of(t) != Some(cand) {
+                continue;
+            }
+            for &d in analysis.consumers_of(t) {
+                if d != cand {
+                    deps[d] -= 1;
+                    if deps[d] == 0 {
+                        ready.push(d);
+                    }
+                }
             }
         }
     }
@@ -147,7 +113,10 @@ fn greedy_min_liveness(graph: &Graph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use mtia_core::DType;
+    use mtia_model::graph::TensorId;
     use mtia_model::models::dhen::DhenConfig;
     use mtia_model::models::dlrm::DlrmConfig;
     use mtia_model::ops::OpKind;

@@ -7,7 +7,6 @@
 //! broadcast deferral), the autotuner re-snapshots them at different batch
 //! sizes, and the simulator executes them.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use mtia_core::units::{Bytes, FlopCount};
@@ -246,10 +245,10 @@ impl Graph {
         &self.nodes[id.0]
     }
 
-    /// Replaces the node list (used by compiler passes). The caller must
-    /// keep the order topological; [`Graph::validate`] verifies.
-    pub fn set_nodes(&mut self, nodes: Vec<Node>) {
-        self.nodes = nodes;
+    /// The node list, for compiler passes to rewrite in place. The caller
+    /// must keep the order topological; [`Graph::validate`] verifies.
+    pub fn nodes_mut(&mut self) -> &mut Vec<Node> {
+        &mut self.nodes
     }
 
     /// Re-classifies a tensor (used when splitting graphs across devices:
@@ -262,7 +261,8 @@ impl Graph {
     /// tensor has at most one producer, every consumed activation has a
     /// producer that appears earlier in the node order.
     pub fn validate(&self) -> Result<(), GraphError> {
-        let mut producer: HashMap<TensorId, usize> = HashMap::new();
+        // Producing node per tensor, indexed by `TensorId`.
+        let mut producer: Vec<Option<usize>> = vec![None; self.tensors.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             for &t in node.inputs.iter().chain(&node.outputs) {
                 if t.0 >= self.tensors.len() {
@@ -272,7 +272,7 @@ impl Graph {
                 }
             }
             for &t in &node.outputs {
-                if producer.insert(t, i).is_some() {
+                if producer[t.0].replace(i).is_some() {
                     return Err(GraphError::MultipleProducers {
                         tensor: self.tensors[t.0].name.clone(),
                     });
@@ -283,13 +283,13 @@ impl Graph {
             for &t in &node.inputs {
                 let def = &self.tensors[t.0];
                 if matches!(def.kind, TensorKind::Activation | TensorKind::Output) {
-                    match producer.get(&t) {
+                    match producer[t.0] {
                         None => {
                             return Err(GraphError::UndefinedActivation {
                                 tensor: def.name.clone(),
                             })
                         }
-                        Some(&p) if p >= i => return Err(GraphError::Cycle),
+                        Some(p) if p >= i => return Err(GraphError::Cycle),
                         Some(_) => {}
                     }
                 }

@@ -6,9 +6,12 @@
 //! the batch size and serving characteristics §7 describes. [`table1_models`]
 //! reproduces the funnel stages of Table 1.
 //!
-//! Targets are hit by construction: each generator's width parameter is
-//! binary-searched until the built graph's FLOPS/sample matches the
-//! published complexity to within 3 %.
+//! Targets are hit by construction: each generator takes one width (the
+//! top-MLP width, the DHEN hidden width, or the HSTU mean sequence
+//! length) pinned to the value at which the built graph's FLOPS/sample is
+//! closest to the published complexity. Building the zoo therefore builds
+//! no graph; the test `zoo_widths_are_the_calibrated_ones` re-derives
+//! every pinned width by binary search and fails if one drifts.
 
 use std::fmt;
 
@@ -125,46 +128,16 @@ impl ZooModel {
     }
 }
 
-/// Binary-searches an integer width so that `build(width)` yields a graph
-/// whose FLOPS/sample is within 3 % of `target_mflops`.
-///
-/// # Panics
-///
-/// Panics if the target cannot be bracketed in `[lo, hi]`.
-fn calibrate_width(lo: u64, hi: u64, target_mflops: f64, build: impl Fn(u64) -> Graph) -> u64 {
-    let eval = |w: u64| build(w).flops_per_sample().as_mflops();
-    assert!(
-        eval(lo) <= target_mflops && eval(hi) >= target_mflops,
-        "target {target_mflops} MFLOPS/sample not bracketed by widths {lo}..{hi} \
-         ({} .. {})",
-        eval(lo),
-        eval(hi)
-    );
-    let (mut lo, mut hi) = (lo, hi);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if eval(mid) < target_mflops {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    // Pick the closer endpoint.
-    if (eval(lo) - target_mflops).abs() <= (eval(hi) - target_mflops).abs() {
-        lo
-    } else {
-        hi
-    }
-}
-
 fn rows_for_table_bytes(total: Bytes, num_tables: u64, dim: u64, dtype: DType) -> u64 {
     total.as_u64() / (num_tables * dim * dtype.size_bytes())
 }
 
-/// Builds a Low-Complexity DLRM with the given complexity target.
+/// Builds a Low-Complexity DLRM with the given complexity target, met at
+/// top-MLP width `width`.
 fn lc_model(
     name: &str,
     target_mflops: f64,
+    width: u64,
     batch: u64,
     table_gib: u64,
     host_overhead: f64,
@@ -173,33 +146,33 @@ fn lc_model(
     let num_tables = 40;
     let dim = 64;
     let rows = rows_for_table_bytes(Bytes::from_gib(table_gib), num_tables, dim, DType::Fp16);
-    let base = |w: u64| DlrmConfig {
-        name: name.to_string(),
-        batch,
-        dense_features: 256,
-        bottom_mlp: vec![256, 128, dim],
-        num_tables,
-        rows_per_table: rows,
-        embedding_dim: dim,
-        pooling_factor,
-        top_mlp: vec![w, w / 2],
-        dtype: DType::Fp16,
-    };
-    let w = calibrate_width(8, 32_768, target_mflops, |w| base(w).build());
     ZooModel {
         name: name.to_string(),
         class: ComplexityClass::LowComplexity,
         target_mflops_per_sample: target_mflops,
         batch,
         host_overhead,
-        arch: ZooArch::Dlrm(base(w)),
+        arch: ZooArch::Dlrm(DlrmConfig {
+            name: name.to_string(),
+            batch,
+            dense_features: 256,
+            bottom_mlp: vec![256, 128, dim],
+            num_tables,
+            rows_per_table: rows,
+            embedding_dim: dim,
+            pooling_factor,
+            top_mlp: vec![width, width / 2],
+            dtype: DType::Fp16,
+        }),
     }
 }
 
-/// Builds a High-Complexity DHEN with the given complexity target.
+/// Builds a High-Complexity DHEN with the given complexity target, met at
+/// hidden width `hidden`.
 fn hc_model(
     name: &str,
     target_mflops: f64,
+    hidden: u64,
     batch: u64,
     table_gib: u64,
     host_overhead: f64,
@@ -208,30 +181,28 @@ fn hc_model(
     let num_tables = 64;
     let dim = 128;
     let rows = rows_for_table_bytes(Bytes::from_gib(table_gib), num_tables, dim, DType::Fp16);
-    let base = |h: u64| DhenConfig {
-        name: name.to_string(),
-        batch,
-        dense_features: 512,
-        num_tables,
-        rows_per_table: rows,
-        embedding_dim: dim,
-        pooling_factor: 24,
-        hidden: h,
-        layers: 8,
-        fm_features: 16,
-        lcb_width: (h / 2).max(1),
-        mha,
-        top_mlp: vec![h / 2, h / 4],
-        dtype: DType::Fp16,
-    };
-    let h = calibrate_width(16, 16_384, target_mflops, |h| base(h).build());
     ZooModel {
         name: name.to_string(),
         class: ComplexityClass::HighComplexity,
         target_mflops_per_sample: target_mflops,
         batch,
         host_overhead,
-        arch: ZooArch::Dhen(base(h)),
+        arch: ZooArch::Dhen(DhenConfig {
+            name: name.to_string(),
+            batch,
+            dense_features: 512,
+            num_tables,
+            rows_per_table: rows,
+            embedding_dim: dim,
+            pooling_factor: 24,
+            hidden,
+            layers: 8,
+            fm_features: 16,
+            lcb_width: (hidden / 2).max(1),
+            mha,
+            top_mlp: vec![hidden / 2, hidden / 4],
+            dtype: DType::Fp16,
+        }),
     }
 }
 
@@ -246,16 +217,17 @@ pub fn fig6_models() -> Vec<ZooModel> {
     vec![
         // LC1 runs at 4K batch with light pooling — the §7 efficiency
         // leader; deeper-funnel LC models carry heavier sparse traffic.
-        lc_model("LC1", 15.0, 4096, 20, 0.08, 8),
-        lc_model("LC2", 25.0, 512, 40, 0.12, 20),
-        lc_model("LC3", 45.0, 1024, 60, 0.10, 20),
-        lc_model("LC4", 75.0, 1024, 80, 0.10, 16),
-        lc_model("LC5", 105.0, 2048, 100, 0.08, 12),
-        hc_model("HC1", 480.0, 2048, 30, 0.08, None),
-        hc_model("HC2", 600.0, 256, 150, 0.25, None),
+        lc_model("LC1", 15.0, 3045, 4096, 20, 0.08, 8),
+        lc_model("LC2", 25.0, 4156, 512, 40, 0.12, 20),
+        lc_model("LC3", 45.0, 5854, 1024, 60, 0.10, 20),
+        lc_model("LC4", 75.0, 7800, 1024, 80, 0.10, 16),
+        lc_model("LC5", 105.0, 9383, 2048, 100, 0.08, 12),
+        hc_model("HC1", 480.0, 3519, 2048, 30, 0.08, None),
+        hc_model("HC2", 600.0, 3966, 256, 150, 0.25, None),
         hc_model(
             "HC3",
             940.0,
+            3508,
             512,
             60,
             0.10,
@@ -266,70 +238,176 @@ pub fn fig6_models() -> Vec<ZooModel> {
                 head_dim: 16,
             }),
         ),
-        hc_model("HC4", 1000.0, 256, 200, 0.12, None),
+        hc_model("HC4", 1000.0, 5199, 256, 200, 0.12, None),
     ]
 }
 
 /// The §6 case-study model in its *initial* form: 140 MFLOPS/sample before
 /// eight months of co-evolution took it to 940 (HC3 above).
 pub fn case_study_initial() -> ZooModel {
-    hc_model("HC3-initial", 140.0, 512, 40, 0.10, None)
+    hc_model("HC3-initial", 140.0, 1778, 512, 40, 0.10, None)
 }
 
 /// The funnel-stage examples of Table 1.
 pub fn table1_models() -> Vec<ZooModel> {
     let retrieval = {
-        let mut m = lc_model("retrieval", 5.0, 8192, 75, 0.35, 12);
+        let mut m = lc_model("retrieval", 5.0, 1446, 8192, 75, 0.35, 12);
         m.class = ComplexityClass::Retrieval;
         m
     };
     let early = {
-        let mut m = lc_model("early-stage-ranking", 50.0, 2048, 200, 0.15, 20);
+        let mut m = lc_model("early-stage-ranking", 50.0, 6215, 2048, 200, 0.15, 20);
         m.class = ComplexityClass::EarlyStage;
         m
     };
     let late = {
-        let mut m = hc_model("late-stage-ranking", 1000.0, 256, 200, 0.10, None);
+        let mut m = hc_model("late-stage-ranking", 1000.0, 5199, 256, 200, 0.10, None);
         m.class = ComplexityClass::LateStage;
         m
     };
-    let hstu_retrieval = hstu_model("hstu-retrieval", 10.0, Bytes::from_gib(1024), 512, 8);
-    let hstu_ranking = hstu_model("hstu-ranking", 80.0, Bytes::from_gib(2048), 1024, 12);
+    let hstu_retrieval = hstu_model("hstu-retrieval", 10.0, 327, Bytes::from_gib(1024), 512, 8);
+    let hstu_ranking = hstu_model("hstu-ranking", 80.0, 481, Bytes::from_gib(2048), 1024, 12);
     vec![retrieval, early, late, hstu_retrieval, hstu_ranking]
 }
 
-/// Builds an HSTU model targeting `target_gflops` **per request** with the
-/// given total table size.
-fn hstu_model(name: &str, target_gflops: f64, tables: Bytes, dim: u64, layers: u64) -> ZooModel {
+/// Builds an HSTU model targeting `target_gflops` **per request**, met at
+/// mean sequence length `seq`, with the given total table size.
+fn hstu_model(
+    name: &str,
+    target_gflops: f64,
+    seq: u64,
+    tables: Bytes,
+    dim: u64,
+    layers: u64,
+) -> ZooModel {
     let num_tables = 8;
     let rows = rows_for_table_bytes(tables, num_tables, dim, DType::Fp16);
-    let base = |seq: u64| HstuConfig {
-        name: name.to_string(),
-        batch: 1,
-        num_tables,
-        rows_per_table: rows,
-        embedding_dim: dim,
-        mean_seq: seq,
-        max_seq: seq * 8,
-        heads: 8,
-        layers,
-        dtype: DType::Fp16,
-    };
     // Per request = per sample at batch 1; target in MFLOPS.
-    let seq = calibrate_width(4, 8_192, target_gflops * 1000.0, |s| base(s).build());
     ZooModel {
         name: name.to_string(),
         class: ComplexityClass::Hstu,
         target_mflops_per_sample: target_gflops * 1000.0,
         batch: 1,
         host_overhead: 0.10,
-        arch: ZooArch::Hstu(base(seq)),
+        arch: ZooArch::Hstu(HstuConfig {
+            name: name.to_string(),
+            batch: 1,
+            num_tables,
+            rows_per_table: rows,
+            embedding_dim: dim,
+            mean_seq: seq,
+            max_seq: seq * 8,
+            heads: 8,
+            layers,
+            dtype: DType::Fp16,
+        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Binary-searches an integer width so that `build(width)` yields a
+    /// graph whose FLOPS/sample is within 3 % of `target_mflops`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target cannot be bracketed in `[lo, hi]`.
+    fn calibrate_width(lo: u64, hi: u64, target_mflops: f64, build: impl Fn(u64) -> Graph) -> u64 {
+        let eval = |w: u64| build(w).flops_per_sample().as_mflops();
+        assert!(
+            eval(lo) <= target_mflops && eval(hi) >= target_mflops,
+            "target {target_mflops} MFLOPS/sample not bracketed by widths {lo}..{hi} \
+             ({} .. {})",
+            eval(lo),
+            eval(hi)
+        );
+        let (mut lo, mut hi) = (lo, hi);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if eval(mid) < target_mflops {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        // Pick the closer endpoint.
+        if (eval(lo) - target_mflops).abs() <= (eval(hi) - target_mflops).abs() {
+            lo
+        } else {
+            hi
+        }
+    }
+
+    /// The model's pinned width, its search bracket, and its architecture
+    /// rebuilt at width `w` exactly as its generator derives it.
+    fn width_of(m: &ZooModel) -> (u64, (u64, u64), impl Fn(u64) -> ZooArch + '_) {
+        let (width, bracket) = match &m.arch {
+            ZooArch::Dlrm(c) => (c.top_mlp[0], (8, 32_768)),
+            ZooArch::Dhen(c) => (c.hidden, (16, 16_384)),
+            ZooArch::Hstu(c) => (c.mean_seq, (4, 8_192)),
+        };
+        let at = move |w: u64| match &m.arch {
+            ZooArch::Dlrm(c) => ZooArch::Dlrm(DlrmConfig {
+                top_mlp: vec![w, w / 2],
+                ..c.clone()
+            }),
+            ZooArch::Dhen(c) => ZooArch::Dhen(DhenConfig {
+                hidden: w,
+                lcb_width: (w / 2).max(1),
+                top_mlp: vec![w / 2, w / 4],
+                ..c.clone()
+            }),
+            ZooArch::Hstu(c) => ZooArch::Hstu(HstuConfig {
+                mean_seq: w,
+                max_seq: w * 8,
+                ..c.clone()
+            }),
+        };
+        (width, bracket, at)
+    }
+
+    #[test]
+    fn zoo_widths_are_the_calibrated_ones() {
+        let models = fig6_models()
+            .into_iter()
+            .chain(table1_models())
+            .chain([case_study_initial()]);
+        let mut widths = Vec::new();
+        for m in models {
+            let (width, (lo, hi), at) = width_of(&m);
+            assert_eq!(at(width), m.arch, "{}: width derivation", m.name);
+            let calibrated = calibrate_width(lo, hi, m.target_mflops_per_sample, |w| {
+                ZooModel {
+                    arch: at(w),
+                    ..m.clone()
+                }
+                .graph()
+            });
+            assert_eq!(width, calibrated, "{}: pinned width", m.name);
+            widths.push((m.name.clone(), width));
+        }
+        let pinned = [
+            ("LC1", 3045),
+            ("LC2", 4156),
+            ("LC3", 5854),
+            ("LC4", 7800),
+            ("LC5", 9383),
+            ("HC1", 3519),
+            ("HC2", 3966),
+            ("HC3", 3508),
+            ("HC4", 5199),
+            ("retrieval", 1446),
+            ("early-stage-ranking", 6215),
+            ("late-stage-ranking", 5199),
+            ("hstu-retrieval", 327),
+            ("hstu-ranking", 481),
+            ("HC3-initial", 1778),
+        ];
+        let pinned: Vec<(String, u64)> = pinned.iter().map(|&(n, w)| (n.to_string(), w)).collect();
+        assert_eq!(widths, pinned);
+    }
 
     #[test]
     fn fig6_complexities_match_targets() {

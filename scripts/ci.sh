@@ -104,13 +104,16 @@ echo "==> global DES unit tests in release"
 # release-only slot check.
 cargo test -q --release -p mtia-serving --lib global
 
-echo "==> allocation guard in release"
+echo "==> allocation guards in release"
 # A ChipSim run and a GPU baseline run must allocate per run, not per
 # node: a counting allocator pins the exact allocation count of runs of
 # two zoo models with different node counts, in the optimized build the
-# co-design search uses. The count is exact, so it cannot drift with the
-# host.
+# co-design search uses. The compiler's guard pins the co-design setup
+# path the same way: building the zoo builds no graph, and compiling HC3
+# and LC1 makes an exact number of allocations. The counts are exact,
+# so they cannot drift with the host.
 cargo test -q --release -p mtia-sim --test alloc_guard
+cargo test -q --release -p mtia-compiler --test alloc_guard
 
 echo "==> perfbench self-tests"
 # The benchmark package (perfbench/, its own workspace) builds against
